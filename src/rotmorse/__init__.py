@@ -22,7 +22,6 @@ from .critical import (
 from .intpoly import IntPolynomial
 from .riemannian import (
     DegenerateHessianError,
-    FlowConfig,
     FlowResult,
     classify_rotation,
     curve_derivatives,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CriticalPointRecord",
     "DegenerateHessianError",
-    "FlowConfig",
     "FlowResult",
     "IntPolynomial",
     "MEMBERSHIP_TOL",

@@ -14,14 +14,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .critical import default_costs, enumerate_critical_points, validate_costs
-from .riemannian import FlowConfig, gradient_flow
+from .critical import default_costs, enumerate_critical_points, index_by_formula, validate_costs
+from .riemannian import gradient_flow
 from .rotations import MEMBERSHIP_TOL, haar_sample, is_rotation
 from .topology import is_perfect
 from .verify import run_all_suites
@@ -29,19 +30,6 @@ from .verify import run_all_suites
 
 class CliInputError(Exception):
     """Input problems detected after argument parsing (e.g. a bad start file)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    n: int
-    c: np.ndarray
-    seed: int
-    tol: float
-    samples: int
-    format: str
-    out: str | None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, required=True, help="matrix dimension (n >= 1)")
         p.add_argument(
             "--c",
@@ -66,19 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8, help="gradient-norm tolerance")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-    p_crit = sub.add_parser("critical-points", help="enumerate the critical set")
-    add_common(p_crit)
-
-    p_poly = sub.add_parser("polynomials", help="Morse vs Poincare polynomials and verdict")
-    add_common(p_poly)
-
-    p_verify = sub.add_parser("verify", help="run the numeric cross-check suites")
-    add_common(p_verify)
-
-    p_flow = sub.add_parser("flow", help="gradient descents from Haar starts")
-    add_common(p_flow)
-    p_flow.add_argument(
+    sub.choices["flow"].add_argument(
         "--start",
         default=None,
         help="JSON file with one start matrix (row-major); runs a single descent from it",
@@ -87,38 +64,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse and validate; args.c becomes the validated weight array."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("n must be >= 1")
     if args.c == "default":
-        c = default_costs(args.n)
+        args.c = default_costs(args.n)
     else:
         try:
             values = [float(x) for x in args.c.split(",")]
         except ValueError:
             parser.error(f"could not parse --c {args.c!r} as comma-separated reals")
         try:
-            c = validate_costs(values, n=args.n)
+            args.c = validate_costs(values, n=args.n)
         except ValueError as exc:
             parser.error(str(exc))
     if args.samples < 1:
         parser.error("samples must be >= 1")
+    if not math.isfinite(args.tol):
+        parser.error("tol must be finite")
     if args.tol <= 0:
         parser.error("tol must be positive")
-    return RunConfig(
-        n=args.n,
-        c=c,
-        seed=args.seed,
-        tol=args.tol,
-        samples=args.samples,
-        format=args.format,
-        out=args.out,
-    )
+    return args
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
-        Path(config.out).write_text(text + "\n")
+def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> None:
+    """Write the requested format to --out or stdout.
+
+    payload is the JSON object after the "n" and "c" every command echoes.
+    csv_rows (header first) and table_lines are callables, so only the
+    requested format is built.
+    """
+    if args.format == "json":
+        text = json.dumps({"n": args.n, "c": args.c.tolist(), **payload}, indent=2)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows())
+        text = buf.getvalue().rstrip("\n")
+    else:
+        text = "\n".join(table_lines())
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     else:
         print(text)
 
@@ -127,125 +115,98 @@ def _pattern_key(eps) -> str:
     return "".join("+" if e > 0 else "-" for e in eps)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def cmd_critical_points(args: argparse.Namespace) -> int:
+    records = sorted(enumerate_critical_points(args.n, args.c), key=lambda r: (r.index, r.value))
+    payload = {"critical_points": [r.to_json_dict() for r in records]}
 
-
-def cmd_critical_points(config: RunConfig) -> int:
-    records = sorted(
-        enumerate_critical_points(config.n, config.c), key=lambda r: (r.index, r.value)
-    )
-    if config.format == "json":
-        payload = {
-            "n": config.n,
-            "c": config.c.tolist(),
-            "critical_points": [r.to_json_dict() for r in records],
-        }
-        text = json.dumps(payload, indent=2)
-    elif config.format == "csv":
-        rows = [
-            (r.index, repr(r.value), _pattern_key(r.pattern),
-             ";".join(repr(h) for h in r.hessian_diagonal.tolist()))
-            for r in records
-        ]
-        text = _csv_text(("index", "value", "eps", "hessian_diagonal"), rows)
-    else:
-        lines = [f"critical points of f_c on SO({config.n}), c = {config.c.tolist()}"]
-        lines.append(f"{'index':>5}  {'value':>12}  pattern")
+    def csv_rows():
+        yield ("index", "value", "eps", "hessian_diagonal")
         for r in records:
-            lines.append(f"{r.index:>5}  {r.value:>12.6g}  {_pattern_key(r.pattern)}")
-        lines.append(f"total: {len(records)} critical points")
-        text = "\n".join(lines)
-    _emit(text, config)
+            hessian = ";".join(repr(h) for h in r.hessian_diagonal.tolist())
+            yield (r.index, repr(r.value), _pattern_key(r.pattern), hessian)
+
+    def table_lines():
+        yield f"critical points of f_c on SO({args.n}), c = {args.c.tolist()}"
+        yield f"{'index':>5}  {'value':>12}  pattern"
+        for r in records:
+            yield f"{r.index:>5}  {r.value:>12.6g}  {_pattern_key(r.pattern)}"
+        yield f"total: {len(records)} critical points"
+
+    _render(args, payload, csv_rows, table_lines)
     return 0
 
 
-def cmd_polynomials(config: RunConfig) -> int:
-    report = is_perfect(config.n, config.c)
+def cmd_polynomials(args: argparse.Namespace) -> int:
+    report = is_perfect(args.n, args.c)
     verdict = "PERFECT" if report.perfect else "NOT PERFECT"
-    if config.format == "json":
-        payload = {
-            "n": config.n,
-            "c": config.c.tolist(),
-            "morse": report.morse.to_list(),
-            "poincare_basis": report.poincare_basis.to_list(),
-            "poincare_product": report.poincare_product.to_list(),
-            "remainder": None if report.remainder is None else report.remainder.to_list(),
-            "perfect": report.perfect,
-            "verdict": verdict,
-        }
-        text = json.dumps(payload, indent=2)
-    elif config.format == "csv":
-        rows = [
+    remainder = "infeasible" if report.remainder is None else str(report.remainder)
+    payload = {
+        "morse": report.morse.to_list(),
+        "poincare_basis": report.poincare_basis.to_list(),
+        "poincare_product": report.poincare_product.to_list(),
+        "remainder": None if report.remainder is None else report.remainder.to_list(),
+        "perfect": report.perfect,
+        "verdict": verdict,
+    }
+
+    def csv_rows():
+        return [
+            ("quantity", "value"),
             ("morse", str(report.morse)),
             ("poincare_basis", str(report.poincare_basis)),
             ("poincare_product", str(report.poincare_product)),
-            ("remainder", "infeasible" if report.remainder is None else str(report.remainder)),
+            ("remainder", remainder),
             ("verdict", verdict),
         ]
-        text = _csv_text(("quantity", "value"), rows)
-    else:
-        remainder = "infeasible" if report.remainder is None else str(report.remainder)
-        text = "\n".join(
-            [
-                f"n = {config.n}, c = {config.c.tolist()}",
-                f"Morse polynomial:                   {report.morse}",
-                f"Poincare polynomial (Z2, basis):    {report.poincare_basis}",
-                f"Poincare polynomial (Z2, product):  {report.poincare_product}",
-                f"Morse-inequality remainder R(t):    {remainder}",
-                f"verdict: {verdict}",
-            ]
-        )
-    _emit(text, config)
+
+    def table_lines():
+        return [
+            f"n = {args.n}, c = {args.c.tolist()}",
+            f"Morse polynomial:                   {report.morse}",
+            f"Poincare polynomial (Z2, basis):    {report.poincare_basis}",
+            f"Poincare polynomial (Z2, product):  {report.poincare_product}",
+            f"Morse-inequality remainder R(t):    {remainder}",
+            f"verdict: {verdict}",
+        ]
+
+    _render(args, payload, csv_rows, table_lines)
     return 0 if report.perfect else 3
 
 
-def cmd_verify(config: RunConfig) -> int:
-    suites = run_all_suites(
-        config.n, config.samples, seed=config.seed, c=config.c, grad_tol=config.tol
-    )
+def cmd_verify(args: argparse.Namespace) -> int:
+    suites = run_all_suites(args.n, args.samples, seed=args.seed, c=args.c, grad_tol=args.tol)
     all_passed = all(s.passed for s in suites)
-    if config.format == "json":
-        payload = {
-            "n": config.n,
-            "c": config.c.tolist(),
-            "seed": config.seed,
-            "samples": config.samples,
-            "suites": [s.to_json_dict() for s in suites],
-            "passed": all_passed,
-        }
-        text = json.dumps(payload, indent=2)
-    elif config.format == "csv":
-        rows = [
-            (s.name, "pass" if s.passed else "fail", repr(s.max_residual), repr(s.threshold))
-            for s in suites
-        ]
-        text = _csv_text(("suite", "status", "max_residual", "threshold"), rows)
-    else:
-        lines = []
+    payload = {
+        "seed": args.seed,
+        "samples": args.samples,
+        "suites": [s.to_json_dict() for s in suites],
+        "passed": all_passed,
+    }
+
+    def csv_rows():
+        yield ("suite", "status", "max_residual", "threshold")
+        for s in suites:
+            yield (s.name, "pass" if s.passed else "fail", repr(s.max_residual), repr(s.threshold))
+
+    def table_lines():
         for s in suites:
             status = "PASS" if s.passed else "FAIL"
             detail = f"  ({s.detail})" if s.detail else ""
-            lines.append(
+            yield (
                 f"[{status}] {s.name:<20} max residual {s.max_residual:.3e} "
                 f"vs threshold {s.threshold:.3e}{detail}"
             )
-        lines.append("all suites passed" if all_passed else "one or more suites FAILED")
-        text = "\n".join(lines)
-    _emit(text, config)
+        yield "all suites passed" if all_passed else "one or more suites FAILED"
+
+    _render(args, payload, csv_rows, table_lines)
     return 0 if all_passed else 4
 
 
 def _load_start_matrix(path: str, n: int) -> np.ndarray:
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        A = np.asarray(json.loads(Path(path).read_text()), dtype=float)
+    except (OSError, ValueError, TypeError) as exc:
         raise CliInputError(f"could not read start file {path!r}: {exc}") from exc
-    A = np.asarray(data, dtype=float)
     if A.shape != (n, n):
         raise CliInputError(f"start matrix has shape {A.shape}, expected ({n}, {n})")
     if not is_rotation(A, MEMBERSHIP_TOL):
@@ -253,30 +214,25 @@ def _load_start_matrix(path: str, n: int) -> np.ndarray:
     return A
 
 
-def cmd_flow(config: RunConfig, start: str | None = None) -> int:
-    flow_config = FlowConfig(grad_tol=config.tol)
-    if start is not None:
-        starts = [_load_start_matrix(start, config.n)]
+def cmd_flow(args: argparse.Namespace) -> int:
+    if args.start is not None:
+        starts = [_load_start_matrix(args.start, args.n)]
     else:
-        rng = np.random.default_rng(config.seed)
-        starts = [haar_sample(config.n, rng) for _ in range(config.samples)]
+        rng = np.random.default_rng(args.seed)
+        starts = [haar_sample(args.n, rng) for _ in range(args.samples)]
 
-    results = [gradient_flow(A0, config.c, flow_config) for A0 in starts]
+    results = [gradient_flow(A0, args.c, grad_tol=args.tol) for A0 in starts]
 
-    pattern_counts: dict = {}
-    unclassified = 0
-    for r in results:
-        if r.classified_pattern is None:
-            unclassified += 1
-        else:
-            key = _pattern_key(r.classified_pattern)
-            pattern_counts[key] = pattern_counts.get(key, 0) + 1
+    limits = Counter(r.classified_pattern for r in results)
+    unclassified = limits.pop(None, 0)
+    # (key, count, Morse index) per limit pattern, sorted by key
+    limit_rows = sorted((_pattern_key(p), k, index_by_formula(p)) for p, k in limits.items())
     iteration_counts = [r.iterations for r in results]
     summary = {
         "samples": len(results),
         "converged": sum(r.converged for r in results),
         "unclassified": unclassified,
-        "pattern_counts": dict(sorted(pattern_counts.items())),
+        "pattern_counts": {key: count for key, count, _ in limit_rows},
         "max_final_gradient_norm": max(r.final_gradient_norm for r in results),
         "iterations": {
             "min": min(iteration_counts),
@@ -284,67 +240,59 @@ def cmd_flow(config: RunConfig, start: str | None = None) -> int:
             "max": max(iteration_counts),
         },
     }
+    payload = {
+        "seed": args.seed,
+        "tol": args.tol,
+        "samples": [r.to_json_dict() for r in results],
+        "summary": summary,
+    }
 
-    if config.format == "json":
-        payload = {
-            "n": config.n,
-            "c": config.c.tolist(),
-            "seed": config.seed,
-            "tol": config.tol,
-            "samples": [r.to_json_dict() for r in results],
-            "summary": summary,
-        }
-        text = json.dumps(payload, indent=2)
-    elif config.format == "csv":
-        rows = [
-            (
-                i,
-                r.iterations,
-                repr(r.final_gradient_norm),
-                r.converged,
-                "unclassified" if r.classified_pattern is None else _pattern_key(r.classified_pattern),
-            )
-            for i, r in enumerate(results)
-        ]
-        text = _csv_text(
-            ("sample", "iterations", "final_gradient_norm", "converged", "pattern"), rows
+    def csv_rows():
+        yield ("sample", "iterations", "final_gradient_norm", "converged", "pattern")
+        for i, r in enumerate(results):
+            pattern = r.classified_pattern
+            key = "unclassified" if pattern is None else _pattern_key(pattern)
+            yield (i, r.iterations, repr(r.final_gradient_norm), r.converged, key)
+
+    def table_lines():
+        yield (
+            f"gradient flow on SO({args.n}), c = {args.c.tolist()}, "
+            f"seed {args.seed}, {summary['samples']} start(s)"
         )
-    else:
-        lines = [
-            f"gradient flow on SO({config.n}), c = {config.c.tolist()}, "
-            f"seed {config.seed}, {summary['samples']} start(s)",
+        yield (
             f"converged: {summary['converged']}/{summary['samples']} "
-            f"(worst final gradient norm {summary['max_final_gradient_norm']:.3e})",
+            f"(worst final gradient norm {summary['max_final_gradient_norm']:.3e})"
+        )
+        yield (
             f"iterations: min {summary['iterations']['min']}, "
-            f"mean {summary['iterations']['mean']:.1f}, max {summary['iterations']['max']}",
-            "limits per sign pattern:",
-        ]
-        for key, count in summary["pattern_counts"].items():
-            lines.append(f"  {key}  {count}")
+            f"mean {summary['iterations']['mean']:.1f}, max {summary['iterations']['max']}"
+        )
+        yield "limits per sign pattern:"
+        for key, count, index in limit_rows:
+            yield f"  {key}  {count}  index {index}"
         if unclassified:
-            lines.append(f"  unclassified  {unclassified}")
-        text = "\n".join(lines)
-    _emit(text, config)
+            yield f"  unclassified  {unclassified}"
+
+    _render(args, payload, csv_rows, table_lines)
     return 0
 
 
+# name -> (handler, help): build_parser registers these and main dispatches on them
+_COMMANDS = {
+    "critical-points": (cmd_critical_points, "enumerate the critical set"),
+    "polynomials": (cmd_polynomials, "Morse vs Poincare polynomials and verdict"),
+    "verify": (cmd_verify, "run the numeric cross-check suites"),
+    "flow": (cmd_flow, "gradient descents from Haar starts"),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(parser, args)
+    args = _parse_args(argv)
     try:
-        if args.command == "critical-points":
-            return cmd_critical_points(config)
-        if args.command == "polynomials":
-            return cmd_polynomials(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "flow":
-            return cmd_flow(config, start=args.start)
+        return _COMMANDS[args.command][0](args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intpoly import IntPolynomial
-from .rotations import pair_count, pair_indices
+from .rotations import pair_indices
 
 
 def validate_costs(c, n: int | None = None) -> np.ndarray:
@@ -71,12 +71,30 @@ def validate_pattern(eps) -> tuple:
 def sign_patterns(n: int) -> list:
     """All 2^(n-1) admissible sign patterns, lexicographic with +1 first.
 
-    Iterates the full 2^n sign cube in lexicographic order and keeps the
-    product-(+1) half, so the output order is deterministic.
+    The first n-1 signs run over the sign cube in lexicographic order and
+    the last sign is their product, which makes the full product +1. This
+    is the same order as filtering all 2^n sign vectors lexicographically.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return [eps for eps in itertools.product((1, -1), repeat=n) if math.prod(eps) == 1]
+    return [head + (math.prod(head),) for head in itertools.product((1, -1), repeat=n - 1)]
+
+
+# The closed forms of the module docstring, each written once. Callers
+# pass a validated pattern and weights.
+
+
+def _index(eps) -> int:
+    return sum(i for i, e in enumerate(eps) if e == 1)
+
+
+def _value(eps, c: np.ndarray) -> float:
+    return float(np.dot(c, np.asarray(eps, dtype=float)))
+
+
+def _hessian_diagonal(eps, c: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    w = c * np.asarray(eps, dtype=float)
+    return -(w[iu] + w[ju])
 
 
 def index_by_formula(eps) -> int:
@@ -86,8 +104,7 @@ def index_by_formula(eps) -> int:
     exactly when +1 occurs nowhere (even n) or only in position 1 (odd n);
     the all-(-1) pattern exists in SO(n) only for even n.
     """
-    eps = validate_pattern(eps)
-    return sum(i for i, e in enumerate(eps) if e == 1)
+    return _index(validate_pattern(eps))
 
 
 def hessian_diagonal(eps, c) -> np.ndarray:
@@ -100,9 +117,7 @@ def hessian_diagonal(eps, c) -> np.ndarray:
     """
     eps = validate_pattern(eps)
     c = validate_costs(c, n=len(eps))
-    w = c * np.asarray(eps, dtype=float)
-    iu, ju = np.triu_indices(len(eps), k=1)
-    return -(w[iu] + w[ju])
+    return _hessian_diagonal(eps, c, *np.triu_indices(len(eps), k=1))
 
 
 def index_by_hessian(eps, c) -> int:
@@ -119,7 +134,7 @@ def critical_value(eps, c) -> float:
     """
     eps = validate_pattern(eps)
     c = validate_costs(c, n=len(eps))
-    return float(np.dot(c, np.asarray(eps, dtype=float)))
+    return _value(eps, c)
 
 
 def embed_pattern(eps) -> np.ndarray:
@@ -160,25 +175,18 @@ def enumerate_critical_points(n: int, c=None) -> list:
         raise ValueError(f"n must be >= 1, got {n}")
     c = default_costs(n) if c is None else validate_costs(c, n=n)
     iu, ju = np.triu_indices(n, k=1)
-    records = []
-    for eps in sign_patterns(n):
-        w = c * np.asarray(eps, dtype=float)
-        records.append(
-            CriticalPointRecord(
-                pattern=eps,
-                index=sum(i for i, e in enumerate(eps) if e == 1),
-                value=float(np.dot(c, np.asarray(eps, dtype=float))),
-                hessian_diagonal=-(w[iu] + w[ju]),
-            )
-        )
-    return records
+    return [
+        CriticalPointRecord(eps, _index(eps), _value(eps, c), _hessian_diagonal(eps, c, iu, ju))
+        for eps in sign_patterns(n)
+    ]
 
 
 def morse_polynomial(n: int, c=None) -> IntPolynomial:
     """Generating polynomial of the critical set: coefficient of t^k counts
     the critical points of index k. Equals the expanded product
-    (1+t)(1+t^2)...(1+t^(n-1)) for any admissible weights."""
-    mu = [0] * (pair_count(n) + 1)
-    for record in enumerate_critical_points(n, c):
-        mu[record.index] += 1
-    return IntPolynomial(mu)
+    (1+t)(1+t^2)...(1+t^(n-1)) for any admissible weights, which are
+    validated but do not enter the count."""
+    patterns = sign_patterns(n)
+    if c is not None:
+        validate_costs(c, n=n)
+    return IntPolynomial.counting(_index(eps) for eps in patterns)

@@ -9,6 +9,7 @@ growth needs no overflow guard.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from typing import Iterable
 
 
@@ -44,6 +45,15 @@ class IntPolynomial:
         if power < 0:
             raise ValueError("power must be nonnegative")
         return cls((0,) * power + (coeff,))
+
+    @classmethod
+    def counting(cls, degrees: Iterable[int]) -> "IntPolynomial":
+        """Histogram of degrees: the coefficient of t^k counts the entries
+        equal to k. Empty input gives the zero polynomial."""
+        counts = Counter(degrees)
+        if counts and min(counts) < 0:
+            raise ValueError(f"degrees must be nonnegative, got {min(counts)}")
+        return cls(counts[k] for k in range(max(counts, default=-1) + 1))
 
     @property
     def coeffs(self) -> tuple:

@@ -21,12 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import validate_costs
-from .rotations import (
-    MEMBERSHIP_TOL,
-    generator_stack,
-    is_rotation,
-    retract,
-)
+from .rotations import MEMBERSHIP_TOL, is_rotation, retract
+
+# Line-search constants of gradient_flow. An accepted step may raise the
+# objective by at most _DESCENT_SLACK, which lets the flow keep moving once
+# objective differences fall below float resolution while the gradient is
+# still above tolerance.
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-20
+_DESCENT_SLACK = 1e-12
 
 
 def _check_point(A, n: int) -> np.ndarray:
@@ -77,12 +81,21 @@ def tangent_hessian(A, c) -> np.ndarray:
     matrix is exactly diagonal with entries -c(a)*eps(a) - c(b)*eps(b);
     away from critical points it is generally not symmetric (the defect is
     a combination of first derivatives).
+
+    Expanding E_ab @ E_gd with M = diag(c) @ A gives the closed form
+
+        H[(a,b),(g,d)] = δ_ad M_gb - δ_ag M_db - δ_bd M_ga + δ_bg M_da,
+
+    built below as S - S^T over the first two axes, with
+    S[a,b,g,d] = δ_ad M_gb - δ_ag M_db.
     """
     c = validate_costs(c)
     A = _check_point(A, c.size)
-    E = generator_stack(c.size)
-    V = np.matmul(A, E)
-    return np.einsum("pkm,qmk,k->pq", V, E, c)
+    eye = np.eye(c.size)
+    M = c[:, None] * A
+    S = np.einsum("ad,gb->abgd", eye, M) - np.einsum("ag,db->abgd", eye, M)
+    iu, ju = np.triu_indices(c.size, k=1)
+    return (S - S.transpose(1, 0, 2, 3))[iu, ju][:, iu, ju]
 
 
 class DegenerateHessianError(ValueError):
@@ -123,29 +136,6 @@ def classify_rotation(A, tol: float = 1e-6):
     return tuple(int(e) for e in eps)
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    """Knobs for gradient_flow.
-
-    initial_step defaults to 1/(2*max(c)): gradient components are bounded
-    by 2*max(c), which makes the first trial scale-aware. Accepted steps
-    may raise the objective by at most descent_slack, which lets the flow
-    keep moving once objective differences fall below float resolution
-    while the gradient is still above tolerance.
-    """
-
-    grad_tol: float = 1e-8
-    max_iterations: int = 100_000
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float | None = None
-    min_step: float = 1e-20
-    descent_slack: float = 1e-12
-    classification_tol: float = 1e-6
-    membership_tol: float = MEMBERSHIP_TOL
-    record_trajectory: bool = False
-
-
 @dataclass
 class FlowResult:
     """Outcome of one descent run."""
@@ -172,46 +162,49 @@ class FlowResult:
         return out
 
 
-def gradient_flow(A0, c, config: FlowConfig | None = None) -> FlowResult:
+def gradient_flow(
+    A0, c, grad_tol: float = 1e-8, max_iterations: int = 100_000, record_trajectory: bool = False
+) -> FlowResult:
     """Backtracking gradient descent on the objective over SO(n).
 
     Repeats A <- retract(A, -gradient, step), shrinking the step until the
-    Armijo decrease (up to descent_slack) holds, and stops once the
-    gradient 2-norm falls below config.grad_tol. Trial steps are capped so
-    step * ||K||_F <= 2, keeping the retraction in its accurate regime.
+    Armijo decrease (up to a small slack) holds, and stops once the
+    gradient 2-norm falls below grad_tol. The first trial step is
+    1/(2*max(c)): gradient components are bounded by 2*max(c), which makes
+    it scale-aware. Trial steps are also capped so step * ||K||_F <= 2,
+    keeping the retraction in its accurate regime.
 
-    Hitting the iteration cap, or a line search that shrinks below
-    min_step, returns a result with converged=False rather than raising.
-    The final matrix is classified by rounding to the nearest embedded
-    sign pattern within classification_tol (None if there is no such
-    pattern).
+    Hitting max_iterations, or a line search whose step shrinks below
+    _MIN_STEP, returns a result with converged=False rather than raising.
+    The final matrix is classified by classify_rotation at its default
+    tolerance (None if no sign pattern is near). With record_trajectory, trajectory_values holds the
+    objective at the start and after every accepted step.
     """
-    config = config or FlowConfig()
     c = validate_costs(c)
     A = np.array(A0, dtype=float)
     if A.shape != (c.size, c.size):
         raise ValueError(f"start shape {A.shape} does not match cost vector length {c.size}")
-    if not is_rotation(A, config.membership_tol):
+    if not is_rotation(A, MEMBERSHIP_TOL):
         raise ValueError("starting point is not a rotation matrix within membership tolerance")
 
-    step0 = config.initial_step if config.initial_step is not None else 1.0 / (2.0 * c[-1])
+    step0 = 1.0 / (2.0 * c[-1])
     f = objective(A, c)
-    trajectory = [f] if config.record_trajectory else None
+    trajectory = [f] if record_trajectory else None
     g = riemannian_gradient(A, c)
     gnorm = float(np.linalg.norm(g))
     iterations = 0
 
-    while gnorm > config.grad_tol and iterations < config.max_iterations:
+    while gnorm > grad_tol and iterations < max_iterations:
         knorm = math.sqrt(2.0) * gnorm  # ||K||_F for pair coefficients g
         step = min(step0, 2.0 / knorm)
         accepted = False
-        while step >= config.min_step:
+        while step >= _MIN_STEP:
             trial = retract(A, -g, step)
             f_trial = objective(trial, c)
-            if f_trial <= f - config.armijo * step * gnorm * gnorm + config.descent_slack:
+            if f_trial <= f - _ARMIJO * step * gnorm * gnorm + _DESCENT_SLACK:
                 accepted = True
                 break
-            step *= config.backtrack
+            step *= _BACKTRACK
         if not accepted:
             break
         A, f = trial, f_trial
@@ -225,7 +218,7 @@ def gradient_flow(A0, c, config: FlowConfig | None = None) -> FlowResult:
         final_point=A,
         iterations=iterations,
         final_gradient_norm=gnorm,
-        classified_pattern=classify_rotation(A, config.classification_tol),
-        converged=bool(gnorm <= config.grad_tol),
+        classified_pattern=classify_rotation(A),
+        converged=bool(gnorm <= grad_tol),
         trajectory_values=None if trajectory is None else np.asarray(trajectory),
     )

@@ -73,24 +73,6 @@ def generator(pair, n: int) -> np.ndarray:
     return E
 
 
-@lru_cache(maxsize=None)
-def _generator_stack_cached(n: int) -> np.ndarray:
-    d = pair_count(n)
-    E = np.zeros((d, n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    E[np.arange(d), iu, ju] = -1.0
-    E[np.arange(d), ju, iu] = 1.0
-    E.flags.writeable = False
-    return E
-
-
-def generator_stack(n: int) -> np.ndarray:
-    """All generators as a read-only (d, n, n) array in pair_indices order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _generator_stack_cached(n)
-
-
 def curve_velocity(A, pair, side: str = "right") -> np.ndarray:
     """Velocity at theta = 0 of the rotation-plane curve through A.
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .critical import index_by_formula, morse_polynomial, sign_patterns
 from .intpoly import IntPolynomial
-from .rotations import pair_count
 
 
 def poincare_product(n: int) -> IntPolynomial:
@@ -57,10 +56,7 @@ def poincare_from_basis(n: int) -> IntPolynomial:
 
     The coefficient of t^k is the k-th Z2 Betti number of SO(n).
     """
-    betti = [0] * (pair_count(n) + 1)
-    for element in enumerate_basis(n):
-        betti[basis_degree(element)] += 1
-    return IntPolynomial(betti)
+    return IntPolynomial.counting(basis_degree(element) for element in enumerate_basis(n))
 
 
 def morse_remainder(p_f: IntPolynomial, p_m: IntPolynomial):
@@ -142,10 +138,7 @@ def morse_split_by_last_sign(m: int):
     """
     if m < 2:
         raise ValueError("the last-sign split needs dimension >= 2")
-    d = pair_count(m)
-    minus = [0] * (d + 1)
-    plus = [0] * (d + 1)
-    for eps in sign_patterns(m):
-        bucket = plus if eps[-1] == 1 else minus
-        bucket[index_by_formula(eps)] += 1
-    return IntPolynomial(minus), IntPolynomial(plus)
+    patterns = sign_patterns(m)
+    minus = IntPolynomial.counting(index_by_formula(eps) for eps in patterns if eps[-1] == -1)
+    plus = IntPolynomial.counting(index_by_formula(eps) for eps in patterns if eps[-1] == 1)
+    return minus, plus

@@ -22,7 +22,6 @@ from .critical import (
     validate_costs,
 )
 from .riemannian import (
-    FlowConfig,
     gradient_flow,
     numeric_index,
     objective,
@@ -176,11 +175,12 @@ def flow_classification_suite(
     rng = np.random.default_rng(seed)
     cc = default_costs(n) if c is None else validate_costs(c, n=n)
     admissible = set(sign_patterns(n))
-    config = FlowConfig(grad_tol=grad_tol, max_iterations=max_iterations)
     worst = 0.0
     failures = 0
     for _ in range(samples):
-        result = gradient_flow(haar_sample(n, rng), cc, config)
+        result = gradient_flow(
+            haar_sample(n, rng), cc, grad_tol=grad_tol, max_iterations=max_iterations
+        )
         worst = max(worst, result.final_gradient_norm)
         if not result.converged or result.classified_pattern not in admissible:
             failures += 1

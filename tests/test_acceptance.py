@@ -9,7 +9,6 @@ import numpy as np
 
 import rotmorse as rm
 from rotmorse.intpoly import IntPolynomial
-from rotmorse.riemannian import FlowConfig
 from rotmorse.topology import morse_split_by_last_sign
 from rotmorse.verify import fd_gradient, fd_tangent_hessian, random_costs
 
@@ -107,13 +106,12 @@ def test_criterion_6_flow_recovery():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     c = rm.default_costs(4)
-    config = FlowConfig(grad_tol=1e-8, max_iterations=100_000)
     admissible = set(rm.sign_patterns(4))
     total = 1000
     n_converged = n_minimum = 0
     bad_limits = 0
     for _ in range(total):
-        result = rm.gradient_flow(rm.haar_sample(4, rng), c, config)
+        result = rm.gradient_flow(rm.haar_sample(4, rng), c, grad_tol=1e-8, max_iterations=100_000)
         n_converged += result.converged
         if result.classified_pattern is not None and result.classified_pattern not in admissible:
             bad_limits += 1

@@ -52,6 +52,18 @@ def test_coefficient_out_of_range_is_zero():
     assert p.coefficient(0) == 4 and p.coefficient(7) == 0 and p.coefficient(-1) == 0
 
 
+def test_counting_histogram():
+    assert IntPolynomial.counting([]) == IntPolynomial.zero()
+    assert IntPolynomial.counting([5, 0, 2, 2]).coeffs == (1, 0, 2, 0, 0, 1)
+    with pytest.raises(ValueError):
+        IntPolynomial.counting([1, -1])
+
+
+@given(st.lists(st.integers(0, 30), max_size=40))
+def test_counting_total_is_length(degrees):
+    assert IntPolynomial.counting(degrees)(1) == len(degrees)
+
+
 @given(coeff_lists, coeff_lists)
 def test_mul_matches_evaluation(a, b):
     p, q = IntPolynomial(a), IntPolynomial(b)

@@ -6,12 +6,12 @@ from rotmorse.critical import (
     critical_value,
     default_costs,
     embed_pattern,
+    hessian_diagonal,
     index_by_formula,
     sign_patterns,
 )
 from rotmorse.riemannian import (
     DegenerateHessianError,
-    FlowConfig,
     classify_rotation,
     curve_derivatives,
     gradient_flow,
@@ -20,7 +20,7 @@ from rotmorse.riemannian import (
     riemannian_gradient,
     tangent_hessian,
 )
-from rotmorse.rotations import givens_curve, haar_sample
+from rotmorse.rotations import generator, givens_curve, haar_sample, pair_indices
 from rotmorse.verify import fd_gradient, fd_tangent_hessian, random_costs
 
 
@@ -80,6 +80,28 @@ def test_hessian_diagonal_at_pattern():
 
 def test_hessian_at_identity_n2():
     assert_array_equal(tangent_hessian(np.eye(2), [1, 2]), [[-3.0]])
+
+
+def test_hessian_matches_definition():
+    # entry (p, q) is the objective applied to A @ E_p @ E_q
+    rng = np.random.default_rng(24)
+    for n in range(1, 9):
+        A = haar_sample(n, rng)
+        c = random_costs(n, rng)
+        pairs = pair_indices(n)
+        expected = np.array(
+            [[objective(A @ generator(p, n) @ generator(q, n), c) for q in pairs] for p in pairs]
+        ).reshape(len(pairs), len(pairs))
+        assert np.abs(tangent_hessian(A, c) - expected).max(initial=0.0) <= 1e-12
+
+
+def test_hessian_exactly_diagonal_at_every_pattern():
+    rng = np.random.default_rng(25)
+    for n in range(1, 8):
+        c = random_costs(n, rng)
+        for eps in sign_patterns(n):
+            H = tangent_hessian(embed_pattern(eps), c)
+            assert_array_equal(H, np.diag(hessian_diagonal(eps, c)))
 
 
 def test_hessian_matches_finite_differences():
@@ -157,7 +179,7 @@ def test_flow_limits_are_enumerated_patterns():
 
 def test_flow_descent_is_monotone():
     rng = np.random.default_rng(4)
-    res = gradient_flow(haar_sample(4, rng), default_costs(4), FlowConfig(record_trajectory=True))
+    res = gradient_flow(haar_sample(4, rng), default_costs(4), record_trajectory=True)
     assert res.converged and res.trajectory_values is not None
     assert np.all(np.diff(res.trajectory_values) <= 1e-12)
     assert len(res.trajectory_values) == res.iterations + 1
@@ -170,7 +192,7 @@ def test_flow_off_manifold_raises():
 
 def test_flow_iteration_cap_is_nonconvergence_not_error():
     rng = np.random.default_rng(6)
-    res = gradient_flow(haar_sample(3, rng), default_costs(3), FlowConfig(max_iterations=2))
+    res = gradient_flow(haar_sample(3, rng), default_costs(3), max_iterations=2)
     assert not res.converged and res.iterations == 2
 
 
@@ -178,8 +200,7 @@ def test_flow_unreachable_tolerance():
     # n=4 needs six exact-zero components at once, so rounding noise keeps
     # the gradient norm strictly positive (n=2 can hit exact 0 by chance)
     rng = np.random.default_rng(8)
-    config = FlowConfig(grad_tol=1e-300, max_iterations=500)
-    res = gradient_flow(haar_sample(4, rng), default_costs(4), config)
+    res = gradient_flow(haar_sample(4, rng), default_costs(4), grad_tol=1e-300, max_iterations=500)
     assert not res.converged
 
 
