@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intpoly import IntPolynomial
-from .rotations import pair_indices
+from .rotations import _pair_arrays, pair_indices
 
 
 def validate_costs(c, n: int | None = None) -> np.ndarray:
@@ -92,7 +92,8 @@ def _value(eps, c: np.ndarray) -> float:
     return float(np.dot(c, np.asarray(eps, dtype=float)))
 
 
-def _hessian_diagonal(eps, c: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+def _hessian_diagonal(eps, c: np.ndarray) -> np.ndarray:
+    iu, ju = _pair_arrays(len(eps))
     w = c * np.asarray(eps, dtype=float)
     return -(w[iu] + w[ju])
 
@@ -117,7 +118,7 @@ def hessian_diagonal(eps, c) -> np.ndarray:
     """
     eps = validate_pattern(eps)
     c = validate_costs(c, n=len(eps))
-    return _hessian_diagonal(eps, c, *np.triu_indices(len(eps), k=1))
+    return _hessian_diagonal(eps, c)
 
 
 def index_by_hessian(eps, c) -> int:
@@ -174,9 +175,8 @@ def enumerate_critical_points(n: int, c=None) -> list:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     c = default_costs(n) if c is None else validate_costs(c, n=n)
-    iu, ju = np.triu_indices(n, k=1)
     return [
-        CriticalPointRecord(eps, _index(eps), _value(eps, c), _hessian_diagonal(eps, c, iu, ju))
+        CriticalPointRecord(eps, _index(eps), _value(eps, c), _hessian_diagonal(eps, c))
         for eps in sign_patterns(n)
     ]
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import validate_costs
-from .rotations import MEMBERSHIP_TOL, is_rotation, retract
+from .rotations import MEMBERSHIP_TOL, _pair_arrays, is_rotation, retract
 
 # Line-search constants of gradient_flow. An accepted step may raise the
 # objective by at most _DESCENT_SLACK, which lets the flow keep moving once
@@ -40,11 +40,23 @@ def _check_point(A, n: int) -> np.ndarray:
     return A
 
 
+# The closed forms, each written once. Callers pass validated float weights
+# and a float (n, n) matrix; the kernels check nothing.
+
+
+def _objective(A: np.ndarray, c: np.ndarray) -> float:
+    return float(np.dot(c, np.diagonal(A)))
+
+
+def _gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    iu, ju = _pair_arrays(c.size)
+    return c[iu] * A[iu, ju] - c[ju] * A[ju, iu]
+
+
 def objective(A, c) -> float:
     """Weighted trace sum_i c(i) * A(i,i)."""
     c = validate_costs(c)
-    A = _check_point(A, c.size)
-    return float(np.dot(c, np.diagonal(A)))
+    return _objective(_check_point(A, c.size), c)
 
 
 def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
@@ -58,17 +70,18 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
     """
     c = validate_costs(c)
     A = _check_point(A, c.size)
-    iu, ju = np.triu_indices(c.size, k=1)
     if side == "right":
-        return c[iu] * A[iu, ju] - c[ju] * A[ju, iu]
+        return _gradient(A, c)
     if side == "left":
+        iu, ju = _pair_arrays(c.size)
         return -c[iu] * A[ju, iu] + c[ju] * A[iu, ju]
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def riemannian_gradient(A, c) -> np.ndarray:
     """Gradient of the objective in the canonical (right-curve) basis."""
-    return curve_derivatives(A, c, side="right")
+    c = validate_costs(c)
+    return _gradient(_check_point(A, c.size), c)
 
 
 def tangent_hessian(A, c) -> np.ndarray:
@@ -94,7 +107,7 @@ def tangent_hessian(A, c) -> np.ndarray:
     eye = np.eye(c.size)
     M = c[:, None] * A
     S = np.einsum("ad,gb->abgd", eye, M) - np.einsum("ag,db->abgd", eye, M)
-    iu, ju = np.triu_indices(c.size, k=1)
+    iu, ju = _pair_arrays(c.size)
     return (S - S.transpose(1, 0, 2, 3))[iu, ju][:, iu, ju]
 
 
@@ -124,6 +137,8 @@ def classify_rotation(A, tol: float = 1e-6):
     """Round A to a sign pattern when it is entrywise within tol of an
     embedded pattern with det +1; otherwise None."""
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
     diag = np.diagonal(A)
     eps = np.where(diag >= 0.0, 1, -1)
@@ -176,11 +191,18 @@ def gradient_flow(
 
     Hitting max_iterations, or a line search whose step shrinks below
     _MIN_STEP, returns a result with converged=False rather than raising.
+    A grad_tol that is not a finite positive number, a negative
+    max_iterations, a start of the wrong shape or off the manifold raise
+    ValueError; past these checks the loop runs on unchecked kernels.
     The final matrix is classified by classify_rotation at its default
     tolerance (None if no sign pattern is near). With record_trajectory, trajectory_values holds the
     objective at the start and after every accepted step.
     """
     c = validate_costs(c)
+    if not (math.isfinite(grad_tol) and grad_tol > 0):
+        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
     A = np.array(A0, dtype=float)
     if A.shape != (c.size, c.size):
         raise ValueError(f"start shape {A.shape} does not match cost vector length {c.size}")
@@ -188,9 +210,9 @@ def gradient_flow(
         raise ValueError("starting point is not a rotation matrix within membership tolerance")
 
     step0 = 1.0 / (2.0 * c[-1])
-    f = objective(A, c)
+    f = _objective(A, c)
     trajectory = [f] if record_trajectory else None
-    g = riemannian_gradient(A, c)
+    g = _gradient(A, c)
     gnorm = float(np.linalg.norm(g))
     iterations = 0
 
@@ -200,7 +222,7 @@ def gradient_flow(
         accepted = False
         while step >= _MIN_STEP:
             trial = retract(A, -g, step)
-            f_trial = objective(trial, c)
+            f_trial = _objective(trial, c)
             if f_trial <= f - _ARMIJO * step * gnorm * gnorm + _DESCENT_SLACK:
                 accepted = True
                 break
@@ -211,7 +233,7 @@ def gradient_flow(
         iterations += 1
         if trajectory is not None:
             trajectory.append(f)
-        g = riemannian_gradient(A, c)
+        g = _gradient(A, c)
         gnorm = float(np.linalg.norm(g))
 
     return FlowResult(

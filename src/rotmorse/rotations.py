@@ -38,6 +38,15 @@ def pair_indices(n: int) -> tuple:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _pair_arrays(n: int) -> tuple:
+    """pair_indices(n) as read-only 0-based row and column arrays (iu, ju)."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def _validate_pair(pair, n: int) -> tuple:
     i, j = pair
     i, j = int(i), int(j)
@@ -124,7 +133,7 @@ def skew_from_coeffs(coeffs, n: int) -> np.ndarray:
     d = pair_count(n)
     if coeffs.shape != (d,):
         raise ValueError(f"expected {d} pair coefficients for n={n}, got shape {coeffs.shape}")
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _pair_arrays(n)
     K = np.zeros((n, n))
     K[iu, ju] = -coeffs
     K[ju, iu] = coeffs

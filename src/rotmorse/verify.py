@@ -2,9 +2,9 @@
 derivatives, exact index agreement, and flow-based recovery of the critical
 set. The `verify` CLI subcommand bundles these; tests reuse the pieces.
 
-The finite-difference routes go through objective() and givens_curve()
-only, so they share nothing with the closed-form derivative formulas they
-check.
+The finite-difference routes validate the weights and the point once, then
+go through the objective kernel and givens_curve() only, so they share
+nothing with the closed-form derivative formulas they check.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from .critical import (
     validate_costs,
 )
 from .riemannian import (
+    _check_point,
+    _objective,
+    curve_derivatives,
     gradient_flow,
     numeric_index,
-    objective,
-    curve_derivatives,
     tangent_hessian,
 )
 from .rotations import givens_curve, haar_sample, pair_indices
@@ -39,23 +40,28 @@ def random_costs(n: int, rng, low: float = 0.0, high: float = 10.0) -> np.ndarra
             return c
 
 
-def fd_curve_derivative(A, c, pair, h: float = 1e-5, side: str = "right") -> float:
-    """Central difference of the objective along one rotation-plane curve."""
-    c = validate_costs(c)
+def _fd_curve_derivative(A, c, pair, h: float, side: str) -> float:
     n = c.size
     B_plus = givens_curve(pair, h, n)
     B_minus = givens_curve(pair, -h, n)
     if side == "right":
-        return (objective(A @ B_plus, c) - objective(A @ B_minus, c)) / (2.0 * h)
+        return (_objective(A @ B_plus, c) - _objective(A @ B_minus, c)) / (2.0 * h)
     if side == "left":
-        return (objective(B_plus @ A, c) - objective(B_minus @ A, c)) / (2.0 * h)
+        return (_objective(B_plus @ A, c) - _objective(B_minus @ A, c)) / (2.0 * h)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def fd_curve_derivative(A, c, pair, h: float = 1e-5, side: str = "right") -> float:
+    """Central difference of the objective along one rotation-plane curve."""
+    c = validate_costs(c)
+    return _fd_curve_derivative(_check_point(A, c.size), c, pair, h, side)
 
 
 def fd_gradient(A, c, h: float = 1e-5, side: str = "right") -> np.ndarray:
     """Finite-difference estimate of all curve derivatives, pair order."""
-    n = validate_costs(c).size
-    return np.array([fd_curve_derivative(A, c, p, h=h, side=side) for p in pair_indices(n)])
+    c = validate_costs(c)
+    A = _check_point(A, c.size)
+    return np.array([_fd_curve_derivative(A, c, p, h, side) for p in pair_indices(c.size)])
 
 
 def fd_tangent_hessian(A, c, h: float = 1e-4) -> np.ndarray:
@@ -66,6 +72,7 @@ def fd_tangent_hessian(A, c, h: float = 1e-4) -> np.ndarray:
     """
     c = validate_costs(c)
     n = c.size
+    A = _check_point(A, n)
     pairs = pair_indices(n)
     d = len(pairs)
     B_plus = [givens_curve(p, h, n) for p in pairs]
@@ -76,10 +83,10 @@ def fd_tangent_hessian(A, c, h: float = 1e-4) -> np.ndarray:
         Am = A @ B_minus[pi]
         for qi in range(d):
             H[pi, qi] = (
-                objective(Ap @ B_plus[qi], c)
-                - objective(Ap @ B_minus[qi], c)
-                - objective(Am @ B_plus[qi], c)
-                + objective(Am @ B_minus[qi], c)
+                _objective(Ap @ B_plus[qi], c)
+                - _objective(Ap @ B_minus[qi], c)
+                - _objective(Am @ B_plus[qi], c)
+                + _objective(Am @ B_minus[qi], c)
             ) / (4.0 * h * h)
     return H
 

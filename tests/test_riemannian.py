@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from rotmorse import riemannian
 from rotmorse.critical import (
     critical_value,
     default_costs,
@@ -20,7 +23,7 @@ from rotmorse.riemannian import (
     riemannian_gradient,
     tangent_hessian,
 )
-from rotmorse.rotations import generator, givens_curve, haar_sample, pair_indices
+from rotmorse.rotations import generator, givens_curve, haar_sample, pair_indices, retract
 from rotmorse.verify import fd_gradient, fd_tangent_hessian, random_costs
 
 
@@ -148,6 +151,24 @@ def test_classify_rotation():
     assert classify_rotation(haar_sample(3, 1)) is None  # generic point
     wiggled = np.diag([1.0, 1.0]) + 1e-8
     assert classify_rotation(wiggled) == (1, 1)
+    for shape in ((2, 3), (3,)):
+        with pytest.raises(ValueError, match="square"):
+            classify_rotation(np.ones(shape))
+
+
+@pytest.mark.parametrize("grad_tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_flow_rejects_bad_tolerance(grad_tol):
+    with pytest.raises(ValueError, match="grad_tol"):
+        gradient_flow(np.eye(3), default_costs(3), grad_tol=grad_tol)
+
+
+def test_flow_rejects_negative_iteration_cap():
+    with pytest.raises(ValueError, match="max_iterations"):
+        gradient_flow(np.eye(3), default_costs(3), max_iterations=-5)
+    A0 = haar_sample(3, 12)
+    res = gradient_flow(A0, default_costs(3), max_iterations=0)  # a cap of 0 is allowed
+    assert res.iterations == 0 and not res.converged
+    assert_array_equal(res.final_point, A0)
 
 
 def test_flow_starts_at_minimum():
@@ -210,3 +231,83 @@ def test_flow_result_json_round_trip():
     assert d["final_point"] == [[1.0, 0.0], [0.0, 1.0]]
     assert d["classified_pattern"] == [1, 1]
     assert d["converged"] is True
+
+
+def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
+    """The descent loop of gradient_flow, rebuilt from public functions and
+    the module's line-search constants: every evaluation validates again."""
+    c = np.asarray(c, dtype=float)
+    A = np.array(A0, dtype=float)
+    step0 = 1.0 / (2.0 * c[-1])
+    f = objective(A, c)
+    g = riemannian_gradient(A, c)
+    gnorm = float(np.linalg.norm(g))
+    iterations = 0
+    while gnorm > grad_tol and iterations < max_iterations:
+        step = min(step0, 2.0 / (math.sqrt(2.0) * gnorm))
+        accepted = False
+        while step >= riemannian._MIN_STEP:
+            trial = retract(A, -g, step)
+            f_trial = objective(trial, c)
+            bound = f - riemannian._ARMIJO * step * gnorm * gnorm + riemannian._DESCENT_SLACK
+            if f_trial <= bound:
+                accepted = True
+                break
+            step *= riemannian._BACKTRACK
+        if not accepted:
+            break
+        A, f = trial, f_trial
+        iterations += 1
+        g = riemannian_gradient(A, c)
+        gnorm = float(np.linalg.norm(g))
+    return A, iterations, gnorm, classify_rotation(A)
+
+
+def test_flow_equals_reference_loop_exactly():
+    rng = np.random.default_rng(31)
+    unclassified = 0
+    for n in range(1, 6):
+        for k in range(-3, 3):
+            c = 10.0**k * default_costs(n)
+            A0 = haar_sample(n, rng)
+            A, iterations, gnorm, pattern = _reference_flow(A0, c)
+            res = gradient_flow(A0, c)
+            assert np.array_equal(res.final_point, A)
+            assert res.iterations == iterations
+            assert res.final_gradient_norm == gnorm
+            assert res.classified_pattern == pattern
+            unclassified += pattern is None
+    assert unclassified > 0  # the small-weight starts stop short of a pattern
+
+
+def test_fd_oracles_equal_reference_exactly():
+    rng = np.random.default_rng(32)
+    h1, h2 = 1e-5, 1e-4
+    for n in range(1, 6):
+        A = haar_sample(n, rng)
+        c = random_costs(n, rng)
+        pairs = pair_indices(n)
+        plus = [givens_curve(p, h1, n) for p in pairs]
+        minus = [givens_curve(p, -h1, n) for p in pairs]
+        right = [(objective(A @ P, c) - objective(A @ M, c)) / (2.0 * h1) for P, M in zip(plus, minus)]
+        left = [(objective(P @ A, c) - objective(M @ A, c)) / (2.0 * h1) for P, M in zip(plus, minus)]
+        assert np.array_equal(fd_gradient(A, c, h=h1), np.array(right))
+        assert np.array_equal(fd_gradient(A, c, h=h1, side="left"), np.array(left))
+        plus = [givens_curve(p, h2, n) for p in pairs]
+        minus = [givens_curve(p, -h2, n) for p in pairs]
+        H = np.array(
+            [
+                [
+                    (
+                        objective(A @ P @ Q, c)
+                        - objective(A @ P @ R, c)
+                        - objective(A @ M @ Q, c)
+                        + objective(A @ M @ R, c)
+                    )
+                    / (4.0 * h2 * h2)
+                    for Q, R in zip(plus, minus)
+                ]
+                for P, M in zip(plus, minus)
+            ]
+        ).reshape(len(pairs), len(pairs))
+        assert np.array_equal(fd_tangent_hessian(A, c, h=h2), H)

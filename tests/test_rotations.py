@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rotmorse.rotations import (
+    _pair_arrays,
     curve_velocity,
     givens_curve,
     haar_sample,
@@ -20,6 +21,13 @@ def test_pair_indices_order_and_count():
     assert pair_indices(3) == ((1, 2), (1, 3), (2, 3))
     for n in range(1, 10):
         assert len(pair_indices(n)) == pair_count(n) == n * (n - 1) // 2
+        # the cached 0-based arrays are the same pairs, and read-only
+        iu, ju = _pair_arrays(n)
+        assert_array_equal(np.stack([iu, ju]), np.triu_indices(n, 1))
+        assert list(zip((iu + 1).tolist(), (ju + 1).tolist())) == list(pair_indices(n))
+        for arr in (iu, ju):
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 def test_givens_identity_at_zero():
