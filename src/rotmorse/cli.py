@@ -4,8 +4,8 @@ cross-check suites, and gradient-flow batches, all with reproducible seeds.
 JSON is the machine format and is byte-stable for fixed flags and seed on a
 fixed platform; tables are for humans and carry no stability promise.
 
-Exit codes: 0 success (and perfect, for `polynomials`), 2 argument
-validation, 3 perfectness check failed, 4 a numeric suite failed.
+Exit codes: 0 success (and perfect, for `polynomials`), 2 a bad argument
+or --out path, 3 perfectness check failed, 4 a numeric suite failed.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .critical import default_costs, enumerate_critical_points, index_by_formula, validate_costs
-from .riemannian import gradient_flow
-from .rotations import MEMBERSHIP_TOL, haar_sample, is_rotation
+from .riemannian import _check_start, _haar_flows, gradient_flow
 from .topology import is_perfect
 from .verify import run_all_suites
 
@@ -106,7 +105,10 @@ def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> N
     else:
         text = "\n".join(table_lines())
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise CliInputError(f"could not write {args.out!r}: {exc}") from exc
     else:
         print(text)
 
@@ -149,23 +151,24 @@ def cmd_polynomials(args: argparse.Namespace) -> int:
         "verdict": verdict,
     }
 
+    rows = [
+        ("morse", "Morse polynomial:", report.morse),
+        ("poincare_basis", "Poincare polynomial (Z2, basis):", report.poincare_basis),
+        ("poincare_product", "Poincare polynomial (Z2, product):", report.poincare_product),
+        ("remainder", "Morse-inequality remainder R(t):", remainder),
+    ]
+
     def csv_rows():
         return [
             ("quantity", "value"),
-            ("morse", str(report.morse)),
-            ("poincare_basis", str(report.poincare_basis)),
-            ("poincare_product", str(report.poincare_product)),
-            ("remainder", remainder),
+            *((key, str(value)) for key, _, value in rows),
             ("verdict", verdict),
         ]
 
     def table_lines():
         return [
             f"n = {args.n}, c = {args.c.tolist()}",
-            f"Morse polynomial:                   {report.morse}",
-            f"Poincare polynomial (Z2, basis):    {report.poincare_basis}",
-            f"Poincare polynomial (Z2, product):  {report.poincare_product}",
-            f"Morse-inequality remainder R(t):    {remainder}",
+            *(f"{label:<36}{value}" for _, label, value in rows),
             f"verdict: {verdict}",
         ]
 
@@ -207,21 +210,17 @@ def _load_start_matrix(path: str, n: int) -> np.ndarray:
         A = np.asarray(json.loads(Path(path).read_text()), dtype=float)
     except (OSError, ValueError, TypeError) as exc:
         raise CliInputError(f"could not read start file {path!r}: {exc}") from exc
-    if A.shape != (n, n):
-        raise CliInputError(f"start matrix has shape {A.shape}, expected ({n}, {n})")
-    if not is_rotation(A, MEMBERSHIP_TOL):
-        raise CliInputError("start matrix is not a rotation matrix within membership tolerance")
-    return A
+    try:
+        return _check_start(A, n)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
     if args.start is not None:
-        starts = [_load_start_matrix(args.start, args.n)]
+        results = [gradient_flow(_load_start_matrix(args.start, args.n), args.c, grad_tol=args.tol)]
     else:
-        rng = np.random.default_rng(args.seed)
-        starts = [haar_sample(args.n, rng) for _ in range(args.samples)]
-
-    results = [gradient_flow(A0, args.c, grad_tol=args.tol) for A0 in starts]
+        results = _haar_flows(args.n, args.c, args.samples, args.seed, args.tol)
 
     limits = Counter(r.classified_pattern for r in results)
     unclassified = limits.pop(None, 0)

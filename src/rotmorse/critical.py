@@ -172,12 +172,11 @@ def enumerate_critical_points(n: int, c=None) -> list:
     Order follows sign_patterns(n), so output is deterministic. Weights
     default to c(i) = i.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    patterns = sign_patterns(n)
     c = default_costs(n) if c is None else validate_costs(c, n=n)
     return [
         CriticalPointRecord(eps, _index(eps), _value(eps, c), _hessian_diagonal(eps, c))
-        for eps in sign_patterns(n)
+        for eps in patterns
     ]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import validate_costs
-from .rotations import MEMBERSHIP_TOL, _pair_arrays, is_rotation, retract
+from .rotations import _check_square, _pair_arrays, haar_sample, is_rotation, retract
 
 # Line-search constants of gradient_flow. An accepted step may raise the
 # objective by at most _DESCENT_SLACK, which lets the flow keep moving once
@@ -32,11 +32,26 @@ _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
 _DESCENT_SLACK = 1e-12
 
+_ZERO_TOL = 1e-9
+_CLASSIFY_TOL = 1e-6
 
-def _check_point(A, n: int) -> np.ndarray:
+
+def _check_args(A, c) -> tuple:
+    """(A, c) as a float (n, n) matrix and validated float weights of length n."""
+    c = validate_costs(c)
     A = np.asarray(A, dtype=float)
+    if A.shape != (c.size, c.size):
+        raise ValueError(f"matrix shape {A.shape} does not match cost vector length {c.size}")
+    return A, c
+
+
+def _check_start(A0, n: int) -> np.ndarray:
+    """A fresh float copy of a descent start; ValueError unless an (n, n) rotation."""
+    A = np.array(A0, dtype=float)
     if A.shape != (n, n):
-        raise ValueError(f"matrix shape {A.shape} does not match cost vector length {n}")
+        raise ValueError(f"start matrix has shape {A.shape}, expected ({n}, {n})")
+    if not is_rotation(A):
+        raise ValueError("start matrix is not a rotation matrix within membership tolerance")
     return A
 
 
@@ -55,8 +70,7 @@ def _gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def objective(A, c) -> float:
     """Weighted trace sum_i c(i) * A(i,i)."""
-    c = validate_costs(c)
-    return _objective(_check_point(A, c.size), c)
+    return _objective(*_check_args(A, c))
 
 
 def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
@@ -68,8 +82,7 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
     -c(i)*A(j,i) + c(j)*A(i,j). Both vanish identically (exact zeros) on
     embedded sign-pattern matrices.
     """
-    c = validate_costs(c)
-    A = _check_point(A, c.size)
+    A, c = _check_args(A, c)
     if side == "right":
         return _gradient(A, c)
     if side == "left":
@@ -80,8 +93,7 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
 
 def riemannian_gradient(A, c) -> np.ndarray:
     """Gradient of the objective in the canonical (right-curve) basis."""
-    c = validate_costs(c)
-    return _gradient(_check_point(A, c.size), c)
+    return _gradient(*_check_args(A, c))
 
 
 def tangent_hessian(A, c) -> np.ndarray:
@@ -102,8 +114,7 @@ def tangent_hessian(A, c) -> np.ndarray:
     built below as S - S^T over the first two axes, with
     S[a,b,g,d] = δ_ad M_gb - δ_ag M_db.
     """
-    c = validate_costs(c)
-    A = _check_point(A, c.size)
+    A, c = _check_args(A, c)
     eye = np.eye(c.size)
     M = c[:, None] * A
     S = np.einsum("ad,gb->abgd", eye, M) - np.einsum("ag,db->abgd", eye, M)
@@ -116,35 +127,30 @@ class DegenerateHessianError(ValueError):
     vector violates strict monotonicity or the point is not critical."""
 
 
-def numeric_index(H, zero_tol: float = 1e-9) -> int:
+def numeric_index(H) -> int:
     """Number of negative eigenvalues of the symmetric matrix H.
 
-    Eigenvalues within zero_tol of zero abort with DegenerateHessianError
+    Eigenvalues within 1e-9 of zero abort with DegenerateHessianError
     rather than guessing a sign.
     """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    H = _check_square(H)
     eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if eigs.size and np.abs(eigs).min() <= zero_tol:
+    if eigs.size and np.abs(eigs).min() <= _ZERO_TOL:
         raise DegenerateHessianError(
-            f"Hessian eigenvalue within {zero_tol:g} of zero; index is not defined"
+            f"Hessian eigenvalue within {_ZERO_TOL:g} of zero; index is not defined"
         )
     return int(np.count_nonzero(eigs < 0.0))
 
 
-def classify_rotation(A, tol: float = 1e-6):
-    """Round A to a sign pattern when it is entrywise within tol of an
+def classify_rotation(A):
+    """Round A to a sign pattern when it is entrywise within 1e-6 of an
     embedded pattern with det +1; otherwise None."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
+    A = _check_square(A, nonempty=True)
     diag = np.diagonal(A)
     eps = np.where(diag >= 0.0, 1, -1)
-    if np.abs(diag - eps).max() > tol:
+    if np.abs(diag - eps).max() > _CLASSIFY_TOL:
         return None
-    if n > 1 and np.abs(A - np.diag(diag)).max() > tol:
+    if np.abs(A - np.diag(diag)).max() > _CLASSIFY_TOL:
         return None
     if int(np.prod(eps)) != 1:
         return None
@@ -194,8 +200,8 @@ def gradient_flow(
     A grad_tol that is not a finite positive number, a negative
     max_iterations, a start of the wrong shape or off the manifold raise
     ValueError; past these checks the loop runs on unchecked kernels.
-    The final matrix is classified by classify_rotation at its default
-    tolerance (None if no sign pattern is near). With record_trajectory, trajectory_values holds the
+    The final matrix is classified by classify_rotation (None if no sign
+    pattern is near). With record_trajectory, trajectory_values holds the
     objective at the start and after every accepted step.
     """
     c = validate_costs(c)
@@ -203,11 +209,7 @@ def gradient_flow(
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
-    A = np.array(A0, dtype=float)
-    if A.shape != (c.size, c.size):
-        raise ValueError(f"start shape {A.shape} does not match cost vector length {c.size}")
-    if not is_rotation(A, MEMBERSHIP_TOL):
-        raise ValueError("starting point is not a rotation matrix within membership tolerance")
+    A = _check_start(A0, c.size)
 
     step0 = 1.0 / (2.0 * c[-1])
     f = _objective(A, c)
@@ -244,3 +246,9 @@ def gradient_flow(
         converged=bool(gnorm <= grad_tol),
         trajectory_values=None if trajectory is None else np.asarray(trajectory),
     )
+
+
+def _haar_flows(n: int, c, samples: int, seed, grad_tol: float, max_iterations: int = 100_000):
+    """gradient_flow from `samples` Haar starts drawn in order from one default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return [gradient_flow(haar_sample(n, rng), c, grad_tol, max_iterations) for _ in range(samples)]

@@ -47,6 +47,16 @@ def _pair_arrays(n: int) -> tuple:
     return iu, ju
 
 
+def _check_square(A, nonempty: bool = False) -> np.ndarray:
+    """A as a float array; ValueError unless square (and, if nonempty, n >= 1)."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if nonempty and A.shape[0] < 1:
+        raise ValueError(f"need a matrix with n >= 1, got shape {A.shape}")
+    return A
+
+
 def _validate_pair(pair, n: int) -> tuple:
     i, j = pair
     i, j = int(i), int(j)
@@ -89,9 +99,7 @@ def curve_velocity(A, pair, side: str = "right") -> np.ndarray:
     B_ij(theta) @ A. The right family is the canonical tangent basis
     everywhere in this package; the left family exists for cross-checks.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    A = _check_square(A)
     E = generator(pair, A.shape[0])
     if side == "right":
         return A @ E
@@ -147,18 +155,14 @@ def retract(A, coeffs, step: float) -> np.ndarray:
     the manifold up to rounding (residuals ~1e-15 per call for moderate
     step * ||K||).
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    A = _check_square(A)
     K = skew_from_coeffs(coeffs, A.shape[0])
     return A @ expm(step * K)
 
 
 def is_rotation(A, tol: float = MEMBERSHIP_TOL) -> bool:
     """True iff ||A A^t - I||_inf <= tol and |det(A) - 1| <= tol."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    A = _check_square(A, nonempty=True)
     n = A.shape[0]
     resid = np.abs(A @ A.T - np.eye(n)).max()
     return bool(resid <= tol and abs(np.linalg.det(A) - 1.0) <= tol)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .critical import index_by_formula, morse_polynomial, sign_patterns
+from .critical import _index, morse_polynomial, sign_patterns
 from .intpoly import IntPolynomial
 
 
@@ -139,6 +139,6 @@ def morse_split_by_last_sign(m: int):
     if m < 2:
         raise ValueError("the last-sign split needs dimension >= 2")
     patterns = sign_patterns(m)
-    minus = IntPolynomial.counting(index_by_formula(eps) for eps in patterns if eps[-1] == -1)
-    plus = IntPolynomial.counting(index_by_formula(eps) for eps in patterns if eps[-1] == 1)
+    minus = IntPolynomial.counting(_index(eps) for eps in patterns if eps[-1] == -1)
+    plus = IntPolynomial.counting(_index(eps) for eps in patterns if eps[-1] == 1)
     return minus, plus

@@ -5,11 +5,14 @@ set. The `verify` CLI subcommand bundles these; tests reuse the pieces.
 The finite-difference routes validate the weights and the point once, then
 go through the objective kernel and givens_curve() only, so they share
 nothing with the closed-form derivative formulas they check.
+
+Fixed oracle settings: the gradient suite differences with h = 1e-5 and
+passes at a worst residual of 1e-7, the Hessian suite with h = 1e-4 at 1e-4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,46 +25,44 @@ from .critical import (
     validate_costs,
 )
 from .riemannian import (
-    _check_point,
+    _check_args,
+    _haar_flows,
     _objective,
     curve_derivatives,
-    gradient_flow,
     numeric_index,
     tangent_hessian,
 )
 from .rotations import givens_curve, haar_sample, pair_indices
 
 
-def random_costs(n: int, rng, low: float = 0.0, high: float = 10.0) -> np.ndarray:
-    """Strictly increasing weights drawn uniformly from [low, high]."""
+_GRADIENT_THRESHOLD = 1e-7
+_HESSIAN_THRESHOLD = 1e-4
+
+
+def random_costs(n: int, rng) -> np.ndarray:
+    """Strictly increasing weights drawn uniformly from [0, 10]."""
     while True:
-        c = np.sort(rng.uniform(low, high, size=n))
+        c = np.sort(rng.uniform(0.0, 10.0, size=n))
         if n == 1 or np.all(np.diff(c) > 0):
             return c
 
 
-def _fd_curve_derivative(A, c, pair, h: float, side: str) -> float:
-    n = c.size
-    B_plus = givens_curve(pair, h, n)
-    B_minus = givens_curve(pair, -h, n)
-    if side == "right":
-        return (_objective(A @ B_plus, c) - _objective(A @ B_minus, c)) / (2.0 * h)
-    if side == "left":
-        return (_objective(B_plus @ A, c) - _objective(B_minus @ A, c)) / (2.0 * h)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def fd_curve_derivative(A, c, pair, h: float = 1e-5, side: str = "right") -> float:
-    """Central difference of the objective along one rotation-plane curve."""
-    c = validate_costs(c)
-    return _fd_curve_derivative(_check_point(A, c.size), c, pair, h, side)
-
-
 def fd_gradient(A, c, h: float = 1e-5, side: str = "right") -> np.ndarray:
-    """Finite-difference estimate of all curve derivatives, pair order."""
-    c = validate_costs(c)
-    A = _check_point(A, c.size)
-    return np.array([_fd_curve_derivative(A, c, p, h, side) for p in pair_indices(c.size)])
+    """Central differences along every rotation-plane curve of the given
+    side (as in curve_derivatives), pair order."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    A, c = _check_args(A, c)
+    n = c.size
+    derivatives = []
+    for pair in pair_indices(n):
+        B_plus, B_minus = givens_curve(pair, h, n), givens_curve(pair, -h, n)
+        if side == "right":
+            A_plus, A_minus = A @ B_plus, A @ B_minus
+        else:
+            A_plus, A_minus = B_plus @ A, B_minus @ A
+        derivatives.append((_objective(A_plus, c) - _objective(A_minus, c)) / (2.0 * h))
+    return np.array(derivatives)
 
 
 def fd_tangent_hessian(A, c, h: float = 1e-4) -> np.ndarray:
@@ -70,9 +71,8 @@ def fd_tangent_hessian(A, c, h: float = 1e-4) -> np.ndarray:
     Entry (p, q) approximates d^2/dtheta dphi of the objective along
     A @ B_p(theta) @ B_q(phi) at zero.
     """
-    c = validate_costs(c)
+    A, c = _check_args(A, c)
     n = c.size
-    A = _check_point(A, n)
     pairs = pair_indices(n)
     d = len(pairs)
     B_plus = [givens_curve(p, h, n) for p in pairs]
@@ -102,48 +102,43 @@ class SuiteResult:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "threshold": self.threshold,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
-def gradient_oracle_suite(
-    n: int, samples: int, seed=0, c=None, h: float = 1e-5, threshold: float = 1e-7
-) -> SuiteResult:
+def _haar_points(n: int, samples: int, seed, c):
+    """Yield (A, weights) per sample from one default_rng(seed): a Haar
+    point, then fresh random_costs when c is None (else c itself)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        A = haar_sample(n, rng)
+        yield A, (random_costs(n, rng) if c is None else c)
+
+
+def _worst(differences) -> float:
+    """Largest absolute entry over a stream of arrays; 0.0 if all are empty."""
+    return max((float(np.abs(d).max(initial=0.0)) for d in differences), default=0.0)
+
+
+def gradient_oracle_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
     """Closed-form curve derivatives vs central differences at Haar points.
 
-    Checks both curve families. With c=None, weights are redrawn per
-    sample from [0, 10].
+    Checks both curve families, with h = 1e-5. With c=None, weights are
+    redrawn per sample from [0, 10].
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        A = haar_sample(n, rng)
-        cc = random_costs(n, rng) if c is None else c
-        for side in ("right", "left"):
-            resid = np.abs(curve_derivatives(A, cc, side=side) - fd_gradient(A, cc, h=h, side=side))
-            if resid.size:
-                worst = max(worst, float(resid.max()))
-    return SuiteResult("gradient-fd", worst <= threshold, worst, threshold)
+    worst = _worst(
+        curve_derivatives(A, cc, side=side) - fd_gradient(A, cc, side=side)
+        for A, cc in _haar_points(n, samples, seed, c)
+        for side in ("right", "left")
+    )
+    return SuiteResult("gradient-fd", worst <= _GRADIENT_THRESHOLD, worst, _GRADIENT_THRESHOLD)
 
 
-def hessian_oracle_suite(
-    n: int, samples: int, seed=0, c=None, h: float = 1e-4, threshold: float = 1e-4
-) -> SuiteResult:
-    """Bilinear-form Hessian vs second-order central differences."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        A = haar_sample(n, rng)
-        cc = random_costs(n, rng) if c is None else c
-        resid = np.abs(tangent_hessian(A, cc) - fd_tangent_hessian(A, cc, h=h))
-        if resid.size:
-            worst = max(worst, float(resid.max()))
-    return SuiteResult("hessian-fd", worst <= threshold, worst, threshold)
+def hessian_oracle_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
+    """Bilinear-form Hessian vs second-order central differences (h = 1e-4)."""
+    worst = _worst(
+        tangent_hessian(A, cc) - fd_tangent_hessian(A, cc) for A, cc in _haar_points(n, samples, seed, c)
+    )
+    return SuiteResult("hessian-fd", worst <= _HESSIAN_THRESHOLD, worst, _HESSIAN_THRESHOLD)
 
 
 def index_equivalence_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
@@ -179,18 +174,11 @@ def flow_classification_suite(
 ) -> SuiteResult:
     """Every Haar-started descent must converge and land on an enumerated
     sign pattern. Residual reported is the worst final gradient norm."""
-    rng = np.random.default_rng(seed)
     cc = default_costs(n) if c is None else validate_costs(c, n=n)
     admissible = set(sign_patterns(n))
-    worst = 0.0
-    failures = 0
-    for _ in range(samples):
-        result = gradient_flow(
-            haar_sample(n, rng), cc, grad_tol=grad_tol, max_iterations=max_iterations
-        )
-        worst = max(worst, result.final_gradient_norm)
-        if not result.converged or result.classified_pattern not in admissible:
-            failures += 1
+    results = _haar_flows(n, cc, samples, seed, grad_tol, max_iterations)
+    worst = max((r.final_gradient_norm for r in results), default=0.0)
+    failures = sum(not r.converged or r.classified_pattern not in admissible for r in results)
     return SuiteResult(
         "flow-classification",
         failures == 0,

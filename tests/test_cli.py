@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from rotmorse.cli import main
+from rotmorse.critical import default_costs
+from rotmorse.riemannian import gradient_flow
+from rotmorse.rotations import haar_sample
 
 
 def run_cli(capsys, *argv):
@@ -144,10 +147,35 @@ def test_flow_off_manifold_start_exit_2(tmp_path, capsys):
     assert "not a rotation" in err
 
 
+def test_flow_wrong_shape_start_exit_2(tmp_path, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(np.eye(2).tolist()))
+    code, _, err = run_cli(capsys, "flow", "--n", "3", "--start", str(path))
+    assert code == 2
+    assert err == "error: start matrix has shape (2, 2), expected (3, 3)\n"
+
+
 def test_flow_missing_start_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "flow", "--n", "3", "--start", "/nonexistent.json")
     assert code == 2
     assert "could not read" in err
+
+
+def test_flow_samples_equal_seeded_haar_descents(capsys):
+    n, seed, samples = 3, 5, 6
+    code, out, _ = run_cli(
+        capsys, "flow", "--n", str(n), "--samples", str(samples), "--seed", str(seed),
+        "--format", "json",
+    )
+    assert code == 0
+    rng = np.random.default_rng(seed)
+    expected = [gradient_flow(haar_sample(n, rng), default_costs(n)) for _ in range(samples)]
+    got = json.loads(out)["samples"]
+    assert len(got) == samples
+    for sample, res in zip(got, expected):
+        assert sample["final_point"] == res.final_point.tolist()
+        assert sample["iterations"] == res.iterations
+        assert sample["final_gradient_norm"] == res.final_gradient_norm
 
 
 def test_same_seed_byte_identical_json(capsys):
@@ -167,6 +195,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(dest.read_text())["n"] == 2
+
+
+def test_out_flag_unwritable_path_exit_2(tmp_path, capsys):
+    dest = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(
+        capsys, "critical-points", "--n", "2", "--format", "json", "--out", str(dest)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: could not write")
+    assert not dest.exists()
 
 
 def test_critical_points_csv(capsys):

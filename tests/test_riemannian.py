@@ -154,6 +154,8 @@ def test_classify_rotation():
     for shape in ((2, 3), (3,)):
         with pytest.raises(ValueError, match="square"):
             classify_rotation(np.ones(shape))
+    with pytest.raises(ValueError, match="n >= 1"):
+        classify_rotation(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("grad_tol", [float("nan"), float("inf"), 0.0, -1.0])

@@ -161,3 +161,5 @@ def test_is_rotation_cases():
     assert not is_rotation(np.diag([1.0, -1.0]), 1e-12)  # det -1: in O(2), not SO(2)
     with pytest.raises(ValueError):
         is_rotation(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="n >= 1"):
+        is_rotation(np.zeros((0, 0)))

@@ -1,6 +1,12 @@
 import numpy as np
+import pytest
 
+from rotmorse.critical import default_costs
+from rotmorse.riemannian import curve_derivatives, gradient_flow, tangent_hessian
+from rotmorse.rotations import haar_sample
 from rotmorse.verify import (
+    fd_gradient,
+    fd_tangent_hessian,
     flow_classification_suite,
     gradient_oracle_suite,
     hessian_oracle_suite,
@@ -64,3 +70,48 @@ def test_suite_result_json_dict():
     result = index_equivalence_suite(2, samples=1, seed=0)
     d = result.to_json_dict()
     assert d["name"] == "index-equivalence" and d["passed"] is True
+
+
+def _reference_worst(n, samples, seed, c, residual):
+    """Worst residual over the suites' draws, rebuilt as a plain loop: per
+    sample one Haar point, then fresh weights when c is None."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        A = haar_sample(n, rng)
+        cc = random_costs(n, rng) if c is None else c
+        resid = residual(A, cc)
+        if resid.size:
+            worst = max(worst, float(resid.max()))
+    return worst
+
+
+@pytest.mark.parametrize("n,seed,c", [(1, 0, None), (3, 4, None), (4, 9, [0.5, 1.0, 2.5, 7.0])])
+def test_suite_residuals_equal_reference_loops(n, seed, c):
+    def gradient_residual(A, cc):
+        return np.concatenate(
+            [
+                np.abs(curve_derivatives(A, cc, side=side) - fd_gradient(A, cc, h=1e-5, side=side))
+                for side in ("right", "left")
+            ]
+        )
+
+    def hessian_residual(A, cc):
+        return np.abs(tangent_hessian(A, cc) - fd_tangent_hessian(A, cc, h=1e-4))
+
+    samples = 3
+    expected = _reference_worst(n, samples, seed, c, gradient_residual)
+    assert gradient_oracle_suite(n, samples, seed=seed, c=c).max_residual == expected
+    expected = _reference_worst(n, samples, seed, c, hessian_residual)
+    assert hessian_oracle_suite(n, samples, seed=seed, c=c).max_residual == expected
+
+    rng = np.random.default_rng(seed)
+    cc = default_costs(n) if c is None else c
+    norms = [gradient_flow(haar_sample(n, rng), cc).final_gradient_norm for _ in range(samples)]
+    assert flow_classification_suite(n, samples, seed=seed, c=c).max_residual == max(norms)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_fd_gradient_rejects_bad_side(n):
+    with pytest.raises(ValueError, match="side"):
+        fd_gradient(np.eye(n), default_costs(n), side="bogus")
