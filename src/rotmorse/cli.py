@@ -2,7 +2,9 @@
 cross-check suites, and gradient-flow batches, all with reproducible seeds.
 
 JSON is the machine format and is byte-stable for fixed flags and seed on a
-fixed platform; tables are for humans and carry no stability promise.
+fixed platform; tables are for humans and carry no stability promise. The
+library returns plain records; this module alone builds the JSON objects,
+CSV rows and table lines from their fields.
 
 Exit codes: 0 success (and perfect, for `polynomials`), 2 a bad argument
 or --out path, 3 perfectness check failed, 4 a numeric suite failed.
@@ -17,12 +19,14 @@ import json
 import math
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .critical import default_costs, enumerate_critical_points, index_by_formula, validate_costs
 from .riemannian import _check_start, _haar_flows, gradient_flow
+from .rotations import pair_indices
 from .topology import is_perfect
 from .verify import run_all_suites
 
@@ -119,7 +123,18 @@ def _pattern_key(eps) -> str:
 
 def cmd_critical_points(args: argparse.Namespace) -> int:
     records = sorted(enumerate_critical_points(args.n, args.c), key=lambda r: (r.index, r.value))
-    payload = {"critical_points": [r.to_json_dict() for r in records]}
+    pair_keys = [f"({i},{j})" for i, j in pair_indices(args.n)]
+    payload = {
+        "critical_points": [
+            {
+                "eps": r.pattern,
+                "index": r.index,
+                "value": r.value,
+                "hessian_diagonal": dict(zip(pair_keys, r.hessian_diagonal.tolist())),
+            }
+            for r in records
+        ]
+    }
 
     def csv_rows():
         yield ("index", "value", "eps", "hessian_diagonal")
@@ -182,7 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "seed": args.seed,
         "samples": args.samples,
-        "suites": [s.to_json_dict() for s in suites],
+        "suites": [asdict(s) for s in suites],
         "passed": all_passed,
     }
 
@@ -242,7 +257,16 @@ def cmd_flow(args: argparse.Namespace) -> int:
     payload = {
         "seed": args.seed,
         "tol": args.tol,
-        "samples": [r.to_json_dict() for r in results],
+        "samples": [
+            {
+                "final_point": r.final_point.tolist(),
+                "iterations": r.iterations,
+                "final_gradient_norm": r.final_gradient_norm,
+                "classified_pattern": r.classified_pattern,
+                "converged": r.converged,
+            }
+            for r in results
+        ],
         "summary": summary,
     }
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intpoly import IntPolynomial
-from .rotations import _pair_arrays, pair_indices
+from .rotations import _pair_arrays
 
 
 def validate_costs(c, n: int | None = None) -> np.ndarray:
@@ -152,18 +152,6 @@ class CriticalPointRecord:
     index: int
     value: float
     hessian_diagonal: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        pairs = pair_indices(len(self.pattern))
-        return {
-            "eps": list(self.pattern),
-            "index": self.index,
-            "value": self.value,
-            "hessian_diagonal": {
-                f"({i},{j})": h
-                for (i, j), h in zip(pairs, self.hessian_diagonal.tolist())
-            },
-        }
 
 
 def enumerate_critical_points(n: int, c=None) -> list:

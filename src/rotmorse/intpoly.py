@@ -41,10 +41,10 @@ class IntPolynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
+    def monomial(cls, power: int) -> "IntPolynomial":
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+        return cls((0,) * power + (1,))
 
     @classmethod
     def counting(cls, degrees: Iterable[int]) -> "IntPolynomial":
@@ -94,8 +94,6 @@ class IntPolynomial:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return IntPolynomial(())
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:

@@ -131,9 +131,11 @@ def numeric_index(H) -> int:
     """Number of negative eigenvalues of the symmetric matrix H.
 
     Eigenvalues within 1e-9 of zero abort with DegenerateHessianError
-    rather than guessing a sign.
+    rather than guessing a sign; non-finite entries raise ValueError.
     """
     H = _check_square(H)
+    if not np.all(np.isfinite(H)):
+        raise ValueError("Hessian entries must be finite")
     eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
     if eigs.size and np.abs(eigs).min() <= _ZERO_TOL:
         raise DegenerateHessianError(
@@ -144,17 +146,12 @@ def numeric_index(H) -> int:
 
 def classify_rotation(A):
     """Round A to a sign pattern when it is entrywise within 1e-6 of an
-    embedded pattern with det +1; otherwise None."""
+    embedded pattern with det +1; otherwise None (also for NaN entries)."""
     A = _check_square(A, nonempty=True)
-    diag = np.diagonal(A)
-    eps = np.where(diag >= 0.0, 1, -1)
-    if np.abs(diag - eps).max() > _CLASSIFY_TOL:
-        return None
-    if np.abs(A - np.diag(diag)).max() > _CLASSIFY_TOL:
-        return None
-    if int(np.prod(eps)) != 1:
-        return None
-    return tuple(int(e) for e in eps)
+    eps = np.where(np.diagonal(A) >= 0.0, 1, -1)
+    if np.prod(eps) == 1 and np.abs(A - np.diag(eps)).max() <= _CLASSIFY_TOL:
+        return tuple(int(e) for e in eps)
+    return None
 
 
 @dataclass
@@ -167,20 +164,6 @@ class FlowResult:
     classified_pattern: tuple | None
     converged: bool
     trajectory_values: np.ndarray | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "final_point": self.final_point.tolist(),
-            "iterations": self.iterations,
-            "final_gradient_norm": self.final_gradient_norm,
-            "classified_pattern": (
-                list(self.classified_pattern) if self.classified_pattern is not None else None
-            ),
-            "converged": self.converged,
-        }
-        if self.trajectory_values is not None:
-            out["trajectory_values"] = self.trajectory_values.tolist()
-        return out
 
 
 def gradient_flow(

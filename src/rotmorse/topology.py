@@ -64,29 +64,19 @@ def morse_remainder(p_f: IntPolynomial, p_m: IntPolynomial):
 
     Returns R when it exists and None otherwise. A None verdict certifies
     that P_f cannot be the Morse polynomial of any Morse function on a
-    manifold with Poincaré polynomial P_M. Exact synthetic division at the
-    root t = -1; no floating point.
+    manifold with Poincaré polynomial P_M. Exact division by 1+t from the
+    lowest degree up: with d = P_f - P_M, r_k = d_k - r_(k-1), and the
+    division is exact when the last r_k is 0. No floating point.
     """
     if not isinstance(p_f, IntPolynomial) or not isinstance(p_m, IntPolynomial):
         raise TypeError("morse_remainder expects IntPolynomial arguments")
-    a, b = p_f.coeffs, p_m.coeffs
-    m = max(len(a), len(b))
-    diff = [p_f.coefficient(k) - p_m.coefficient(k) for k in range(m)]
-    while diff and diff[-1] == 0:
-        diff.pop()
-    if not diff:
-        return IntPolynomial.zero()
-    top = len(diff) - 1
-    if top == 0:
-        return None  # nonzero constant difference is never divisible by 1+t
-    quot = [0] * top
-    quot[top - 1] = diff[top]
-    for k in range(top - 1, 0, -1):
-        quot[k - 1] = diff[k] - quot[k]
-    remainder = diff[0] - quot[0]
-    if remainder != 0 or any(q < 0 for q in quot):
+    r, prev = [], 0
+    for k in range(max(len(p_f.coeffs), len(p_m.coeffs))):
+        prev = p_f.coefficient(k) - p_m.coefficient(k) - prev
+        r.append(prev)
+    if prev != 0 or any(x < 0 for x in r):
         return None
-    return IntPolynomial(quot)
+    return IntPolynomial(r)
 
 
 @dataclass(frozen=True)

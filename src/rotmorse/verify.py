@@ -12,7 +12,7 @@ passes at a worst residual of 1e-7, the Hessian suite with h = 1e-4 at 1e-4.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class SuiteResult:
     max_residual: float
     threshold: float
     detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _haar_points(n: int, samples: int, seed, c):

@@ -26,6 +26,17 @@ def test_critical_points_n3_json(capsys):
     assert points[-1]["eps"] == [1, 1, 1]
 
 
+def test_critical_points_json_record(capsys):
+    code, out, _ = run_cli(capsys, "critical-points", "--n", "2", "--c", "1,2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["critical_points"][-1] == {
+        "eps": [1, 1],
+        "index": 1,
+        "value": 3.0,
+        "hessian_diagonal": {"(1,2)": -3.0},
+    }
+
+
 def test_critical_points_n1(capsys):
     code, out, _ = run_cli(capsys, "critical-points", "--n", "1", "--format", "json")
     assert code == 0
@@ -93,6 +104,16 @@ def test_verify_n4_documented_invocation(capsys):
     assert by_name["gradient-fd"]["max_residual"] < 1e-7
 
 
+def test_verify_json_suite_fields(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--samples", "1", "--format", "json")
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    for s in suites:
+        assert list(s) == ["name", "passed", "max_residual", "threshold", "detail"]
+    by_name = {s["name"]: s for s in suites}
+    assert by_name["index-equivalence"]["passed"] is True
+
+
 def test_verify_unreachable_tolerance_exit_4(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--n", "4", "--samples", "1", "--tol", "1e-300"
@@ -137,6 +158,12 @@ def test_flow_start_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["summary"]["samples"] == 1
     assert payload["samples"][0]["classified_pattern"] == [1, 1, 1]
+    sample = payload["samples"][0]
+    assert list(sample) == [
+        "final_point", "iterations", "final_gradient_norm", "classified_pattern", "converged"
+    ]
+    assert sample["final_point"] == np.eye(3).tolist()
+    assert sample["converged"] is True
 
 
 def test_flow_off_manifold_start_exit_2(tmp_path, capsys):

@@ -187,13 +187,3 @@ def test_pattern_validation():
         validate_pattern((1, 0, -1))
     with pytest.raises(ValueError):
         validate_pattern(())
-
-
-def test_record_json_shape():
-    rec = enumerate_critical_points(2, [1.0, 2.0])[0]
-    assert rec.to_json_dict() == {
-        "eps": [1, 1],
-        "index": 1,
-        "value": 3.0,
-        "hessian_diagonal": {"(1,2)": -3.0},
-    }

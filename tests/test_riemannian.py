@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -143,6 +144,9 @@ def test_numeric_index_degenerate_raises():
 def test_numeric_index_rejects_nonsquare():
     with pytest.raises(ValueError):
         numeric_index(np.ones((2, 3)))
+    for H in (np.full((2, 2), np.nan), np.diag([-1.0, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            numeric_index(H)
 
 
 def test_classify_rotation():
@@ -151,6 +155,8 @@ def test_classify_rotation():
     assert classify_rotation(haar_sample(3, 1)) is None  # generic point
     wiggled = np.diag([1.0, 1.0]) + 1e-8
     assert classify_rotation(wiggled) == (1, 1)
+    assert classify_rotation(np.full((2, 2), np.nan)) is None
+    assert classify_rotation(np.array([[1.0, np.nan], [np.nan, 1.0]])) is None
     for shape in ((2, 3), (3,)):
         with pytest.raises(ValueError, match="square"):
             classify_rotation(np.ones(shape))
@@ -228,8 +234,16 @@ def test_flow_unreachable_tolerance():
 
 
 def test_flow_result_json_round_trip():
+    # The fields the CLI emits per sample are JSON-native: numpy scalars
+    # (np.bool_, np.int64) would make json.dumps raise.
     res = gradient_flow(np.eye(2), default_costs(2))
-    d = res.to_json_dict()
+    d = json.loads(json.dumps({
+        "final_point": res.final_point.tolist(),
+        "iterations": res.iterations,
+        "final_gradient_norm": res.final_gradient_norm,
+        "classified_pattern": res.classified_pattern,
+        "converged": res.converged,
+    }))
     assert d["final_point"] == [[1.0, 0.0], [0.0, 1.0]]
     assert d["classified_pattern"] == [1, 1]
     assert d["converged"] is True

@@ -66,12 +66,6 @@ def test_random_costs_strictly_increasing():
         assert np.all(np.diff(c) > 0)
 
 
-def test_suite_result_json_dict():
-    result = index_equivalence_suite(2, samples=1, seed=0)
-    d = result.to_json_dict()
-    assert d["name"] == "index-equivalence" and d["passed"] is True
-
-
 def _reference_worst(n, samples, seed, c, residual):
     """Worst residual over the suites' draws, rebuilt as a plain loop: per
     sample one Haar point, then fresh weights when c is None."""
