@@ -3,7 +3,9 @@
 Evaluates the objective, its directional derivatives and second derivatives
 in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
 backtracking gradient descent whose limits empirically recover the analytic
-critical set.
+critical set. The descent steps along the Cayley retraction
+(``rotations.retract``) and runs a whole batch of starts as one
+(S, n, n) stack; a single start is a batch of one.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import validate_costs
-from .rotations import _check_square, _pair_arrays, haar_sample, is_rotation, retract
+from .rotations import _cayley, _check_square, _pair_arrays, _pair_flat, haar_sample, is_rotation
 
 # Line-search constants of gradient_flow. An accepted step may raise the
 # objective by at most _DESCENT_SLACK, which lets the flow keep moving once
@@ -31,6 +33,9 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
 _DESCENT_SLACK = 1e-12
+# _haar_flows runs its starts through _descend at most this many at a time,
+# so the kernel's working memory does not grow with the sample count.
+_FLOW_BLOCK = 256
 
 _ZERO_TOL = 1e-9
 _CLASSIFY_TOL = 1e-6
@@ -56,21 +61,27 @@ def _check_start(A0, n: int) -> np.ndarray:
 
 
 # The closed forms, each written once. Callers pass validated float weights
-# and a float (n, n) matrix; the kernels check nothing.
+# and a float (..., n, n) stack of matrices; the kernels check nothing.
+# np.vecdot computes each entry with the same BLAS dot that np.dot uses on
+# one vector, so a matrix gets the same bits alone as in any stack.
 
 
-def _objective(A: np.ndarray, c: np.ndarray) -> float:
-    return float(np.dot(c, np.diagonal(A)))
+def _objective(A: np.ndarray, c: np.ndarray):
+    return np.vecdot(A.diagonal(0, -2, -1), c)
 
 
 def _gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    iu, ju = _pair_arrays(c.size)
-    return c[iu] * A[iu, ju] - c[ju] * A[ju, iu]
+    # Entry (i, j) of M - M^T with M = diag(c) A is c(i)*A(i,j) - c(j)*A(j,i).
+    # np.take keeps each row contiguous (fancy indexing of a stack would
+    # not), so np.vecdot of a row takes the same unit-stride BLAS path as
+    # for one matrix.
+    M = c[:, None] * A
+    return np.take((M - M.mT).reshape(A.shape[:-2] + (-1,)), _pair_flat(c.size), axis=-1)
 
 
 def objective(A, c) -> float:
     """Weighted trace sum_i c(i) * A(i,i)."""
-    return _objective(*_check_args(A, c))
+    return float(_objective(*_check_args(A, c)))
 
 
 def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
@@ -166,6 +177,88 @@ class FlowResult:
     trajectory_values: np.ndarray | None = None
 
 
+def _check_flow_args(c, grad_tol: float, max_iterations: int) -> np.ndarray:
+    """Validated float weights; ValueError for a bad tolerance or iteration cap."""
+    c = validate_costs(c)
+    if not (math.isfinite(grad_tol) and grad_tol > 0):
+        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
+    return c
+
+
+def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int,
+             record_trajectory: bool = False) -> list:
+    """The descent of gradient_flow on a stack A of S starts at once.
+
+    A is (S, n, n) and is written in place. Each sample keeps its own
+    objective, gradient and step, and stays live until its gradient norm is
+    at most grad_tol, it reaches max_iterations or its line search fails.
+    Every live sample has taken the same number of steps, so that count is
+    one integer. The live samples' state is kept in compact arrays; a sample
+    that stops is written back once and never touched again. Every kernel
+    computes a sample as it would alone, so no result depends on the rest
+    of the batch. Returns one FlowResult per sample.
+    """
+    f = _objective(A, c)
+    g = _gradient(A, c)
+    gnorm = np.sqrt(np.vecdot(g, g))
+    iterations = np.zeros(A.shape[0], dtype=int)
+    trajectories = [[x] for x in f.tolist()] if record_trajectory else None
+
+    t = 0
+    idx = np.flatnonzero((gnorm > grad_tol) & (t < max_iterations))
+    Al, fl, gl, gn = A[idx], f[idx], g[idx], gnorm[idx]
+    while idx.size:
+        # One line search for every live sample: the first trial for all of
+        # them, then backtracking for those whose trial was refused.
+        step = np.minimum(1.0 / (2.0 * float(c[-1])), 2.0 / (math.sqrt(2.0) * gn))
+        trial = _cayley(Al, -gl, step)
+        ft = _objective(trial, c)
+        ok = (step >= _MIN_STEP) & (ft <= fl - _ARMIJO * step * gn * gn + _DESCENT_SLACK)
+        if np.count_nonzero(ok) < ok.size:
+            todo = np.flatnonzero(~ok)
+            while True:
+                step[todo] *= _BACKTRACK
+                todo = todo[step[todo] >= _MIN_STEP]
+                if not todo.size:
+                    break
+                s, gt = step[todo], gn[todo]
+                retry = _cayley(Al[todo], -gl[todo], s)
+                f_retry = _objective(retry, c)
+                trial[todo], ft[todo] = retry, f_retry
+                passed = f_retry <= fl[todo] - _ARMIJO * s * gt * gt + _DESCENT_SLACK
+                ok[todo[passed]] = True
+                todo = todo[~passed]
+            trial[~ok], ft[~ok] = Al[~ok], fl[~ok]  # a failed search keeps its point
+        t += 1
+        Al, fl = trial, ft
+        gl = _gradient(Al, c)
+        gn = np.sqrt(np.vecdot(gl, gl))
+        if trajectories is not None:
+            for k, x in zip(idx[ok].tolist(), fl[ok].tolist()):
+                trajectories[k].append(x)
+        stay = ok & (gn > grad_tol) & (t < max_iterations)
+        if np.count_nonzero(stay) < stay.size:
+            done = ~stay
+            rows = idx[done]
+            A[rows], f[rows], gnorm[rows] = Al[done], fl[done], gn[done]
+            iterations[rows] = np.where(ok[done], t, t - 1)
+            idx, Al, fl, gl, gn = idx[stay], Al[stay], fl[stay], gl[stay], gn[stay]
+
+    return [
+        FlowResult(
+            final_point=A[k],
+            iterations=int(iterations[k]),
+            final_gradient_norm=float(gnorm[k]),
+            classified_pattern=classify_rotation(A[k]),
+            converged=bool(gnorm[k] <= grad_tol),
+            trajectory_values=None if trajectories is None else np.asarray(trajectories[k]),
+        )
+        for k in range(A.shape[0])
+    ]
+
+
 def gradient_flow(
     A0, c, grad_tol: float = 1e-8, max_iterations: int = 100_000, record_trajectory: bool = False
 ) -> FlowResult:
@@ -175,8 +268,9 @@ def gradient_flow(
     Armijo decrease (up to a small slack) holds, and stops once the
     gradient 2-norm falls below grad_tol. The first trial step is
     1/(2*max(c)): gradient components are bounded by 2*max(c), which makes
-    it scale-aware. Trial steps are also capped so step * ||K||_F <= 2,
-    keeping the retraction in its accurate regime.
+    it scale-aware. The Cayley retraction is defined for every step; trial
+    steps are still capped so step * ||K||_F <= 2, which bounds how far one
+    step moves.
 
     Hitting max_iterations, or a line search whose step shrinks below
     _MIN_STEP, returns a result with converged=False rather than raising.
@@ -187,51 +281,18 @@ def gradient_flow(
     pattern is near). With record_trajectory, trajectory_values holds the
     objective at the start and after every accepted step.
     """
-    c = validate_costs(c)
-    if not (math.isfinite(grad_tol) and grad_tol > 0):
-        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
+    c = _check_flow_args(c, grad_tol, max_iterations)
     A = _check_start(A0, c.size)
-
-    step0 = 1.0 / (2.0 * c[-1])
-    f = _objective(A, c)
-    trajectory = [f] if record_trajectory else None
-    g = _gradient(A, c)
-    gnorm = float(np.linalg.norm(g))
-    iterations = 0
-
-    while gnorm > grad_tol and iterations < max_iterations:
-        knorm = math.sqrt(2.0) * gnorm  # ||K||_F for pair coefficients g
-        step = min(step0, 2.0 / knorm)
-        accepted = False
-        while step >= _MIN_STEP:
-            trial = retract(A, -g, step)
-            f_trial = _objective(trial, c)
-            if f_trial <= f - _ARMIJO * step * gnorm * gnorm + _DESCENT_SLACK:
-                accepted = True
-                break
-            step *= _BACKTRACK
-        if not accepted:
-            break
-        A, f = trial, f_trial
-        iterations += 1
-        if trajectory is not None:
-            trajectory.append(f)
-        g = _gradient(A, c)
-        gnorm = float(np.linalg.norm(g))
-
-    return FlowResult(
-        final_point=A,
-        iterations=iterations,
-        final_gradient_norm=gnorm,
-        classified_pattern=classify_rotation(A),
-        converged=bool(gnorm <= grad_tol),
-        trajectory_values=None if trajectory is None else np.asarray(trajectory),
-    )
+    return _descend(A[None], c, grad_tol, max_iterations, record_trajectory)[0]
 
 
 def _haar_flows(n: int, c, samples: int, seed, grad_tol: float, max_iterations: int = 100_000):
-    """gradient_flow from `samples` Haar starts drawn in order from one default_rng(seed)."""
+    """gradient_flow from `samples` Haar starts drawn in order from one
+    default_rng(seed), run through _descend in blocks of _FLOW_BLOCK."""
+    c = _check_flow_args(c, grad_tol, max_iterations)
     rng = np.random.default_rng(seed)
-    return [gradient_flow(haar_sample(n, rng), c, grad_tol, max_iterations) for _ in range(samples)]
+    results = []
+    for first in range(0, samples, _FLOW_BLOCK):
+        starts = np.stack([haar_sample(n, rng) for _ in range(min(_FLOW_BLOCK, samples - first))])
+        results += _descend(starts, c, grad_tol, max_iterations)
+    return results

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotmorse
 from rotmorse.cli import main
 from rotmorse.critical import default_costs
 from rotmorse.riemannian import gradient_flow
@@ -314,3 +319,11 @@ def test_exact_outputs_byte_stable(capsys, command, n, fmt):
     code, out, _ = run_cli(capsys, command, "--n", str(n), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_OUTPUT_SHA256[(command, n, fmt)]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(rotmorse.__file__).resolve().parents[1]
+    code = "import sys, rotmorse.cli; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -327,3 +327,86 @@ def test_fd_oracles_equal_reference_exactly():
             ]
         ).reshape(len(pairs), len(pairs))
         assert np.array_equal(fd_tangent_hessian(A, c, h=h2), H)
+
+
+def _assert_same_flows(batched, single):
+    assert len(batched) == len(single)
+    for b, s in zip(batched, single):
+        assert b.final_point.tobytes() == s.final_point.tobytes()
+        assert b.iterations == s.iterations
+        assert b.final_gradient_norm == s.final_gradient_norm
+        assert b.classified_pattern == s.classified_pattern
+        assert b.converged == s.converged
+
+
+def _one_at_a_time(n, c, samples, seed, grad_tol=1e-8):
+    rng = np.random.default_rng(seed)
+    return [gradient_flow(haar_sample(n, rng), c, grad_tol) for _ in range(samples)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_batched_flows_equal_single_flows(n):
+    for k in range(-3, 3):
+        c = 10.0**k * default_costs(n)
+        seed = 10 * n + k
+        _assert_same_flows(riemannian._haar_flows(n, c, 5, seed, 1e-8), _one_at_a_time(n, c, 5, seed))
+
+
+def test_batched_flows_equal_single_flows_across_blocks():
+    # 1000 starts span several blocks of _FLOW_BLOCK
+    c = default_costs(4)
+    assert riemannian._FLOW_BLOCK < 1000
+    batched = riemannian._haar_flows(4, c, 1000, 42, 1e-8)
+    _assert_same_flows(batched, _one_at_a_time(4, c, 1000, 42))
+    assert all(r.converged for r in batched)
+
+
+def test_batch_mixes_a_critical_start_with_capped_descents():
+    c = default_costs(4)
+    rng = np.random.default_rng(9)
+    starts = [haar_sample(4, rng), embed_pattern((1, -1, 1, -1)), haar_sample(4, rng)]
+    batched = riemannian._descend(np.stack(starts), c, 1e-8, 2)
+    _assert_same_flows(batched, [gradient_flow(A, c, max_iterations=2) for A in starts])
+    assert [r.iterations for r in batched] == [2, 0, 2]
+    assert [r.converged for r in batched] == [False, True, False]
+
+
+def test_line_search_failure_inside_a_batch(monkeypatch):
+    # Every trial step, starting at 1/(2*max(c)) = 1/8, is below the floor,
+    # so a start off the critical set fails its first line search.
+    c = default_costs(4)
+    monkeypatch.setattr(riemannian, "_MIN_STEP", 1.0)
+    A0 = haar_sample(4, 3)
+    eps = (-1, -1, -1, -1)
+    failed, critical = riemannian._descend(np.stack([A0, embed_pattern(eps)]), c, 1e-8, 100_000)
+    assert failed.iterations == 0 and not failed.converged
+    assert failed.final_point.tobytes() == A0.tobytes()
+    assert failed.final_gradient_norm > 0
+    assert critical.converged and critical.classified_pattern == eps
+    _assert_same_flows([failed], [gradient_flow(A0, c)])
+
+
+@pytest.mark.parametrize("min_step", [riemannian._MIN_STEP, 0.05])
+def test_backtracking_in_a_batch_matches_the_reference_loop(monkeypatch, min_step):
+    # A strict Armijo constant without slack refuses many first trials, so
+    # the samples of one batch backtrack by different amounts. With a step
+    # floor of 0.05, most line searches fail after a retry, each at its own
+    # iteration, while batch mates go on.
+    monkeypatch.setattr(riemannian, "_ARMIJO", 0.9)
+    monkeypatch.setattr(riemannian, "_DESCENT_SLACK", 0.0)
+    monkeypatch.setattr(riemannian, "_MIN_STEP", min_step)
+    cayley, trials = riemannian._cayley, []
+
+    def counting_cayley(A, coeffs, step):
+        trials.append(len(A))
+        return cayley(A, coeffs, step)
+
+    monkeypatch.setattr(riemannian, "_cayley", counting_cayley)
+    c = default_costs(4)
+    batched = riemannian._haar_flows(4, c, 8, 1, 1e-8)
+    assert sum(trials) > sum(r.iterations for r in batched)
+    rng = np.random.default_rng(1)
+    for res in batched:
+        A, iterations, gnorm, pattern = _reference_flow(haar_sample(4, rng), c)
+        assert res.final_point.tobytes() == A.tobytes()
+        assert (res.iterations, res.final_gradient_norm, res.classified_pattern) == (iterations, gnorm, pattern)

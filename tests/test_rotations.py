@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,8 +133,12 @@ def test_retract_zero_coefficients_is_noop():
 
 
 def test_retract_single_pair_matches_givens():
+    # The Cayley retraction turns one pair by 2*atan(theta/2), which agrees
+    # with the exponential curve givens_curve(theta) to second order.
     theta = 0.37
-    assert_allclose(retract(np.eye(2), [1.0], theta), givens_curve((1, 2), theta, 2), atol=1e-12)
+    R = retract(np.eye(2), [1.0], theta)
+    assert_allclose(R, givens_curve((1, 2), 2 * math.atan(theta / 2), 2), atol=1e-12)
+    assert abs(math.atan2(R[1, 0], R[0, 0]) - theta) <= theta**3 / 12
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-1, 1))
