@@ -28,7 +28,6 @@ from .riemannian import (
     gradient_flow,
     numeric_index,
     objective,
-    riemannian_gradient,
     tangent_hessian,
 )
 from .rotations import (
@@ -41,7 +40,6 @@ from .rotations import (
     pair_count,
     pair_indices,
     retract,
-    skew_from_coeffs,
 )
 from .topology import (
     PerfectnessReport,
@@ -89,9 +87,7 @@ __all__ = [
     "poincare_from_basis",
     "poincare_product",
     "retract",
-    "riemannian_gradient",
     "sign_patterns",
-    "skew_from_coeffs",
     "tangent_hessian",
     "validate_costs",
     "validate_pattern",

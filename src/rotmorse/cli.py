@@ -84,6 +84,8 @@ def _parse_args(argv) -> argparse.Namespace:
             args.c = validate_costs(values, n=args.n)
         except ValueError as exc:
             parser.error(str(exc))
+    if args.seed < 0:
+        parser.error("seed must be >= 0")
     if args.samples < 1:
         parser.error("samples must be >= 1")
     if not math.isfinite(args.tol):
@@ -223,7 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _load_start_matrix(path: str, n: int) -> np.ndarray:
     try:
         A = np.asarray(json.loads(Path(path).read_text()), dtype=float)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise CliInputError(f"could not read start file {path!r}: {exc}") from exc
     try:
         return _check_start(A, n)

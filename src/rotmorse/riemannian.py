@@ -97,14 +97,10 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
     if side == "right":
         return _gradient(A, c)
     if side == "left":
-        iu, ju = _pair_arrays(c.size)
-        return -c[iu] * A[ju, iu] + c[ju] * A[iu, ju]
+        # f reads only the diagonal, so f(B @ A) = f(A^T @ B^T) and the
+        # left curve through A is the right curve through A^T, reversed.
+        return -_gradient(A.T, c)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def riemannian_gradient(A, c) -> np.ndarray:
-    """Gradient of the objective in the canonical (right-curve) basis."""
-    return _gradient(*_check_args(A, c))
 
 
 def tangent_hessian(A, c) -> np.ndarray:
@@ -174,7 +170,6 @@ class FlowResult:
     final_gradient_norm: float
     classified_pattern: tuple | None
     converged: bool
-    trajectory_values: np.ndarray | None = None
 
 
 def _check_flow_args(c, grad_tol: float, max_iterations: int) -> np.ndarray:
@@ -187,8 +182,7 @@ def _check_flow_args(c, grad_tol: float, max_iterations: int) -> np.ndarray:
     return c
 
 
-def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int,
-             record_trajectory: bool = False) -> list:
+def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int) -> list:
     """The descent of gradient_flow on a stack A of S starts at once.
 
     A is (S, n, n) and is written in place. Each sample keeps its own
@@ -204,7 +198,6 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int,
     g = _gradient(A, c)
     gnorm = np.sqrt(np.vecdot(g, g))
     iterations = np.zeros(A.shape[0], dtype=int)
-    trajectories = [[x] for x in f.tolist()] if record_trajectory else None
 
     t = 0
     idx = np.flatnonzero((gnorm > grad_tol) & (t < max_iterations))
@@ -235,9 +228,6 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int,
         Al, fl = trial, ft
         gl = _gradient(Al, c)
         gn = np.sqrt(np.vecdot(gl, gl))
-        if trajectories is not None:
-            for k, x in zip(idx[ok].tolist(), fl[ok].tolist()):
-                trajectories[k].append(x)
         stay = ok & (gn > grad_tol) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
             done = ~stay
@@ -253,15 +243,12 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int,
             final_gradient_norm=float(gnorm[k]),
             classified_pattern=classify_rotation(A[k]),
             converged=bool(gnorm[k] <= grad_tol),
-            trajectory_values=None if trajectories is None else np.asarray(trajectories[k]),
         )
         for k in range(A.shape[0])
     ]
 
 
-def gradient_flow(
-    A0, c, grad_tol: float = 1e-8, max_iterations: int = 100_000, record_trajectory: bool = False
-) -> FlowResult:
+def gradient_flow(A0, c, grad_tol: float = 1e-8, max_iterations: int = 100_000) -> FlowResult:
     """Backtracking gradient descent on the objective over SO(n).
 
     Repeats A <- retract(A, -gradient, step), shrinking the step until the
@@ -278,12 +265,11 @@ def gradient_flow(
     max_iterations, a start of the wrong shape or off the manifold raise
     ValueError; past these checks the loop runs on unchecked kernels.
     The final matrix is classified by classify_rotation (None if no sign
-    pattern is near). With record_trajectory, trajectory_values holds the
-    objective at the start and after every accepted step.
+    pattern is near).
     """
     c = _check_flow_args(c, grad_tol, max_iterations)
     A = _check_start(A0, c.size)
-    return _descend(A[None], c, grad_tol, max_iterations, record_trajectory)[0]
+    return _descend(A[None], c, grad_tol, max_iterations)[0]
 
 
 def _haar_flows(n: int, c, samples: int, seed, grad_tol: float, max_iterations: int = 100_000):

@@ -150,28 +150,11 @@ def _check_coeffs(coeffs, n: int) -> np.ndarray:
     return coeffs
 
 
-def skew_from_coeffs(coeffs, n: int) -> np.ndarray:
-    """Skew matrix K = sum_p coeffs[p] * E_p over pair_indices(n).
-
-    K holds +coeffs at (j, i) and -coeffs at (i, j) for each pair.
-    """
-    coeffs = _check_coeffs(coeffs, n)
-    iu, ju = _pair_arrays(n)
-    K = np.zeros((n, n))
-    K[iu, ju] = -coeffs
-    K[ju, iu] = coeffs
-    return K
-
-
 @lru_cache(maxsize=None)
 def _cayley_basis(n: int) -> tuple:
-    """Read-only (B, e): coeffs @ B is K(coeffs) flattened row-major, and e
-    is the flattened identity."""
-    iu, ju = _pair_arrays(n)
-    rows = np.arange(pair_count(n))
-    B = np.zeros((rows.size, n * n))
-    B[rows, ju * n + iu] = 1.0
-    B[rows, _pair_flat(n)] = -1.0
+    """Read-only (B, e): coeffs @ B is K = sum_p coeffs[p] * generator(p)
+    flattened row-major, and e is the flattened identity."""
+    B = np.array([generator(p, n).ravel() for p in pair_indices(n)]).reshape(-1, n * n)
     e = np.eye(n).ravel()
     B.flags.writeable = False
     e.flags.writeable = False

@@ -46,17 +46,12 @@ def enumerate_basis(n: int) -> list:
     return basis
 
 
-def basis_degree(element) -> int:
-    """Degree of a basis element: the sum of its generator labels."""
-    return sum(element)
-
-
 def poincare_from_basis(n: int) -> IntPolynomial:
     """Poincaré polynomial by binning basis elements by degree.
 
     The coefficient of t^k is the k-th Z2 Betti number of SO(n).
     """
-    return IntPolynomial.counting(basis_degree(element) for element in enumerate_basis(n))
+    return IntPolynomial.counting(sum(element) for element in enumerate_basis(n))
 
 
 def morse_remainder(p_f: IntPolynomial, p_m: IntPolynomial):

@@ -6,8 +6,9 @@ The finite-difference routes validate the weights and the point once, then
 go through the objective kernel and givens_curve() only, so they share
 nothing with the closed-form derivative formulas they check.
 
-Fixed oracle settings: the gradient suite differences with h = 1e-5 and
-passes at a worst residual of 1e-7, the Hessian suite with h = 1e-4 at 1e-4.
+Fixed oracle settings: the gradient suite differences with step
+_GRADIENT_STEP = 1e-5 and passes at a worst residual of 1e-7, the Hessian
+suite with _HESSIAN_STEP = 1e-4 at 1e-4.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .riemannian import (
 from .rotations import givens_curve, haar_sample, pair_indices
 
 
+_GRADIENT_STEP = 1e-5
 _GRADIENT_THRESHOLD = 1e-7
+_HESSIAN_STEP = 1e-4
 _HESSIAN_THRESHOLD = 1e-4
 
 
@@ -47,13 +50,13 @@ def random_costs(n: int, rng) -> np.ndarray:
             return c
 
 
-def fd_gradient(A, c, h: float = 1e-5, side: str = "right") -> np.ndarray:
+def fd_gradient(A, c, side: str = "right") -> np.ndarray:
     """Central differences along every rotation-plane curve of the given
     side (as in curve_derivatives), pair order."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     A, c = _check_args(A, c)
-    n = c.size
+    n, h = c.size, _GRADIENT_STEP
     derivatives = []
     for pair in pair_indices(n):
         B_plus, B_minus = givens_curve(pair, h, n), givens_curve(pair, -h, n)
@@ -65,14 +68,14 @@ def fd_gradient(A, c, h: float = 1e-5, side: str = "right") -> np.ndarray:
     return np.array(derivatives)
 
 
-def fd_tangent_hessian(A, c, h: float = 1e-4) -> np.ndarray:
+def fd_tangent_hessian(A, c) -> np.ndarray:
     """Second-order mixed central differences along curve pairs.
 
     Entry (p, q) approximates d^2/dtheta dphi of the objective along
     A @ B_p(theta) @ B_q(phi) at zero.
     """
     A, c = _check_args(A, c)
-    n = c.size
+    n, h = c.size, _HESSIAN_STEP
     pairs = pair_indices(n)
     d = len(pairs)
     B_plus = [givens_curve(p, h, n) for p in pairs]
@@ -119,8 +122,8 @@ def _worst(differences) -> float:
 def gradient_oracle_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
     """Closed-form curve derivatives vs central differences at Haar points.
 
-    Checks both curve families, with h = 1e-5. With c=None, weights are
-    redrawn per sample from [0, 10].
+    Checks both curve families. With c=None, weights are redrawn per sample
+    from [0, 10].
     """
     worst = _worst(
         curve_derivatives(A, cc, side=side) - fd_gradient(A, cc, side=side)
@@ -131,7 +134,7 @@ def gradient_oracle_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
 
 
 def hessian_oracle_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
-    """Bilinear-form Hessian vs second-order central differences (h = 1e-4)."""
+    """Bilinear-form Hessian vs second-order central differences."""
     worst = _worst(
         tangent_hessian(A, cc) - fd_tangent_hessian(A, cc) for A, cc in _haar_points(n, samples, seed, c)
     )

@@ -83,7 +83,7 @@ def test_criterion_5_oracle_suites():
         n = 2 + (k % 5)  # n in 2..6
         A = rm.haar_sample(n, rng)
         c = random_costs(n, rng)
-        resid = np.abs(rm.riemannian_gradient(A, c) - fd_gradient(A, c)).max()
+        resid = np.abs(rm.curve_derivatives(A, c) - fd_gradient(A, c)).max()
         worst_grad = max(worst_grad, float(resid))
     worst_hess = 0.0
     for k in range(20):

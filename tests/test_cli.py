@@ -262,7 +262,23 @@ def test_non_finite_tol_exit_2(capsys, command, tol):
     assert "tol must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ['[["a","b"],["c","d"]]', '{"x": 1}', "[[1,0],[0]]"])
+@pytest.mark.parametrize("command", ["critical-points", "polynomials", "verify", "flow"])
+def test_negative_seed_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--n", "3", "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '[["a","b"],["c","d"]]',
+        '{"x": 1}',
+        "[[1,0],[0]]",
+        pytest.param("[[1" + "0" * 400 + "]]", id="oversized-int"),
+    ],
+)
 def test_flow_malformed_start_file_exit_2(tmp_path, capsys, content):
     path = tmp_path / "start.json"
     path.write_text(content)

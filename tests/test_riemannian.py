@@ -21,7 +21,6 @@ from rotmorse.riemannian import (
     gradient_flow,
     numeric_index,
     objective,
-    riemannian_gradient,
     tangent_hessian,
 )
 from rotmorse.rotations import generator, givens_curve, haar_sample, pair_indices, retract
@@ -59,7 +58,7 @@ def test_gradient_exactly_zero_at_patterns():
 
 def test_gradient_quarter_turn_value():
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert_array_equal(riemannian_gradient(A, [1, 2]), [-3.0])
+    assert_array_equal(curve_derivatives(A, [1, 2]), [-3.0])
 
 
 def test_gradient_matches_finite_differences():
@@ -207,11 +206,17 @@ def test_flow_limits_are_enumerated_patterns():
 
 
 def test_flow_descent_is_monotone():
+    # The descent is deterministic, so the runs capped at k = 0, 1, ...
+    # iterations end at the points of one trajectory.
     rng = np.random.default_rng(4)
-    res = gradient_flow(haar_sample(4, rng), default_costs(4), record_trajectory=True)
-    assert res.converged and res.trajectory_values is not None
-    assert np.all(np.diff(res.trajectory_values) <= 1e-12)
-    assert len(res.trajectory_values) == res.iterations + 1
+    A0, c = haar_sample(4, rng), default_costs(4)
+    res = gradient_flow(A0, c)
+    assert res.converged
+    capped = [gradient_flow(A0, c, max_iterations=k) for k in range(res.iterations + 1)]
+    assert [r.iterations for r in capped] == list(range(res.iterations + 1))
+    assert capped[-1].final_point.tobytes() == res.final_point.tobytes()
+    values = [objective(r.final_point, c) for r in capped]
+    assert np.all(np.diff(values) <= 1e-12)
 
 
 def test_flow_off_manifold_raises():
@@ -256,7 +261,7 @@ def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
     A = np.array(A0, dtype=float)
     step0 = 1.0 / (2.0 * c[-1])
     f = objective(A, c)
-    g = riemannian_gradient(A, c)
+    g = curve_derivatives(A, c)
     gnorm = float(np.linalg.norm(g))
     iterations = 0
     while gnorm > grad_tol and iterations < max_iterations:
@@ -274,7 +279,7 @@ def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
             break
         A, f = trial, f_trial
         iterations += 1
-        g = riemannian_gradient(A, c)
+        g = curve_derivatives(A, c)
         gnorm = float(np.linalg.norm(g))
     return A, iterations, gnorm, classify_rotation(A)
 
@@ -307,8 +312,8 @@ def test_fd_oracles_equal_reference_exactly():
         minus = [givens_curve(p, -h1, n) for p in pairs]
         right = [(objective(A @ P, c) - objective(A @ M, c)) / (2.0 * h1) for P, M in zip(plus, minus)]
         left = [(objective(P @ A, c) - objective(M @ A, c)) / (2.0 * h1) for P, M in zip(plus, minus)]
-        assert np.array_equal(fd_gradient(A, c, h=h1), np.array(right))
-        assert np.array_equal(fd_gradient(A, c, h=h1, side="left"), np.array(left))
+        assert np.array_equal(fd_gradient(A, c), np.array(right))
+        assert np.array_equal(fd_gradient(A, c, side="left"), np.array(left))
         plus = [givens_curve(p, h2, n) for p in pairs]
         minus = [givens_curve(p, -h2, n) for p in pairs]
         H = np.array(
@@ -326,7 +331,7 @@ def test_fd_oracles_equal_reference_exactly():
                 for P, M in zip(plus, minus)
             ]
         ).reshape(len(pairs), len(pairs))
-        assert np.array_equal(fd_tangent_hessian(A, c, h=h2), H)
+        assert np.array_equal(fd_tangent_hessian(A, c), H)
 
 
 def _assert_same_flows(batched, single):

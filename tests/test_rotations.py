@@ -15,7 +15,6 @@ from rotmorse.rotations import (
     pair_count,
     pair_indices,
     retract,
-    skew_from_coeffs,
 )
 
 
@@ -133,12 +132,21 @@ def test_retract_zero_coefficients_is_noop():
 
 
 def test_retract_single_pair_matches_givens():
-    # The Cayley retraction turns one pair by 2*atan(theta/2), which agrees
-    # with the exponential curve givens_curve(theta) to second order.
+    # A unit coefficient on one pair turns that pair's plane by
+    # 2*atan(theta/2), in the sense of generator(): -1 at (i, j), +1 at
+    # (j, i). The Cayley angle agrees with the exponential curve
+    # givens_curve(theta) to second order.
     theta = 0.37
+    angle = 2 * math.atan(theta / 2)
+    for coeffs, pair in zip(np.eye(pair_count(4)), pair_indices(4)):
+        assert_allclose(retract(np.eye(4), coeffs, theta), givens_curve(pair, angle, 4), atol=1e-12)
     R = retract(np.eye(2), [1.0], theta)
-    assert_allclose(R, givens_curve((1, 2), 2 * math.atan(theta / 2), 2), atol=1e-12)
     assert abs(math.atan2(R[1, 0], R[0, 0]) - theta) <= theta**3 / 12
+
+
+def test_retract_wrong_length():
+    with pytest.raises(ValueError, match="pair coefficients"):
+        retract(np.eye(3), [1.0, 2.0], 0.1)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-1, 1))
@@ -149,17 +157,6 @@ def test_retract_stays_on_manifold(seed, step):
     A = haar_sample(n, rng)
     coeffs = rng.uniform(-2, 2, size=pair_count(n))
     assert is_rotation(retract(A, coeffs, step), 1e-10)
-
-
-def test_skew_from_coeffs_convention():
-    K = skew_from_coeffs([2.0, 0.0, 0.0], 3)
-    assert K[1, 0] == 2.0 and K[0, 1] == -2.0
-    assert_array_equal(K, -K.T)
-
-
-def test_skew_from_coeffs_wrong_length():
-    with pytest.raises(ValueError):
-        skew_from_coeffs([1.0, 2.0], 3)
 
 
 def test_is_rotation_cases():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rotmorse.critical import morse_polynomial
 from rotmorse.intpoly import IntPolynomial
 from rotmorse.topology import (
-    basis_degree,
     enumerate_basis,
     is_perfect,
     morse_remainder,
@@ -45,11 +44,6 @@ def test_basis_small_frozen():
     assert enumerate_basis(1) == [()]
     assert enumerate_basis(2) == [(), (1,)]
     assert enumerate_basis(3) == [(), (1,), (2,), (1, 2)]
-
-
-def test_basis_degree_is_label_sum():
-    assert basis_degree(()) == 0
-    assert basis_degree((1, 2)) == 3
 
 
 def test_basis_matches_direct_subset_enumeration():
