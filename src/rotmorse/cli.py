@@ -53,15 +53,19 @@ def build_parser() -> argparse.ArgumentParser:
             default="default",
             help="comma-separated strictly increasing weights; 'default' means 1,2,...,n",
         )
-        p.add_argument("--seed", type=int, default=0, help="rng seed for anything sampled")
-        p.add_argument("--samples", type=int, default=100, help="number of random samples")
+        # None stands for "not given", so that flow can refuse these with --start.
+        p.add_argument("--seed", type=int, default=None, help="rng seed for anything sampled (default 0)")
+        p.add_argument("--samples", type=int, default=None, help="number of random samples (default 100)")
         p.add_argument("--tol", type=float, default=1e-8, help="gradient-norm tolerance")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     sub.choices["flow"].add_argument(
         "--start",
         default=None,
-        help="JSON file with one start matrix (row-major); runs a single descent from it",
+        help=(
+            "JSON file with one start matrix (row-major); runs a single descent from it "
+            "and takes neither --samples nor --seed"
+        ),
     )
 
     return parser
@@ -84,6 +88,10 @@ def _parse_args(argv) -> argparse.Namespace:
             args.c = validate_costs(values, n=args.n)
         except ValueError as exc:
             parser.error(str(exc))
+    if getattr(args, "start", None) is not None and (args.samples is not None or args.seed is not None):
+        parser.error("--samples and --seed cannot be used with --start")
+    args.seed = 0 if args.seed is None else args.seed
+    args.samples = 100 if args.samples is None else args.samples
     if args.seed < 0:
         parser.error("seed must be >= 0")
     if args.samples < 1:

@@ -93,9 +93,10 @@ def _value(eps, c: np.ndarray) -> float:
 
 
 def _hessian_diagonal(eps, c: np.ndarray) -> np.ndarray:
-    iu, ju = _pair_arrays(len(eps))
+    # eps may also be a (P, n) stack of patterns, giving (P, d).
+    iu, ju = _pair_arrays(c.size)
     w = c * np.asarray(eps, dtype=float)
-    return -(w[iu] + w[ju])
+    return -(w.take(iu, axis=-1) + w.take(ju, axis=-1))
 
 
 def index_by_formula(eps) -> int:

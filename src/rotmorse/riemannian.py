@@ -19,11 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .critical import validate_costs
-from .rotations import _cayley, _check_square, _pair_arrays, _pair_flat, haar_sample, is_rotation
+from .rotations import (
+    _cayley,
+    _check_square,
+    _pair_arrays,
+    _pair_flat,
+    haar_sample,
+    is_rotation,
+    pair_count,
+)
 
 # Line-search constants of gradient_flow. An accepted step may raise the
 # objective by at most _DESCENT_SLACK, which lets the flow keep moving once
@@ -37,7 +46,8 @@ _DESCENT_SLACK = 1e-12
 # so the kernel's working memory does not grow with the sample count.
 _FLOW_BLOCK = 256
 
-_ZERO_TOL = 1e-9
+# numeric_index treats |λ| <= _ZERO_BAND * max |λ| as zero.
+_ZERO_BAND = 1e-9
 _CLASSIFY_TOL = 1e-6
 
 
@@ -103,6 +113,46 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+@lru_cache(maxsize=None)
+def _hessian_scatter(n: int) -> tuple:
+    """Where the four terms of the tangent_hessian closed form land.
+
+    One read-only (sign, dst, src) per term, in the docstring's order:
+    the term adds sign * M.flat[src] to H.flat[dst], H being d x d with
+    d = pair_count(n) and M being n x n. Within a term every dst occurs at
+    most once; only the second and third terms share positions, the
+    diagonal, so H[p, p] = (0 - M_bb) - M_aa for p = (a, b).
+    """
+    iu, ju = _pair_arrays(n)
+    a, b = iu[:, None], ju[:, None]  # row pair p = (a, b)
+    g, d = iu[None, :], ju[None, :]  # column pair q = (g, d)
+    dst = np.arange(iu.size * iu.size).reshape(iu.size, iu.size)
+    terms = []
+    for sign, hit, src in (
+        (1.0, a == d, g * n + b),
+        (-1.0, a == g, d * n + b),
+        (-1.0, b == d, g * n + a),
+        (1.0, b == g, d * n + a),
+    ):
+        term = (dst[hit], src[hit])
+        for column in term:
+            column.flags.writeable = False
+        terms.append((sign, *term))
+    return tuple(terms)
+
+
+def _tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """tangent_hessian of every matrix in a (..., n, n) stack: (..., d, d)."""
+    n = c.size
+    d = pair_count(n)
+    lead = A.shape[:-2]
+    M = (c[:, None] * A).reshape(lead + (n * n,))
+    H = np.zeros(lead + (d * d,))
+    for sign, dst, src in _hessian_scatter(n):
+        H[..., dst] += sign * M[..., src]
+    return H.reshape(lead + (d, d))
+
+
 def tangent_hessian(A, c) -> np.ndarray:
     """Mixed second derivatives along pairs of rotation-plane curves.
 
@@ -116,17 +166,15 @@ def tangent_hessian(A, c) -> np.ndarray:
 
     Expanding E_ab @ E_gd with M = diag(c) @ A gives the closed form
 
-        H[(a,b),(g,d)] = δ_ad M_gb - δ_ag M_db - δ_bd M_ga + δ_bg M_da,
+        H[(a,b),(g,d)] = δ_ad M_gb - δ_ag M_db - δ_bd M_ga + δ_bg M_da.
 
-    built below as S - S^T over the first two axes, with
-    S[a,b,g,d] = δ_ad M_gb - δ_ag M_db.
+    Each δ term is nonzero at O(n^3) of the d^2 entries, so H is built by
+    scattering the four terms from a per-n table of positions into a zero
+    matrix; the n^4 tensor of all δ products is never formed. The same
+    kernel runs on a whole stack of matrices, and each matrix of a stack
+    gets the bits it gets alone.
     """
-    A, c = _check_args(A, c)
-    eye = np.eye(c.size)
-    M = c[:, None] * A
-    S = np.einsum("ad,gb->abgd", eye, M) - np.einsum("ag,db->abgd", eye, M)
-    iu, ju = _pair_arrays(c.size)
-    return (S - S.transpose(1, 0, 2, 3))[iu, ju][:, iu, ju]
+    return _tangent_hessian(*_check_args(A, c))
 
 
 class DegenerateHessianError(ValueError):
@@ -134,21 +182,38 @@ class DegenerateHessianError(ValueError):
     vector violates strict monotonicity or the point is not critical."""
 
 
-def numeric_index(H) -> int:
-    """Number of negative eigenvalues of the symmetric matrix H.
+def _numeric_indices(H: np.ndarray) -> np.ndarray:
+    """numeric_index of every matrix in a (..., d, d) stack, as an int array.
 
-    Eigenvalues within 1e-9 of zero abort with DegenerateHessianError
-    rather than guessing a sign; non-finite entries raise ValueError.
+    Raises DegenerateHessianError if any matrix of the stack has an
+    eigenvalue with |λ| <= _ZERO_BAND * max |λ|, an all-zero matrix
+    included. Entries are not checked for finiteness.
+    """
+    S = H + H.mT
+    S *= 0.5  # in place: one block-sized temporary fewer, same bits
+    eigs = np.linalg.eigvalsh(S)
+    if eigs.shape[-1]:
+        size = np.abs(eigs)
+        if np.any(size.min(axis=-1) <= _ZERO_BAND * size.max(axis=-1)):
+            raise DegenerateHessianError(
+                f"Hessian eigenvalue of size at most {_ZERO_BAND:g} times the largest; "
+                "index is not defined"
+            )
+    return np.count_nonzero(eigs < 0.0, axis=-1)
+
+
+def numeric_index(H) -> int:
+    """Number of negative eigenvalues of the symmetric part of H.
+
+    An eigenvalue of size at most 1e-9 times the largest eigenvalue size
+    aborts with DegenerateHessianError rather than guessing a sign. The
+    band is relative, so the answer does not depend on the scale of H; an
+    all-zero H raises too. Non-finite entries raise ValueError.
     """
     H = _check_square(H)
     if not np.all(np.isfinite(H)):
         raise ValueError("Hessian entries must be finite")
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if eigs.size and np.abs(eigs).min() <= _ZERO_TOL:
-        raise DegenerateHessianError(
-            f"Hessian eigenvalue within {_ZERO_TOL:g} of zero; index is not defined"
-        )
-    return int(np.count_nonzero(eigs < 0.0))
+    return int(_numeric_indices(H))
 
 
 def classify_rotation(A):

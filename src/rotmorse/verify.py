@@ -6,6 +6,17 @@ The finite-difference routes validate the weights and the point once, then
 go through the objective kernel and givens_curve() only, so they share
 nothing with the closed-form derivative formulas they check.
 
+Every oracle runs as a few numpy calls on stacked arrays rather than one
+call per matrix. fd_gradient and fd_tangent_hessian stack the Givens
+rotations of all d pairs once per (n, step) and form the d (gradient) or
+d x d (Hessian, a block of rows at a time) rotated points as stacked
+matrix products, associated as (A @ B_p) @ B_q. The index suite builds
+the pattern table, the embedded matrices and the formula indices once;
+per weight vector it makes one stacked Hessian-diagonal count and, over
+blocks of patterns, stacked tangent-Hessian and eigenvalue passes.
+Stacked matmul, vecdot and eigvalsh treat each matrix as they would
+alone, so every value has the bits of the one-matrix-at-a-time loops.
+
 Fixed oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of 1e-7, the Hessian
 suite with _HESSIAN_STEP = 1e-4 at 1e-4.
@@ -14,26 +25,27 @@ suite with _HESSIAN_STEP = 1e-4 at 1e-4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .critical import (
+    _hessian_diagonal,
+    _index,
     default_costs,
-    embed_pattern,
-    index_by_formula,
-    index_by_hessian,
     sign_patterns,
     validate_costs,
 )
 from .riemannian import (
     _check_args,
     _haar_flows,
+    _numeric_indices,
     _objective,
+    _tangent_hessian,
     curve_derivatives,
-    numeric_index,
     tangent_hessian,
 )
-from .rotations import givens_curve, haar_sample, pair_indices
+from .rotations import givens_curve, haar_sample, pair_count, pair_indices
 
 
 _GRADIENT_STEP = 1e-5
@@ -50,47 +62,64 @@ def random_costs(n: int, rng) -> np.ndarray:
             return c
 
 
+# The oracles' stacked temporaries (rows of the finite-difference Hessian's
+# rotated points, blocks of the index suite's Hessians) stay at most this
+# many bytes: below glibc's default 128 KiB mmap threshold. A larger block
+# is mapped, and freeing it raises the threshold, after which freed blocks
+# stay resident and the peak RSS grows.
+_STACK_BYTES = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def _curve_stack(n: int, h: float) -> tuple:
+    """Read-only (d, n, n) stacks of givens_curve(p, h, n) and
+    givens_curve(p, -h, n) over pair_indices(n)."""
+    pairs = pair_indices(n)
+    stacks = tuple(
+        np.array([givens_curve(p, t, n) for p in pairs]).reshape(len(pairs), n, n) for t in (h, -h)
+    )
+    for B in stacks:
+        B.flags.writeable = False
+    return stacks
+
+
 def fd_gradient(A, c, side: str = "right") -> np.ndarray:
     """Central differences along every rotation-plane curve of the given
     side (as in curve_derivatives), pair order."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     A, c = _check_args(A, c)
-    n, h = c.size, _GRADIENT_STEP
-    derivatives = []
-    for pair in pair_indices(n):
-        B_plus, B_minus = givens_curve(pair, h, n), givens_curve(pair, -h, n)
-        if side == "right":
-            A_plus, A_minus = A @ B_plus, A @ B_minus
-        else:
-            A_plus, A_minus = B_plus @ A, B_minus @ A
-        derivatives.append((_objective(A_plus, c) - _objective(A_minus, c)) / (2.0 * h))
-    return np.array(derivatives)
+    h = _GRADIENT_STEP
+    B_plus, B_minus = _curve_stack(c.size, h)
+    if side == "right":
+        A_plus, A_minus = A @ B_plus, A @ B_minus
+    else:
+        A_plus, A_minus = B_plus @ A, B_minus @ A
+    return (_objective(A_plus, c) - _objective(A_minus, c)) / (2.0 * h)
 
 
 def fd_tangent_hessian(A, c) -> np.ndarray:
     """Second-order mixed central differences along curve pairs.
 
     Entry (p, q) approximates d^2/dtheta dphi of the objective along
-    A @ B_p(theta) @ B_q(phi) at zero.
+    A @ B_p(theta) @ B_q(phi) at zero, as
+    (((f++ - f+-) - f-+) + f--) / (4 h^2) with f+- = f((A @ B_p(h)) @ B_q(-h)).
     """
     A, c = _check_args(A, c)
     n, h = c.size, _HESSIAN_STEP
-    pairs = pair_indices(n)
-    d = len(pairs)
-    B_plus = [givens_curve(p, h, n) for p in pairs]
-    B_minus = [givens_curve(p, -h, n) for p in pairs]
+    B_plus, B_minus = _curve_stack(n, h)
+    d = len(B_plus)
+    rows = max(1, _STACK_BYTES // max(1, 8 * d * n * n))
     H = np.empty((d, d))
-    for pi in range(d):
-        Ap = A @ B_plus[pi]
-        Am = A @ B_minus[pi]
-        for qi in range(d):
-            H[pi, qi] = (
-                _objective(Ap @ B_plus[qi], c)
-                - _objective(Ap @ B_minus[qi], c)
-                - _objective(Am @ B_plus[qi], c)
-                + _objective(Am @ B_minus[qi], c)
-            ) / (4.0 * h * h)
+    for first in range(0, d, rows):
+        Ap = (A @ B_plus[first : first + rows])[:, None]
+        Am = (A @ B_minus[first : first + rows])[:, None]
+        H[first : first + rows] = (
+            _objective(Ap @ B_plus, c)
+            - _objective(Ap @ B_minus, c)
+            - _objective(Am @ B_plus, c)
+            + _objective(Am @ B_minus, c)
+        ) / (4.0 * h * h)
     return H
 
 
@@ -146,15 +175,25 @@ def index_equivalence_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult
     every admissible pattern. With c=None, weights are redrawn per sample."""
     rng = np.random.default_rng(seed)
     patterns = sign_patterns(n)
+    if c is not None:
+        c = validate_costs(c, n=n)
+    signs = np.array(patterns, dtype=float)
+    by_formula = np.array([_index(eps) for eps in patterns])
+    embedded = np.zeros((len(patterns), n, n))
+    embedded[:, np.arange(n), np.arange(n)] = signs
+    d = pair_count(n)
+    block = max(1, _STACK_BYTES // max(1, 8 * d * d))
     mismatches = 0
     for _ in range(samples):
         cc = random_costs(n, rng) if c is None else c
-        for eps in patterns:
-            by_formula = index_by_formula(eps)
-            by_count = index_by_hessian(eps, cc)
-            by_eigen = numeric_index(tangent_hessian(embed_pattern(eps), cc))
-            if not (by_formula == by_count == by_eigen):
-                mismatches += 1
+        by_count = np.count_nonzero(_hessian_diagonal(signs, cc) < 0, axis=-1)
+        by_eigen = np.concatenate(
+            [
+                _numeric_indices(_tangent_hessian(embedded[first : first + block], cc))
+                for first in range(0, len(patterns), block)
+            ]
+        )
+        mismatches += int(np.count_nonzero((by_formula != by_count) | (by_count != by_eigen)))
     return SuiteResult(
         "index-equivalence",
         mismatches == 0,

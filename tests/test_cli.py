@@ -127,6 +127,23 @@ def test_verify_unreachable_tolerance_exit_4(capsys):
     assert "[FAIL] flow-classification" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "3", "--samples", "1", "--c", "1e-9,2e-9,3e-9"),
+        ("--n", "2", "--c", "1e-300,2e-300"),
+    ],
+)
+def test_verify_tiny_weights_give_a_verdict(capsys, argv):
+    # The eigenvalue index is scale-free, so admissible weights this small
+    # still yield the index suite; the flow suite may fail at this scale.
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code in (0, 4)
+    assert "[PASS] index-equivalence" in out
+    assert out.rstrip("\n").rsplit("\n", 1)[-1] in ("all suites passed", "one or more suites FAILED")
+    assert err == ""
+
+
 def test_flow_n2_converges_to_minimum(capsys):
     code, out, _ = run_cli(
         capsys, "flow", "--n", "2", "--samples", "100", "--seed", "1", "--format", "json"
@@ -169,6 +186,16 @@ def test_flow_start_file(tmp_path, capsys):
     ]
     assert sample["final_point"] == np.eye(3).tolist()
     assert sample["converged"] is True
+
+
+@pytest.mark.parametrize("extra", [("--samples", "5"), ("--seed", "3"), ("--samples", "1", "--seed", "0")])
+def test_flow_start_file_refuses_samples_and_seed(tmp_path, capsys, extra):
+    path = tmp_path / "start.json"
+    path.write_text(json.dumps(np.eye(2).tolist()))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["flow", "--n", "2", "--start", str(path), *extra])
+    assert excinfo.value.code == 2
+    assert "--samples and --seed cannot be used with --start" in capsys.readouterr().err
 
 
 def test_flow_off_manifold_start_exit_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from rotmorse.critical import (
+    _hessian_diagonal,
     critical_value,
     default_costs,
     enumerate_critical_points,
@@ -92,6 +93,17 @@ def test_index_zero_pattern_parity():
 
 def test_hessian_diagonal_example():
     assert_array_equal(hessian_diagonal((-1, 1, -1), [1, 2, 3]), [-1.0, 4.0, 1.0])
+
+
+def test_hessian_diagonal_of_a_pattern_stack_equals_rows():
+    rng = np.random.default_rng(6)
+    for n in range(1, 9):
+        c = np.sort(rng.uniform(0.0, 10.0, n))
+        patterns = sign_patterns(n)
+        stacked = _hessian_diagonal(np.array(patterns), c)
+        assert stacked.shape == (len(patterns), n * (n - 1) // 2)
+        for row, eps in zip(stacked, patterns):
+            assert row.tobytes() == hessian_diagonal(eps, c).tobytes()
 
 
 def test_hessian_all_minus_positive_definite():

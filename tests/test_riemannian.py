@@ -16,6 +16,8 @@ from rotmorse.critical import (
 )
 from rotmorse.riemannian import (
     DegenerateHessianError,
+    _numeric_indices,
+    _tangent_hessian,
     classify_rotation,
     curve_derivatives,
     gradient_flow,
@@ -138,6 +140,30 @@ def test_numeric_index_matches_formula_exhaustive():
 def test_numeric_index_degenerate_raises():
     with pytest.raises(DegenerateHessianError):
         numeric_index(np.diag([1.0, 1e-12]))
+
+
+def test_numeric_index_zero_band_is_relative():
+    for scale in (1e-300, 1e-9, 1.0, 1e300):
+        assert numeric_index(scale * np.diag([-1.0, 4.0, 1.0])) == 1
+    for H in (np.zeros((3, 3)), 1e-300 * np.diag([1.0, 1e-12])):
+        with pytest.raises(DegenerateHessianError):
+            numeric_index(H)
+    with pytest.raises(DegenerateHessianError):  # one degenerate matrix fails the stack
+        _numeric_indices(np.stack([np.diag([-1.0, 4.0]), np.diag([1.0, 1e-12])]))
+
+
+def test_stacked_hessian_kernels_equal_single_matrix_calls():
+    rng = np.random.default_rng(26)
+    for n in range(1, 9):
+        c = random_costs(n, rng)
+        haar = np.stack([haar_sample(n, rng) for _ in range(5)])
+        embedded = np.stack([embed_pattern(eps) for eps in sign_patterns(n)])
+        for stack in (haar, embedded):
+            H = _tangent_hessian(stack, c)
+            single = [tangent_hessian(A, c) for A in stack]
+            assert H.shape == (len(stack),) + single[0].shape
+            assert all(np.array_equal(a, b) for a, b in zip(H, single))
+            assert _numeric_indices(H).tolist() == [numeric_index(h) for h in single]
 
 
 def test_numeric_index_rejects_nonsquare():
@@ -304,7 +330,7 @@ def test_flow_equals_reference_loop_exactly():
 def test_fd_oracles_equal_reference_exactly():
     rng = np.random.default_rng(32)
     h1, h2 = 1e-5, 1e-4
-    for n in range(1, 6):
+    for n in range(1, 9):
         A = haar_sample(n, rng)
         c = random_costs(n, rng)
         pairs = pair_indices(n)
