@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .critical import default_costs, enumerate_critical_points, index_by_formula, validate_costs
-from .riemannian import _check_start, _haar_flows, gradient_flow
+from .riemannian import _check_start, _flows, _haar_starts, gradient_flow
 from .rotations import pair_indices
 from .topology import is_perfect
 from .verify import run_all_suites
@@ -245,7 +245,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if args.start is not None:
         results = [gradient_flow(_load_start_matrix(args.start, args.n), args.c, grad_tol=args.tol)]
     else:
-        results = _haar_flows(args.n, args.c, args.samples, args.seed, args.tol)
+        results = _flows(_haar_starts(args.n, args.samples, args.seed), args.c, args.tol)
 
     limits = Counter(r.classified_pattern for r in results)
     unclassified = limits.pop(None, 0)

@@ -42,7 +42,7 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
 _DESCENT_SLACK = 1e-12
-# _haar_flows runs its starts through _descend at most this many at a time,
+# _flows runs its starts through _descend at most this many at a time,
 # so the kernel's working memory does not grow with the sample count.
 _FLOW_BLOCK = 256
 
@@ -185,21 +185,16 @@ class DegenerateHessianError(ValueError):
 def _numeric_indices(H: np.ndarray) -> np.ndarray:
     """numeric_index of every matrix in a (..., d, d) stack, as an int array.
 
-    Raises DegenerateHessianError if any matrix of the stack has an
-    eigenvalue with |λ| <= _ZERO_BAND * max |λ|, an all-zero matrix
-    included. Entries are not checked for finiteness.
+    A matrix with an eigenvalue of |λ| <= _ZERO_BAND * max |λ|, an all-zero
+    matrix included, has no index and gets -1. Entries are not checked for
+    finiteness.
     """
     S = H + H.mT
     S *= 0.5  # in place: one block-sized temporary fewer, same bits
     eigs = np.linalg.eigvalsh(S)
-    if eigs.shape[-1]:
-        size = np.abs(eigs)
-        if np.any(size.min(axis=-1) <= _ZERO_BAND * size.max(axis=-1)):
-            raise DegenerateHessianError(
-                f"Hessian eigenvalue of size at most {_ZERO_BAND:g} times the largest; "
-                "index is not defined"
-            )
-    return np.count_nonzero(eigs < 0.0, axis=-1)
+    size = np.abs(eigs)
+    degenerate = size.min(axis=-1, initial=np.inf) <= _ZERO_BAND * size.max(axis=-1, initial=0.0)
+    return np.where(degenerate, -1, np.count_nonzero(eigs < 0.0, axis=-1))
 
 
 def numeric_index(H) -> int:
@@ -213,7 +208,13 @@ def numeric_index(H) -> int:
     H = _check_square(H)
     if not np.all(np.isfinite(H)):
         raise ValueError("Hessian entries must be finite")
-    return int(_numeric_indices(H))
+    index = int(_numeric_indices(H))
+    if index < 0:
+        raise DegenerateHessianError(
+            f"Hessian eigenvalue of size at most {_ZERO_BAND:g} times the largest; "
+            "index is not defined"
+        )
+    return index
 
 
 def classify_rotation(A):
@@ -237,9 +238,10 @@ class FlowResult:
     converged: bool
 
 
-def _check_flow_args(c, grad_tol: float, max_iterations: int) -> np.ndarray:
-    """Validated float weights; ValueError for a bad tolerance or iteration cap."""
-    c = validate_costs(c)
+def _check_flow_args(c, grad_tol: float, max_iterations: int, n: int | None = None) -> np.ndarray:
+    """Validated float weights (of length n if given); ValueError for a bad
+    tolerance or iteration cap."""
+    c = validate_costs(c, n=n)
     if not (math.isfinite(grad_tol) and grad_tol > 0):
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
     if max_iterations < 0:
@@ -337,13 +339,20 @@ def gradient_flow(A0, c, grad_tol: float = 1e-8, max_iterations: int = 100_000) 
     return _descend(A[None], c, grad_tol, max_iterations)[0]
 
 
-def _haar_flows(n: int, c, samples: int, seed, grad_tol: float, max_iterations: int = 100_000):
-    """gradient_flow from `samples` Haar starts drawn in order from one
-    default_rng(seed), run through _descend in blocks of _FLOW_BLOCK."""
-    c = _check_flow_args(c, grad_tol, max_iterations)
+def _haar_starts(n: int, samples: int, seed) -> np.ndarray:
+    """The (samples, n, n) stack of Haar starts drawn in order, by
+    haar_sample, from one default_rng(seed)."""
     rng = np.random.default_rng(seed)
+    starts = np.empty((samples, n, n))
+    for k in range(samples):
+        starts[k] = haar_sample(n, rng)
+    return starts
+
+
+def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int = 100_000):
+    """gradient_flow from every start of an (S, n, n) stack, run through
+    _descend in blocks of _FLOW_BLOCK. The stack is written in place."""
     results = []
-    for first in range(0, samples, _FLOW_BLOCK):
-        starts = np.stack([haar_sample(n, rng) for _ in range(min(_FLOW_BLOCK, samples - first))])
-        results += _descend(starts, c, grad_tol, max_iterations)
+    for first in range(0, len(starts), _FLOW_BLOCK):
+        results += _descend(starts[first : first + _FLOW_BLOCK], c, grad_tol, max_iterations)
     return results

@@ -1,6 +1,10 @@
 """Cross-checking suites: finite-difference oracles against the closed-form
 derivatives, exact index agreement, and flow-based recovery of the critical
-set. The `verify` CLI subcommand bundles these; tests reuse the pieces.
+set, all for one admissible weight vector. run_all_suites is the entry
+point and the `verify` CLI subcommand calls it: it validates the weights
+once and draws one stack of Haar points from one default_rng(seed). The
+gradient, Hessian and flow suites read that stack; the index suite depends
+on the weights alone and runs once.
 
 The finite-difference routes validate the weights and the point once, then
 go through the objective kernel and givens_curve() only, so they share
@@ -11,15 +15,18 @@ call per matrix. fd_gradient and fd_tangent_hessian stack the Givens
 rotations of all d pairs once per (n, step) and form the d (gradient) or
 d x d (Hessian, a block of rows at a time) rotated points as stacked
 matrix products, associated as (A @ B_p) @ B_q. The index suite builds
-the pattern table, the embedded matrices and the formula indices once;
-per weight vector it makes one stacked Hessian-diagonal count and, over
-blocks of patterns, stacked tangent-Hessian and eigenvalue passes.
+the pattern table, the embedded matrices and the formula indices, makes
+one stacked Hessian-diagonal count and, over blocks of patterns, stacked
+tangent-Hessian and eigenvalue passes. A pattern whose Hessian has an
+eigenvalue inside the relative zero band of numeric_index has no
+eigenvalue index and counts as a mismatch.
 Stacked matmul, vecdot and eigvalsh treat each matrix as they would
 alone, so every value has the bits of the one-matrix-at-a-time loops.
 
 Fixed oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of 1e-7, the Hessian
-suite with _HESSIAN_STEP = 1e-4 at 1e-4.
+suite with _HESSIAN_STEP = 1e-4 at 1e-4; the flow suite caps each descent
+at _FLOW_ITERATIONS = 100_000 steps.
 """
 
 from __future__ import annotations
@@ -29,37 +36,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import (
-    _hessian_diagonal,
-    _index,
-    default_costs,
-    sign_patterns,
-    validate_costs,
-)
+from .critical import _hessian_diagonal, _index, default_costs, sign_patterns
 from .riemannian import (
     _check_args,
-    _haar_flows,
+    _check_flow_args,
+    _flows,
+    _haar_starts,
     _numeric_indices,
     _objective,
     _tangent_hessian,
     curve_derivatives,
     tangent_hessian,
 )
-from .rotations import givens_curve, haar_sample, pair_count, pair_indices
+from .rotations import givens_curve, pair_count, pair_indices
 
 
 _GRADIENT_STEP = 1e-5
 _GRADIENT_THRESHOLD = 1e-7
 _HESSIAN_STEP = 1e-4
 _HESSIAN_THRESHOLD = 1e-4
-
-
-def random_costs(n: int, rng) -> np.ndarray:
-    """Strictly increasing weights drawn uniformly from [0, 10]."""
-    while True:
-        c = np.sort(rng.uniform(0.0, 10.0, size=n))
-        if n == 1 or np.all(np.diff(c) > 0):
-            return c
+_FLOW_ITERATIONS = 100_000
 
 
 # The oracles' stacked temporaries (rows of the finite-difference Hessian's
@@ -134,88 +130,62 @@ class SuiteResult:
     detail: str = ""
 
 
-def _haar_points(n: int, samples: int, seed, c):
-    """Yield (A, weights) per sample from one default_rng(seed): a Haar
-    point, then fresh random_costs when c is None (else c itself)."""
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        A = haar_sample(n, rng)
-        yield A, (random_costs(n, rng) if c is None else c)
-
-
 def _worst(differences) -> float:
     """Largest absolute entry over a stream of arrays; 0.0 if all are empty."""
     return max((float(np.abs(d).max(initial=0.0)) for d in differences), default=0.0)
 
 
-def gradient_oracle_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
-    """Closed-form curve derivatives vs central differences at Haar points.
-
-    Checks both curve families. With c=None, weights are redrawn per sample
-    from [0, 10].
-    """
+def _gradient_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
+    """Closed-form curve derivatives vs central differences at every start,
+    along both curve families."""
     worst = _worst(
-        curve_derivatives(A, cc, side=side) - fd_gradient(A, cc, side=side)
-        for A, cc in _haar_points(n, samples, seed, c)
+        curve_derivatives(A, c, side=side) - fd_gradient(A, c, side=side)
+        for A in starts
         for side in ("right", "left")
     )
     return SuiteResult("gradient-fd", worst <= _GRADIENT_THRESHOLD, worst, _GRADIENT_THRESHOLD)
 
 
-def hessian_oracle_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
-    """Bilinear-form Hessian vs second-order central differences."""
-    worst = _worst(
-        tangent_hessian(A, cc) - fd_tangent_hessian(A, cc) for A, cc in _haar_points(n, samples, seed, c)
-    )
+def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
+    """Bilinear-form Hessian vs second-order central differences at every start."""
+    worst = _worst(tangent_hessian(A, c) - fd_tangent_hessian(A, c) for A in starts)
     return SuiteResult("hessian-fd", worst <= _HESSIAN_THRESHOLD, worst, _HESSIAN_THRESHOLD)
 
 
-def index_equivalence_suite(n: int, samples: int, seed=0, c=None) -> SuiteResult:
+def _index_suite(c: np.ndarray) -> SuiteResult:
     """Formula index == Hessian-diagonal index == eigenvalue index, for
-    every admissible pattern. With c=None, weights are redrawn per sample."""
-    rng = np.random.default_rng(seed)
+    every admissible pattern. The residual is the number of mismatches."""
+    n = c.size
     patterns = sign_patterns(n)
-    if c is not None:
-        c = validate_costs(c, n=n)
     signs = np.array(patterns, dtype=float)
     by_formula = np.array([_index(eps) for eps in patterns])
+    by_count = np.count_nonzero(_hessian_diagonal(signs, c) < 0, axis=-1)
     embedded = np.zeros((len(patterns), n, n))
     embedded[:, np.arange(n), np.arange(n)] = signs
     d = pair_count(n)
     block = max(1, _STACK_BYTES // max(1, 8 * d * d))
-    mismatches = 0
-    for _ in range(samples):
-        cc = random_costs(n, rng) if c is None else c
-        by_count = np.count_nonzero(_hessian_diagonal(signs, cc) < 0, axis=-1)
-        by_eigen = np.concatenate(
-            [
-                _numeric_indices(_tangent_hessian(embedded[first : first + block], cc))
-                for first in range(0, len(patterns), block)
-            ]
-        )
-        mismatches += int(np.count_nonzero((by_formula != by_count) | (by_count != by_eigen)))
+    by_eigen = np.concatenate(
+        [
+            _numeric_indices(_tangent_hessian(embedded[first : first + block], c))
+            for first in range(0, len(patterns), block)
+        ]
+    )
+    mismatches = int(np.count_nonzero((by_formula != by_count) | (by_count != by_eigen)))
     return SuiteResult(
         "index-equivalence",
         mismatches == 0,
         float(mismatches),
         0.0,
-        detail=f"{len(patterns)} patterns x {samples} cost vectors",
+        detail=f"{len(patterns)} patterns",
     )
 
 
-def flow_classification_suite(
-    n: int,
-    samples: int,
-    seed=0,
-    c=None,
-    grad_tol: float = 1e-8,
-    max_iterations: int = 100_000,
-) -> SuiteResult:
-    """Every Haar-started descent must converge and land on an enumerated
-    sign pattern. Residual reported is the worst final gradient norm."""
-    cc = default_costs(n) if c is None else validate_costs(c, n=n)
-    admissible = set(sign_patterns(n))
-    results = _haar_flows(n, cc, samples, seed, grad_tol, max_iterations)
+def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int):
+    """Every descent from the starts, which it overwrites, must converge and
+    land on an enumerated sign pattern. Residual reported is the worst
+    final gradient norm."""
+    admissible = set(sign_patterns(c.size))
+    results = _flows(starts, c, grad_tol, max_iterations)
     worst = max((r.final_gradient_norm for r in results), default=0.0)
     failures = sum(not r.converged or r.classified_pattern not in admissible for r in results)
     return SuiteResult(
@@ -223,15 +193,19 @@ def flow_classification_suite(
         failures == 0,
         worst,
         grad_tol,
-        detail=f"{samples} descents, {failures} failures",
+        detail=f"{len(results)} descents, {failures} failures",
     )
 
 
 def run_all_suites(n: int, samples: int, seed=0, c=None, grad_tol: float = 1e-8) -> list:
-    """The four cross-check suites in fixed order."""
+    """The four cross-check suites, in fixed order, for the weights c
+    (default_costs(n) when None) at `samples` Haar points drawn from
+    default_rng(seed)."""
+    c = _check_flow_args(default_costs(n) if c is None else c, grad_tol, _FLOW_ITERATIONS, n=n)
+    starts = _haar_starts(n, samples, seed)
     return [
-        gradient_oracle_suite(n, samples, seed=seed, c=c),
-        hessian_oracle_suite(n, samples, seed=seed, c=c),
-        index_equivalence_suite(n, samples, seed=seed, c=c),
-        flow_classification_suite(n, samples, seed=seed, c=c, grad_tol=grad_tol),
+        _gradient_suite(starts, c),
+        _hessian_suite(starts, c),
+        _index_suite(c),
+        _flow_suite(starts.copy(), c, grad_tol, _FLOW_ITERATIONS),
     ]

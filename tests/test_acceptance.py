@@ -10,7 +10,9 @@ import numpy as np
 import rotmorse as rm
 from rotmorse.intpoly import IntPolynomial
 from rotmorse.topology import morse_split_by_last_sign
-from rotmorse.verify import fd_gradient, fd_tangent_hessian, random_costs
+from rotmorse.verify import fd_gradient, fd_tangent_hessian
+
+from helpers import random_costs
 
 RNG_SEED = 20260810
 

@@ -26,7 +26,9 @@ from rotmorse.riemannian import (
     tangent_hessian,
 )
 from rotmorse.rotations import generator, givens_curve, haar_sample, pair_indices, retract
-from rotmorse.verify import fd_gradient, fd_tangent_hessian, random_costs
+from rotmorse.verify import fd_gradient, fd_tangent_hessian
+
+from helpers import random_costs
 
 
 def test_objective_at_identity():
@@ -148,8 +150,9 @@ def test_numeric_index_zero_band_is_relative():
     for H in (np.zeros((3, 3)), 1e-300 * np.diag([1.0, 1e-12])):
         with pytest.raises(DegenerateHessianError):
             numeric_index(H)
-    with pytest.raises(DegenerateHessianError):  # one degenerate matrix fails the stack
-        _numeric_indices(np.stack([np.diag([-1.0, 4.0]), np.diag([1.0, 1e-12])]))
+    # a degenerate matrix of a stack is marked -1 and leaves the others alone
+    stack = np.stack([np.diag([-1.0, 4.0]), np.diag([1.0, 1e-12])])
+    assert _numeric_indices(stack).tolist() == [1, -1]
 
 
 def test_stacked_hessian_kernels_equal_single_matrix_calls():
@@ -375,19 +378,30 @@ def _one_at_a_time(n, c, samples, seed, grad_tol=1e-8):
     return [gradient_flow(haar_sample(n, rng), c, grad_tol) for _ in range(samples)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_haar_starts_are_seeded_haar_samples_in_order(n):
+    rng = np.random.default_rng(17)
+    starts = riemannian._haar_starts(n, 6, 17)
+    assert starts.shape == (6, n, n)
+    for A in starts:
+        assert A.tobytes() == haar_sample(n, rng).tobytes()
+    assert riemannian._haar_starts(n, 0, 17).shape == (0, n, n)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_batched_flows_equal_single_flows(n):
     for k in range(-3, 3):
         c = 10.0**k * default_costs(n)
         seed = 10 * n + k
-        _assert_same_flows(riemannian._haar_flows(n, c, 5, seed, 1e-8), _one_at_a_time(n, c, 5, seed))
+        batched = riemannian._flows(riemannian._haar_starts(n, 5, seed), c, 1e-8)
+        _assert_same_flows(batched, _one_at_a_time(n, c, 5, seed))
 
 
 def test_batched_flows_equal_single_flows_across_blocks():
     # 1000 starts span several blocks of _FLOW_BLOCK
     c = default_costs(4)
     assert riemannian._FLOW_BLOCK < 1000
-    batched = riemannian._haar_flows(4, c, 1000, 42, 1e-8)
+    batched = riemannian._flows(riemannian._haar_starts(4, 1000, 42), c, 1e-8)
     _assert_same_flows(batched, _one_at_a_time(4, c, 1000, 42))
     assert all(r.converged for r in batched)
 
@@ -396,7 +410,7 @@ def test_batch_mixes_a_critical_start_with_capped_descents():
     c = default_costs(4)
     rng = np.random.default_rng(9)
     starts = [haar_sample(4, rng), embed_pattern((1, -1, 1, -1)), haar_sample(4, rng)]
-    batched = riemannian._descend(np.stack(starts), c, 1e-8, 2)
+    batched = riemannian._flows(np.stack(starts), c, 1e-8, 2)
     _assert_same_flows(batched, [gradient_flow(A, c, max_iterations=2) for A in starts])
     assert [r.iterations for r in batched] == [2, 0, 2]
     assert [r.converged for r in batched] == [False, True, False]
@@ -434,7 +448,7 @@ def test_backtracking_in_a_batch_matches_the_reference_loop(monkeypatch, min_ste
 
     monkeypatch.setattr(riemannian, "_cayley", counting_cayley)
     c = default_costs(4)
-    batched = riemannian._haar_flows(4, c, 8, 1, 1e-8)
+    batched = riemannian._flows(riemannian._haar_starts(4, 8, 1), c, 1e-8)
     assert sum(trials) > sum(r.iterations for r in batched)
     rng = np.random.default_rng(1)
     for res in batched:

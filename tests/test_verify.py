@@ -1,45 +1,65 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rotmorse.critical import default_costs
-from rotmorse.riemannian import curve_derivatives, gradient_flow, tangent_hessian
+import rotmorse
+from rotmorse.critical import (
+    default_costs,
+    embed_pattern,
+    hessian_diagonal,
+    index_by_formula,
+    sign_patterns,
+)
+from rotmorse.riemannian import (
+    _haar_starts,
+    curve_derivatives,
+    gradient_flow,
+    numeric_index,
+    tangent_hessian,
+)
 from rotmorse.rotations import haar_sample
 from rotmorse.verify import (
+    _flow_suite,
+    _gradient_suite,
+    _hessian_suite,
+    _index_suite,
     fd_gradient,
     fd_tangent_hessian,
-    flow_classification_suite,
-    gradient_oracle_suite,
-    hessian_oracle_suite,
-    index_equivalence_suite,
-    random_costs,
     run_all_suites,
 )
 
+from helpers import random_costs
+
 
 def test_gradient_suite_passes():
-    result = gradient_oracle_suite(4, samples=25, seed=1)
+    result = _gradient_suite(_haar_starts(4, 25, 1), default_costs(4))
     assert result.passed and result.max_residual <= result.threshold
 
 
 def test_hessian_suite_passes():
-    result = hessian_oracle_suite(4, samples=10, seed=2)
+    result = _hessian_suite(_haar_starts(4, 10, 2), default_costs(4))
     assert result.passed
 
 
 def test_index_suite_passes():
-    result = index_equivalence_suite(5, samples=10, seed=3)
-    assert result.passed and result.max_residual == 0.0
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        result = _index_suite(random_costs(5, rng))
+        assert result.passed and result.max_residual == 0.0
+        assert result.detail == "16 patterns"
 
 
 def test_flow_suite_passes():
-    result = flow_classification_suite(3, samples=25, seed=4)
+    result = _flow_suite(_haar_starts(3, 25, 4), default_costs(3), 1e-8, 100_000)
     assert result.passed and result.max_residual <= result.threshold
 
 
 def test_flow_suite_unreachable_tolerance_fails():
-    result = flow_classification_suite(
-        4, samples=2, seed=5, grad_tol=1e-300, max_iterations=200
-    )
+    result = _flow_suite(_haar_starts(4, 2, 5), default_costs(4), 1e-300, 200)
     assert not result.passed
 
 
@@ -58,29 +78,29 @@ def test_run_all_suites_fixed_costs():
     assert all(s.passed for s in results)
 
 
-def test_random_costs_strictly_increasing():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 5):
-        c = random_costs(n, rng)
-        assert c.size == n and c[0] >= 0.0
-        assert np.all(np.diff(c) > 0)
-
-
 def _reference_worst(n, samples, seed, c, residual):
-    """Worst residual over the suites' draws, rebuilt as a plain loop: per
-    sample one Haar point, then fresh weights when c is None."""
+    """Worst residual over the seeded Haar points, rebuilt as a plain loop."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        A = haar_sample(n, rng)
-        cc = random_costs(n, rng) if c is None else c
-        resid = residual(A, cc)
+        resid = residual(haar_sample(n, rng), c)
         if resid.size:
             worst = max(worst, float(resid.max()))
     return worst
 
 
-@pytest.mark.parametrize("n,seed,c", [(1, 0, None), (3, 4, None), (4, 9, [0.5, 1.0, 2.5, 7.0])])
+@pytest.mark.parametrize(
+    "n,seed,c",
+    [
+        (1, 0, None),
+        (3, 4, None),
+        (4, 9, [0.5, 1.0, 2.5, 7.0]),
+        (8, 2, None),
+        (1, 5, [0.0]),
+        (3, 6, [0.0, 0.25, 3.0]),
+        (8, 8, [0.1, 0.2, 0.5, 1.0, 2.0, 4.5, 6.0, 9.0]),
+    ],
+)
 def test_suite_residuals_equal_reference_loops(n, seed, c):
     def gradient_residual(A, cc):
         return np.concatenate(
@@ -94,15 +114,52 @@ def test_suite_residuals_equal_reference_loops(n, seed, c):
         return np.abs(tangent_hessian(A, cc) - fd_tangent_hessian(A, cc))
 
     samples = 3
-    expected = _reference_worst(n, samples, seed, c, gradient_residual)
-    assert gradient_oracle_suite(n, samples, seed=seed, c=c).max_residual == expected
-    expected = _reference_worst(n, samples, seed, c, hessian_residual)
-    assert hessian_oracle_suite(n, samples, seed=seed, c=c).max_residual == expected
+    gradient, hessian, index, flow = run_all_suites(n, samples, seed=seed, c=c)
+    cc = default_costs(n) if c is None else np.array(c)
+    assert gradient.max_residual == _reference_worst(n, samples, seed, cc, gradient_residual)
+    assert hessian.max_residual == _reference_worst(n, samples, seed, cc, hessian_residual)
+
+    # the index suite is one pass over the patterns, whatever the sample count
+    patterns = sign_patterns(n)
+    mismatches = sum(
+        not (
+            index_by_formula(eps)
+            == np.count_nonzero(hessian_diagonal(eps, cc) < 0)
+            == numeric_index(tangent_hessian(embed_pattern(eps), cc))
+        )
+        for eps in patterns
+    )
+    assert index.max_residual == float(mismatches) == 0.0
+    assert index.detail == f"{len(patterns)} patterns"
 
     rng = np.random.default_rng(seed)
-    cc = default_costs(n) if c is None else c
     norms = [gradient_flow(haar_sample(n, rng), cc).final_gradient_norm for _ in range(samples)]
-    assert flow_classification_suite(n, samples, seed=seed, c=c).max_residual == max(norms)
+    assert flow.max_residual == max(norms)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "3", "--samples", "1", "--c", "0,1e-12,1"),
+        ("--n", "2", "--samples", "1", "--c", "1e308,1.5e308"),
+    ],
+)
+def test_verify_degenerate_hessian_fails_the_index_suite(argv):
+    # A Hessian eigenvalue inside the relative zero band (a tiny gap between
+    # weights, or a diagonal overflowed to -inf) has no index: the suite
+    # counts it as a mismatch instead of raising.
+    src = Path(rotmorse.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotmorse", "verify", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert "[FAIL] index-equivalence" in proc.stdout
 
 
 @pytest.mark.parametrize("n", [1, 3])
