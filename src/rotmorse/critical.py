@@ -88,8 +88,10 @@ def _index(eps) -> int:
     return sum(i for i, e in enumerate(eps) if e == 1)
 
 
-def _value(eps, c: np.ndarray) -> float:
-    return float(np.dot(c, np.asarray(eps, dtype=float)))
+def _value(eps, c: np.ndarray) -> np.ndarray:
+    # eps may also be a (P, n) stack of patterns, giving (P,). vecdot takes
+    # one BLAS dot per pattern, the bits of np.dot(c, eps).
+    return np.vecdot(np.asarray(eps, dtype=float), c)
 
 
 def _hessian_diagonal(eps, c: np.ndarray) -> np.ndarray:
@@ -136,7 +138,7 @@ def critical_value(eps, c) -> float:
     """
     eps = validate_pattern(eps)
     c = validate_costs(c, n=len(eps))
-    return _value(eps, c)
+    return float(_value(eps, c))
 
 
 def embed_pattern(eps) -> np.ndarray:
@@ -159,13 +161,18 @@ def enumerate_critical_points(n: int, c=None) -> list:
     """All 2^(n-1) critical points, fully populated.
 
     Order follows sign_patterns(n), so output is deterministic. Weights
-    default to c(i) = i.
+    default to c(i) = i. The values and the Hessian diagonals come from
+    one stacked call each over the (P, n) sign table, with the bits of
+    critical_value and hessian_diagonal; each record holds its row.
     """
     patterns = sign_patterns(n)
     c = default_costs(n) if c is None else validate_costs(c, n=n)
+    signs = np.array(patterns, dtype=float)
+    values = _value(signs, c).tolist()
+    hessians = _hessian_diagonal(signs, c)
     return [
-        CriticalPointRecord(eps, _index(eps), _value(eps, c), _hessian_diagonal(eps, c))
-        for eps in patterns
+        CriticalPointRecord(eps, _index(eps), value, hessian)
+        for eps, value, hessian in zip(patterns, values, hessians)
     ]
 
 
@@ -173,8 +180,21 @@ def morse_polynomial(n: int, c=None) -> IntPolynomial:
     """Generating polynomial of the critical set: coefficient of t^k counts
     the critical points of index k. Equals the expanded product
     (1+t)(1+t^2)...(1+t^(n-1)) for any admissible weights, which are
-    validated but do not enter the count."""
-    patterns = sign_patterns(n)
+    validated but do not enter the count.
+
+    Every pattern is still enumerated, as one int index rather than a
+    tuple, by doubling over the free head eps(1..n-1): the heads are kept
+    in two lists by the parity of their -1 count, and at 0-based position
+    j a +1 adds j to the index while a -1 flips the parity. The last sign
+    is the head's product, +1 exactly for the even heads, which therefore
+    gain n - 1. The result counts the same multiset as _index over
+    sign_patterns(n).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if c is not None:
         validate_costs(c, n=n)
-    return IntPolynomial.counting(_index(eps) for eps in patterns)
+    even, odd = [0], []
+    for j in range(n - 1):
+        even, odd = [i + j for i in even] + odd, [i + j for i in odd] + even
+    return IntPolynomial.counting([i + n - 1 for i in even] + odd)

@@ -49,9 +49,19 @@ def enumerate_basis(n: int) -> list:
 def poincare_from_basis(n: int) -> IntPolynomial:
     """Poincaré polynomial by binning basis elements by degree.
 
-    The coefficient of t^k is the k-th Z2 Betti number of SO(n).
+    The coefficient of t^k is the k-th Z2 Betti number of SO(n). Every
+    basis element is still enumerated, as its degree (one int) rather than
+    its tuple, by enumerate_basis's own doubling: the elements that gain
+    the generator e_g are the earlier ones shifted by g, so
+    degrees(m+1) = degrees(m) + [d + m for d in degrees(m)], in
+    enumerate_basis order.
     """
-    return IntPolynomial.counting(sum(element) for element in enumerate_basis(n))
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    degrees = [0]
+    for g in range(1, n):
+        degrees += [d + g for d in degrees]
+    return IntPolynomial.counting(degrees)
 
 
 def morse_remainder(p_f: IntPolynomial, p_m: IntPolynomial):

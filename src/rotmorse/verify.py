@@ -131,8 +131,12 @@ class SuiteResult:
 
 
 def _worst(differences) -> float:
-    """Largest absolute entry over a stream of arrays; 0.0 if all are empty."""
-    return max((float(np.abs(d).max(initial=0.0)) for d in differences), default=0.0)
+    """Largest absolute entry over a stream of arrays; 0.0 if all are empty.
+
+    A NaN anywhere makes the result NaN, which fails every threshold; the
+    builtin max would keep a finite maximum seen before it.
+    """
+    return float(np.max([np.abs(d).max(initial=0.0) for d in differences], initial=0.0))
 
 
 def _gradient_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:

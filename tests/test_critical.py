@@ -9,6 +9,7 @@ from numpy.testing import assert_array_equal
 
 from rotmorse.critical import (
     _hessian_diagonal,
+    _index,
     critical_value,
     default_costs,
     enumerate_critical_points,
@@ -21,6 +22,8 @@ from rotmorse.critical import (
     validate_pattern,
 )
 from rotmorse.intpoly import IntPolynomial
+
+from helpers import random_costs
 
 
 def brute_force_records(n, c):
@@ -160,6 +163,38 @@ def test_morse_polynomial_count_and_degree():
         p = morse_polynomial(n)
         assert p(1) == 2 ** (n - 1)
         assert p.degree == n * (n - 1) // 2
+
+
+def test_morse_polynomial_equals_pattern_histogram():
+    rng = np.random.default_rng(12)
+    for n in range(1, 15):
+        # the tuple route: one _index call per enumerated sign pattern
+        expected = IntPolynomial.counting(_index(eps) for eps in sign_patterns(n))
+        assert morse_polynomial(n) == expected
+        assert morse_polynomial(n, random_costs(n, rng)) == expected
+
+
+def test_morse_polynomial_rejects_bad_input():
+    with pytest.raises(ValueError):
+        morse_polynomial(0)
+    with pytest.raises(ValueError):
+        morse_polynomial(3, [1.0, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        morse_polynomial(3, [1.0, 2.0])
+
+
+def test_records_equal_the_public_closed_forms_bitwise():
+    rng = np.random.default_rng(13)
+    for n, c in [(n, w) for n in range(1, 12) for w in (default_costs(n), random_costs(n, rng))]:
+        records = enumerate_critical_points(n, c)
+        assert [r.pattern for r in records] == sign_patterns(n)
+        for r in records:
+            assert r.index == index_by_formula(r.pattern)
+            assert type(r.value) is float
+            value = np.float64(r.value).tobytes()
+            assert value == np.float64(critical_value(r.pattern, c)).tobytes()
+            assert value == np.dot(c, np.array(r.pattern, dtype=float)).tobytes()
+            assert r.hessian_diagonal.tobytes() == hessian_diagonal(r.pattern, c).tobytes()
 
 
 def test_unique_extremes():

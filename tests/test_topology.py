@@ -59,6 +59,17 @@ def test_poincare_from_basis_small():
     assert poincare_from_basis(4).coefficient(3) == 2
 
 
+def test_poincare_from_basis_equals_basis_histogram():
+    for n in range(1, 15):
+        expected = IntPolynomial.counting(sum(b) for b in enumerate_basis(n))
+        assert poincare_from_basis(n) == expected
+
+
+def test_poincare_from_basis_rejects_n_below_one():
+    with pytest.raises(ValueError):
+        poincare_from_basis(0)
+
+
 def test_two_routes_agree():
     for n in range(1, 13):
         assert poincare_from_basis(n) == poincare_product(n)

@@ -27,6 +27,7 @@ from rotmorse.verify import (
     _gradient_suite,
     _hessian_suite,
     _index_suite,
+    _worst,
     fd_gradient,
     fd_tangent_hessian,
     run_all_suites,
@@ -61,6 +62,38 @@ def test_flow_suite_passes():
 def test_flow_suite_unreachable_tolerance_fails():
     result = _flow_suite(_haar_starts(4, 2, 5), default_costs(4), 1e-300, 200)
     assert not result.passed
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        [np.array([1e-9]), np.array([np.nan])],
+        [np.array([np.nan]), np.array([1e-9])],
+        [np.array([0.5, 1e-9]), np.zeros(0), np.array([2.0, np.nan, 1.0])],
+    ],
+)
+def test_worst_is_nan_wherever_the_nan_comes(arrays):
+    assert np.isnan(_worst(arrays))
+
+
+def test_worst_of_finite_and_empty_arrays():
+    assert _worst([]) == 0.0
+    assert _worst([np.zeros(0), np.zeros((0, 3))]) == 0.0
+    assert _worst([np.array([1e-9]), np.array([-3.0, 2.0])]) == 3.0
+    assert _worst([np.array([1.0]), np.array([-np.inf])]) == np.inf
+
+
+@pytest.mark.parametrize("suite", [_gradient_suite, _hessian_suite])
+@pytest.mark.parametrize("nan_first", [False, True])
+def test_a_nan_residual_fails_its_suite_in_any_position(suite, nan_first):
+    c = default_costs(4)
+    finite = _haar_starts(4, 1, 3)
+    assert suite(finite, c).passed
+    nan_point = np.full((1, 4, 4), np.nan)
+    stack = np.concatenate([nan_point, finite] if nan_first else [finite, nan_point])
+    result = suite(stack, c)
+    assert not result.passed
+    assert np.isnan(result.max_residual)
 
 
 def test_run_all_suites_n1_trivially_passes():
