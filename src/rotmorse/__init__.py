@@ -17,7 +17,6 @@ from .critical import (
     morse_polynomial,
     sign_patterns,
     validate_costs,
-    validate_pattern,
 )
 from .intpoly import IntPolynomial
 from .riemannian import (
@@ -31,8 +30,6 @@ from .riemannian import (
     tangent_hessian,
 )
 from .rotations import (
-    MEMBERSHIP_TOL,
-    curve_velocity,
     generator,
     givens_curve,
     haar_sample,
@@ -43,7 +40,6 @@ from .rotations import (
 )
 from .topology import (
     PerfectnessReport,
-    enumerate_basis,
     is_perfect,
     morse_remainder,
     morse_split_by_last_sign,
@@ -58,15 +54,12 @@ __all__ = [
     "DegenerateHessianError",
     "FlowResult",
     "IntPolynomial",
-    "MEMBERSHIP_TOL",
     "PerfectnessReport",
     "classify_rotation",
     "critical_value",
     "curve_derivatives",
-    "curve_velocity",
     "default_costs",
     "embed_pattern",
-    "enumerate_basis",
     "enumerate_critical_points",
     "generator",
     "givens_curve",
@@ -90,5 +83,4 @@ __all__ = [
     "sign_patterns",
     "tangent_hessian",
     "validate_costs",
-    "validate_pattern",
 ]

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .critical import default_costs, enumerate_critical_points, index_by_formula, validate_costs
-from .riemannian import _check_start, _flows, _haar_starts, gradient_flow
-from .rotations import pair_indices
+from .riemannian import _check_start, _flows
+from .rotations import _haar, pair_indices
 from .topology import is_perfect
 from .verify import run_all_suites
 
@@ -243,25 +243,28 @@ def _load_start_matrix(path: str, n: int) -> np.ndarray:
 
 def cmd_flow(args: argparse.Namespace) -> int:
     if args.start is not None:
-        results = [gradient_flow(_load_start_matrix(args.start, args.n), args.c, grad_tol=args.tol)]
+        starts = _load_start_matrix(args.start, args.n)[None]
     else:
-        results = _flows(_haar_starts(args.n, args.samples, args.seed), args.c, args.tol)
+        starts = _haar(args.n, args.samples, args.seed)
+    points, iterations, norms, signs, found = _flows(starts, args.c, args.tol)
+    converged = (norms <= args.tol).tolist()
+    points, iterations, norms = points.tolist(), iterations.tolist(), norms.tolist()
+    patterns = [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
 
-    limits = Counter(r.classified_pattern for r in results)
+    limits = Counter(patterns)
     unclassified = limits.pop(None, 0)
     # (key, count, Morse index) per limit pattern, sorted by key
     limit_rows = sorted((_pattern_key(p), k, index_by_formula(p)) for p, k in limits.items())
-    iteration_counts = [r.iterations for r in results]
     summary = {
-        "samples": len(results),
-        "converged": sum(r.converged for r in results),
+        "samples": len(points),
+        "converged": sum(converged),
         "unclassified": unclassified,
         "pattern_counts": {key: count for key, count, _ in limit_rows},
-        "max_final_gradient_norm": max(r.final_gradient_norm for r in results),
+        "max_final_gradient_norm": max(norms),
         "iterations": {
-            "min": min(iteration_counts),
-            "mean": sum(iteration_counts) / len(iteration_counts),
-            "max": max(iteration_counts),
+            "min": min(iterations),
+            "mean": sum(iterations) / len(iterations),
+            "max": max(iterations),
         },
     }
     payload = {
@@ -269,23 +272,23 @@ def cmd_flow(args: argparse.Namespace) -> int:
         "tol": args.tol,
         "samples": [
             {
-                "final_point": r.final_point.tolist(),
-                "iterations": r.iterations,
-                "final_gradient_norm": r.final_gradient_norm,
-                "classified_pattern": r.classified_pattern,
-                "converged": r.converged,
+                "final_point": point,
+                "iterations": count,
+                "final_gradient_norm": norm,
+                "classified_pattern": pattern,
+                "converged": ok,
             }
-            for r in results
+            for point, count, norm, pattern, ok in zip(points, iterations, norms, patterns, converged)
         ],
         "summary": summary,
     }
 
     def csv_rows():
         yield ("sample", "iterations", "final_gradient_norm", "converged", "pattern")
-        for i, r in enumerate(results):
-            pattern = r.classified_pattern
+        rows = zip(iterations, norms, converged, patterns)
+        for i, (count, norm, ok, pattern) in enumerate(rows):
             key = "unclassified" if pattern is None else _pattern_key(pattern)
-            yield (i, r.iterations, repr(r.final_gradient_norm), r.converged, key)
+            yield (i, count, repr(norm), ok, key)
 
     def table_lines():
         yield (

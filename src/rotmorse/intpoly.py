@@ -101,12 +101,6 @@ class IntPolynomial:
                     out[i + j] += x * y
         return IntPolynomial(out)
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"

@@ -5,7 +5,10 @@ in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
 backtracking gradient descent whose limits empirically recover the analytic
 critical set. The descent steps along the Cayley retraction
 (``rotations.retract``) and runs a whole batch of starts as one
-(S, n, n) stack; a single start is a batch of one.
+(S, n, n) stack; a single start is a batch of one. Its results stay
+arrays with one row per start (final points, iteration counts, gradient
+norms, limit signs and a classified mask); gradient_flow turns the one
+row of a single start into a FlowResult.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -29,7 +32,6 @@ from .rotations import (
     _check_square,
     _pair_arrays,
     _pair_flat,
-    haar_sample,
     is_rotation,
     pair_count,
 )
@@ -45,6 +47,8 @@ _DESCENT_SLACK = 1e-12
 # _flows runs its starts through _descend at most this many at a time,
 # so the kernel's working memory does not grow with the sample count.
 _FLOW_BLOCK = 256
+# The default iteration cap of every descent.
+_MAX_ITERATIONS = 100_000
 
 # numeric_index treats |λ| <= _ZERO_BAND * max |λ| as zero.
 _ZERO_BAND = 1e-9
@@ -217,14 +221,23 @@ def numeric_index(H) -> int:
     return index
 
 
+def _classify(A: np.ndarray) -> tuple:
+    """classify_rotation of every matrix in an (S, n, n) stack, n >= 1.
+
+    Returns (signs, found): the (S, n) int signs of the diagonals, and an
+    (S,) mask that holds where the matrix is that sign pattern's embedding
+    within _CLASSIFY_TOL.
+    """
+    signs = np.where(A.diagonal(0, -2, -1) >= 0.0, 1, -1)
+    offset = np.abs(A - signs[:, :, None] * np.eye(A.shape[-1])).max(axis=(-2, -1))
+    return signs, (np.prod(signs, axis=-1) == 1) & (offset <= _CLASSIFY_TOL)
+
+
 def classify_rotation(A):
     """Round A to a sign pattern when it is entrywise within 1e-6 of an
     embedded pattern with det +1; otherwise None (also for NaN entries)."""
-    A = _check_square(A, nonempty=True)
-    eps = np.where(np.diagonal(A) >= 0.0, 1, -1)
-    if np.prod(eps) == 1 and np.abs(A - np.diag(eps)).max() <= _CLASSIFY_TOL:
-        return tuple(int(e) for e in eps)
-    return None
+    signs, found = _classify(_check_square(A, nonempty=True)[None])
+    return tuple(signs[0].tolist()) if found[0] else None
 
 
 @dataclass
@@ -249,17 +262,18 @@ def _check_flow_args(c, grad_tol: float, max_iterations: int, n: int | None = No
     return c
 
 
-def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int) -> list:
+def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int) -> tuple:
     """The descent of gradient_flow on a stack A of S starts at once.
 
-    A is (S, n, n) and is written in place. Each sample keeps its own
-    objective, gradient and step, and stays live until its gradient norm is
-    at most grad_tol, it reaches max_iterations or its line search fails.
-    Every live sample has taken the same number of steps, so that count is
-    one integer. The live samples' state is kept in compact arrays; a sample
-    that stops is written back once and never touched again. Every kernel
-    computes a sample as it would alone, so no result depends on the rest
-    of the batch. Returns one FlowResult per sample.
+    A is (S, n, n), and each start is overwritten by its final point. Each
+    sample keeps its own objective, gradient and step, and stays live until
+    its gradient norm is at most grad_tol, it reaches max_iterations or its
+    line search fails. Every live sample has taken the same number of
+    steps, so that count is one integer. The live samples' state is kept in
+    compact arrays; a sample that stops is written back once and never
+    touched again. Every kernel computes a sample as it would alone, so no
+    result depends on the rest of the batch. Returns the (S,) iteration
+    counts and final gradient norms.
     """
     f = _objective(A, c)
     g = _gradient(A, c)
@@ -303,19 +317,12 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
             iterations[rows] = np.where(ok[done], t, t - 1)
             idx, Al, fl, gl, gn = idx[stay], Al[stay], fl[stay], gl[stay], gn[stay]
 
-    return [
-        FlowResult(
-            final_point=A[k],
-            iterations=int(iterations[k]),
-            final_gradient_norm=float(gnorm[k]),
-            classified_pattern=classify_rotation(A[k]),
-            converged=bool(gnorm[k] <= grad_tol),
-        )
-        for k in range(A.shape[0])
-    ]
+    return iterations, gnorm
 
 
-def gradient_flow(A0, c, grad_tol: float = 1e-8, max_iterations: int = 100_000) -> FlowResult:
+def gradient_flow(
+    A0, c, grad_tol: float = 1e-8, max_iterations: int = _MAX_ITERATIONS
+) -> FlowResult:
     """Backtracking gradient descent on the objective over SO(n).
 
     Repeats A <- retract(A, -gradient, step), shrinking the step until the
@@ -335,24 +342,29 @@ def gradient_flow(A0, c, grad_tol: float = 1e-8, max_iterations: int = 100_000) 
     pattern is near).
     """
     c = _check_flow_args(c, grad_tol, max_iterations)
-    A = _check_start(A0, c.size)
-    return _descend(A[None], c, grad_tol, max_iterations)[0]
+    A = _check_start(A0, c.size)[None]
+    points, iterations, norms, signs, found = _flows(A, c, grad_tol, max_iterations)
+    return FlowResult(
+        final_point=points[0],
+        iterations=int(iterations[0]),
+        final_gradient_norm=float(norms[0]),
+        classified_pattern=tuple(signs[0].tolist()) if found[0] else None,
+        converged=bool(norms[0] <= grad_tol),
+    )
 
 
-def _haar_starts(n: int, samples: int, seed) -> np.ndarray:
-    """The (samples, n, n) stack of Haar starts drawn in order, by
-    haar_sample, from one default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    starts = np.empty((samples, n, n))
-    for k in range(samples):
-        starts[k] = haar_sample(n, rng)
-    return starts
+def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_MAX_ITERATIONS):
+    """The descent of gradient_flow from every start of an (S, n, n) stack,
+    run through _descend in blocks of _FLOW_BLOCK.
 
-
-def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int = 100_000):
-    """gradient_flow from every start of an (S, n, n) stack, run through
-    _descend in blocks of _FLOW_BLOCK. The stack is written in place."""
-    results = []
+    Returns (points, iterations, norms, signs, found), one row per start:
+    the stack itself, overwritten by the final points; the iteration counts
+    and final gradient norms; and _classify of the final points. A start
+    converged where its norm is at most grad_tol.
+    """
+    iterations = np.empty(len(starts), dtype=int)
+    norms = np.empty(len(starts))
     for first in range(0, len(starts), _FLOW_BLOCK):
-        results += _descend(starts[first : first + _FLOW_BLOCK], c, grad_tol, max_iterations)
-    return results
+        block = slice(first, first + _FLOW_BLOCK)
+        iterations[block], norms[block] = _descend(starts[block], c, grad_tol, max_iterations)
+    return (starts, iterations, norms, *_classify(starts))

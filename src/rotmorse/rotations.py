@@ -101,44 +101,35 @@ def generator(pair, n: int) -> np.ndarray:
     return E
 
 
-def curve_velocity(A, pair, side: str = "right") -> np.ndarray:
-    """Velocity at theta = 0 of the rotation-plane curve through A.
+def _haar(n: int, samples: int, rng) -> np.ndarray:
+    """A (samples, n, n) stack of Haar-uniform rotations from one draw.
 
-    side="right" differentiates A @ B_ij(theta); side="left" differentiates
-    B_ij(theta) @ A. The right family is the canonical tangent basis
-    everywhere in this package; the left family exists for cross-checks.
+    QR-orthonormalizes a stack of standard normal matrices, then rescales
+    columns so each triangular factor has positive diagonal (plain QR
+    output is not Haar without this), and finally flips the first column
+    of each matrix with det -1 to land in SO(n). Every matrix goes through
+    the LAPACK calls it would get alone, and one draw of S matrices reads
+    the stream S draws of one would, so the stack equals S haar_sample
+    calls on one generator. Nothing is checked.
     """
-    A = _check_square(A)
-    E = generator(pair, A.shape[0])
-    if side == "right":
-        return A @ E
-    if side == "left":
-        return E @ A
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    Q, R = np.linalg.qr(np.random.default_rng(rng).standard_normal((samples, n, n)))
+    d = np.sign(np.diagonal(R, 0, -2, -1))
+    d[d == 0] = 1.0
+    Q = Q * d[:, None, :]
+    flip = np.linalg.det(Q) < 0
+    Q[flip, :, 0] = -Q[flip, :, 0]
+    return Q
 
 
 def haar_sample(n: int, rng=None) -> np.ndarray:
-    """Draw a Haar-uniform rotation matrix.
-
-    QR-orthonormalizes a standard normal matrix, then rescales columns so
-    the triangular factor has positive diagonal (plain QR output is not
-    Haar without this), and finally flips the first column if needed to
-    land in the det = +1 component.
+    """Draw a Haar-uniform rotation matrix (see _haar).
 
     ``rng`` may be a seed or a numpy Generator; the draw is deterministic
     given the seed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(rng)
-    G = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
-    d = np.sign(np.diagonal(R))
-    d[d == 0] = 1.0
-    Q = Q * d
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
+    return _haar(n, 1, rng)[0]
 
 
 def _check_coeffs(coeffs, n: int) -> np.ndarray:

@@ -30,31 +30,14 @@ def poincare_product(n: int) -> IntPolynomial:
     return poly
 
 
-def enumerate_basis(n: int) -> list:
-    """Monomial basis of the Z2 exterior algebra on e_1, ..., e_(n-1).
-
-    Each element is the sorted tuple of its generator labels, () being the
-    unit; its degree is the sum of the labels. Built by the doubling
-    recursion basis(m+1) = basis(m) + [b + (m,) for b in basis(m)], which
-    fixes a deterministic order and agrees with direct subset enumeration.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    basis = [()]
-    for g in range(1, n):
-        basis = basis + [b + (g,) for b in basis]
-    return basis
-
-
 def poincare_from_basis(n: int) -> IntPolynomial:
     """Poincaré polynomial by binning basis elements by degree.
 
     The coefficient of t^k is the k-th Z2 Betti number of SO(n). Every
-    basis element is still enumerated, as its degree (one int) rather than
-    its tuple, by enumerate_basis's own doubling: the elements that gain
-    the generator e_g are the earlier ones shifted by g, so
-    degrees(m+1) = degrees(m) + [d + m for d in degrees(m)], in
-    enumerate_basis order.
+    basis element is enumerated, as its degree (one int), by the doubling
+    recursion over generators: the elements that contain e_m are the
+    earlier ones with m added, so
+    degrees(m+1) = degrees(m) + [d + m for d in degrees(m)].
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

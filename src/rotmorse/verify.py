@@ -26,7 +26,7 @@ alone, so every value has the bits of the one-matrix-at-a-time loops.
 Fixed oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of 1e-7, the Hessian
 suite with _HESSIAN_STEP = 1e-4 at 1e-4; the flow suite caps each descent
-at _FLOW_ITERATIONS = 100_000 steps.
+at riemannian._MAX_ITERATIONS = 100_000 steps.
 """
 
 from __future__ import annotations
@@ -38,24 +38,23 @@ import numpy as np
 
 from .critical import _hessian_diagonal, _index, default_costs, sign_patterns
 from .riemannian import (
+    _MAX_ITERATIONS,
     _check_args,
     _check_flow_args,
     _flows,
-    _haar_starts,
     _numeric_indices,
     _objective,
     _tangent_hessian,
     curve_derivatives,
     tangent_hessian,
 )
-from .rotations import givens_curve, pair_count, pair_indices
+from .rotations import _haar, givens_curve, pair_count, pair_indices
 
 
 _GRADIENT_STEP = 1e-5
 _GRADIENT_THRESHOLD = 1e-7
 _HESSIAN_STEP = 1e-4
 _HESSIAN_THRESHOLD = 1e-4
-_FLOW_ITERATIONS = 100_000
 
 
 # The oracles' stacked temporaries (rows of the finite-difference Hessian's
@@ -189,15 +188,18 @@ def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iteratio
     land on an enumerated sign pattern. Residual reported is the worst
     final gradient norm."""
     admissible = set(sign_patterns(c.size))
-    results = _flows(starts, c, grad_tol, max_iterations)
-    worst = max((r.final_gradient_norm for r in results), default=0.0)
-    failures = sum(not r.converged or r.classified_pattern not in admissible for r in results)
+    _, _, norms, signs, found = _flows(starts, c, grad_tol, max_iterations)
+    norms = norms.tolist()
+    failures = sum(
+        not (norm <= grad_tol and ok and tuple(eps) in admissible)
+        for norm, eps, ok in zip(norms, signs.tolist(), found.tolist())
+    )
     return SuiteResult(
         "flow-classification",
         failures == 0,
-        worst,
+        max(norms, default=0.0),
         grad_tol,
-        detail=f"{len(results)} descents, {failures} failures",
+        detail=f"{len(norms)} descents, {failures} failures",
     )
 
 
@@ -205,11 +207,11 @@ def run_all_suites(n: int, samples: int, seed=0, c=None, grad_tol: float = 1e-8)
     """The four cross-check suites, in fixed order, for the weights c
     (default_costs(n) when None) at `samples` Haar points drawn from
     default_rng(seed)."""
-    c = _check_flow_args(default_costs(n) if c is None else c, grad_tol, _FLOW_ITERATIONS, n=n)
-    starts = _haar_starts(n, samples, seed)
+    c = _check_flow_args(default_costs(n) if c is None else c, grad_tol, _MAX_ITERATIONS, n=n)
+    starts = _haar(n, samples, seed)
     return [
         _gradient_suite(starts, c),
         _hessian_suite(starts, c),
         _index_suite(c),
-        _flow_suite(starts.copy(), c, grad_tol, _FLOW_ITERATIONS),
+        _flow_suite(starts.copy(), c, grad_tol, _MAX_ITERATIONS),
     ]

@@ -23,7 +23,7 @@ from rotmorse.critical import (
 )
 from rotmorse.intpoly import IntPolynomial
 
-from helpers import random_costs
+from helpers import evaluate, random_costs
 
 
 def brute_force_records(n, c):
@@ -161,7 +161,7 @@ def test_morse_polynomial_small():
 def test_morse_polynomial_count_and_degree():
     for n in range(1, 13):
         p = morse_polynomial(n)
-        assert p(1) == 2 ** (n - 1)
+        assert evaluate(p, 1) == 2 ** (n - 1)
         assert p.degree == n * (n - 1) // 2
 
 

@@ -25,10 +25,10 @@ from rotmorse.riemannian import (
     objective,
     tangent_hessian,
 )
-from rotmorse.rotations import generator, givens_curve, haar_sample, pair_indices, retract
+from rotmorse.rotations import _haar, generator, givens_curve, haar_sample, pair_indices, retract
 from rotmorse.verify import fd_gradient, fd_tangent_hessian
 
-from helpers import random_costs
+from helpers import random_costs, reference_classify
 
 
 def test_objective_at_identity():
@@ -190,6 +190,30 @@ def test_classify_rotation():
             classify_rotation(np.ones(shape))
     with pytest.raises(ValueError, match="n >= 1"):
         classify_rotation(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_classify_equals_per_matrix_classify(n):
+    # A mixed stack: every embedded pattern, a det -1 diagonal, an entry
+    # moved just inside and just outside the 1e-6 band, NaN entries and
+    # Haar points. Each row must classify as its matrix does alone, and the
+    # rows built for it must land on the stated side of the band.
+    cases = [(embed_pattern(eps), True) for eps in sign_patterns(n)]
+    cases.append((np.diag([-1.0] + [1.0] * (n - 1)), False))
+    for delta in (0.999e-6, -0.999e-6, 1.001e-6, -1.001e-6):
+        for i, j in ((0, n - 1), (n - 1, n - 1)):
+            A = np.eye(n)
+            A[i, j] += delta
+            cases.append((A, abs(delta) < 1e-6))
+    nan_entry = np.eye(n)
+    nan_entry[0, n - 1] = np.nan
+    cases += [(nan_entry, False), (np.full((n, n), np.nan), False)]
+    stack = np.concatenate([np.stack([A for A, _ in cases]), _haar(n, 5, 40 + n)])
+    signs, found = riemannian._classify(stack)
+    rows = _patterns((signs, found))
+    assert rows == [classify_rotation(A) for A in stack]
+    assert rows == [reference_classify(A) for A in stack]
+    assert found[: len(cases)].tolist() == [expected for _, expected in cases]
 
 
 @pytest.mark.parametrize("grad_tol", [float("nan"), float("inf"), 0.0, -1.0])
@@ -363,14 +387,22 @@ def test_fd_oracles_equal_reference_exactly():
         assert np.array_equal(fd_tangent_hessian(A, c), H)
 
 
-def _assert_same_flows(batched, single):
-    assert len(batched) == len(single)
-    for b, s in zip(batched, single):
-        assert b.final_point.tobytes() == s.final_point.tobytes()
-        assert b.iterations == s.iterations
-        assert b.final_gradient_norm == s.final_gradient_norm
-        assert b.classified_pattern == s.classified_pattern
-        assert b.converged == s.converged
+def _patterns(flows):
+    """The classified pattern, or None, of every row of _flows' arrays (or
+    of the (signs, found) of _classify)."""
+    *_, signs, found = flows
+    return [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
+
+
+def _assert_same_flows(batched, single, grad_tol=1e-8):
+    points, iterations, norms, _, _ = batched
+    assert len(points) == len(single)
+    for k, (pattern, s) in enumerate(zip(_patterns(batched), single)):
+        assert points[k].tobytes() == s.final_point.tobytes()
+        assert iterations[k] == s.iterations
+        assert norms[k] == s.final_gradient_norm
+        assert pattern == s.classified_pattern
+        assert (norms[k] <= grad_tol) == s.converged
 
 
 def _one_at_a_time(n, c, samples, seed, grad_tol=1e-8):
@@ -381,11 +413,11 @@ def _one_at_a_time(n, c, samples, seed, grad_tol=1e-8):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_haar_starts_are_seeded_haar_samples_in_order(n):
     rng = np.random.default_rng(17)
-    starts = riemannian._haar_starts(n, 6, 17)
+    starts = _haar(n, 6, 17)
     assert starts.shape == (6, n, n)
     for A in starts:
         assert A.tobytes() == haar_sample(n, rng).tobytes()
-    assert riemannian._haar_starts(n, 0, 17).shape == (0, n, n)
+    assert _haar(n, 0, 17).shape == (0, n, n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -393,7 +425,7 @@ def test_batched_flows_equal_single_flows(n):
     for k in range(-3, 3):
         c = 10.0**k * default_costs(n)
         seed = 10 * n + k
-        batched = riemannian._flows(riemannian._haar_starts(n, 5, seed), c, 1e-8)
+        batched = riemannian._flows(_haar(n, 5, seed), c, 1e-8)
         _assert_same_flows(batched, _one_at_a_time(n, c, 5, seed))
 
 
@@ -401,9 +433,9 @@ def test_batched_flows_equal_single_flows_across_blocks():
     # 1000 starts span several blocks of _FLOW_BLOCK
     c = default_costs(4)
     assert riemannian._FLOW_BLOCK < 1000
-    batched = riemannian._flows(riemannian._haar_starts(4, 1000, 42), c, 1e-8)
+    batched = riemannian._flows(_haar(4, 1000, 42), c, 1e-8)
     _assert_same_flows(batched, _one_at_a_time(4, c, 1000, 42))
-    assert all(r.converged for r in batched)
+    assert np.all(batched[2] <= 1e-8)
 
 
 def test_batch_mixes_a_critical_start_with_capped_descents():
@@ -412,8 +444,8 @@ def test_batch_mixes_a_critical_start_with_capped_descents():
     starts = [haar_sample(4, rng), embed_pattern((1, -1, 1, -1)), haar_sample(4, rng)]
     batched = riemannian._flows(np.stack(starts), c, 1e-8, 2)
     _assert_same_flows(batched, [gradient_flow(A, c, max_iterations=2) for A in starts])
-    assert [r.iterations for r in batched] == [2, 0, 2]
-    assert [r.converged for r in batched] == [False, True, False]
+    assert batched[1].tolist() == [2, 0, 2]
+    assert (batched[2] <= 1e-8).tolist() == [False, True, False]
 
 
 def test_line_search_failure_inside_a_batch(monkeypatch):
@@ -423,12 +455,14 @@ def test_line_search_failure_inside_a_batch(monkeypatch):
     monkeypatch.setattr(riemannian, "_MIN_STEP", 1.0)
     A0 = haar_sample(4, 3)
     eps = (-1, -1, -1, -1)
-    failed, critical = riemannian._descend(np.stack([A0, embed_pattern(eps)]), c, 1e-8, 100_000)
-    assert failed.iterations == 0 and not failed.converged
-    assert failed.final_point.tobytes() == A0.tobytes()
-    assert failed.final_gradient_norm > 0
-    assert critical.converged and critical.classified_pattern == eps
-    _assert_same_flows([failed], [gradient_flow(A0, c)])
+    stack = np.stack([A0, embed_pattern(eps)])
+    iterations, norms = riemannian._descend(stack, c, 1e-8, 100_000)
+    assert iterations[0] == 0 and not (norms[0] <= 1e-8)
+    assert stack[0].tobytes() == A0.tobytes()
+    assert norms[0] > 0
+    assert norms[1] <= 1e-8 and classify_rotation(stack[1]) == eps
+    failed = (stack[:1], iterations[:1], norms[:1], *riemannian._classify(stack[:1]))
+    _assert_same_flows(failed, [gradient_flow(A0, c)])
 
 
 @pytest.mark.parametrize("min_step", [riemannian._MIN_STEP, 0.05])
@@ -448,10 +482,11 @@ def test_backtracking_in_a_batch_matches_the_reference_loop(monkeypatch, min_ste
 
     monkeypatch.setattr(riemannian, "_cayley", counting_cayley)
     c = default_costs(4)
-    batched = riemannian._flows(riemannian._haar_starts(4, 8, 1), c, 1e-8)
-    assert sum(trials) > sum(r.iterations for r in batched)
+    batched = riemannian._flows(_haar(4, 8, 1), c, 1e-8)
+    points, counts, norms, _, _ = batched
+    assert sum(trials) > sum(counts.tolist())
     rng = np.random.default_rng(1)
-    for res in batched:
+    for k, got in enumerate(zip(counts.tolist(), norms.tolist(), _patterns(batched))):
         A, iterations, gnorm, pattern = _reference_flow(haar_sample(4, rng), c)
-        assert res.final_point.tobytes() == A.tobytes()
-        assert (res.iterations, res.final_gradient_norm, res.classified_pattern) == (iterations, gnorm, pattern)
+        assert points[k].tobytes() == A.tobytes()
+        assert got == (iterations, gnorm, pattern)

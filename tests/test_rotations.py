@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rotmorse.rotations import (
+    _haar,
     _pair_arrays,
-    curve_velocity,
+    generator,
     givens_curve,
     haar_sample,
     is_rotation,
@@ -16,6 +17,8 @@ from rotmorse.rotations import (
     pair_indices,
     retract,
 )
+
+from helpers import reference_haar_sample
 
 
 def test_pair_indices_order_and_count():
@@ -66,41 +69,43 @@ def test_givens_is_rotation(theta):
 @pytest.mark.parametrize("e1,e2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_curve_velocity_sign_pattern_example(e1, e2):
     # right velocity of diag(e1, e2) along (1, 2) is [[0, -e1], [e2, 0]]
-    V = curve_velocity(np.diag([float(e1), float(e2)]), (1, 2), side="right")
+    V = np.diag([float(e1), float(e2)]) @ generator((1, 2), 2)
     assert_array_equal(V, [[0, -e1], [e2, 0]])
 
 
 def test_curve_velocity_identity_is_generator():
-    V = curve_velocity(np.eye(3), (1, 3), side="right")
+    V = np.eye(3) @ generator((1, 3), 3)
     E = np.zeros((3, 3))
     E[0, 2], E[2, 0] = -1.0, 1.0
     assert_array_equal(V, E)
 
 
-def test_curve_velocity_bad_side():
-    with pytest.raises(ValueError):
-        curve_velocity(np.eye(2), (1, 2), side="up")
-
-
 def test_curve_velocity_matches_finite_difference():
+    # The velocity of A @ B_p(theta) at zero is A @ generator(p), that of
+    # B_p(theta) @ A is generator(p) @ A, and the retraction along the unit
+    # coefficient of p leaves A with the right velocity.
     rng = np.random.default_rng(7)
     h = 1e-5
     for _ in range(100):
         n = int(rng.integers(2, 6))
         A = haar_sample(n, rng)
         pairs = pair_indices(n)
-        pair = pairs[rng.integers(len(pairs))]
+        k = rng.integers(len(pairs))
+        pair, E = pairs[k], generator(pairs[k], n)
         side = "right" if rng.integers(2) else "left"
         Bp, Bm = givens_curve(pair, h, n), givens_curve(pair, -h, n)
         fd = ((A @ Bp - A @ Bm) if side == "right" else (Bp @ A - Bm @ A)) / (2 * h)
-        assert np.abs(curve_velocity(A, pair, side=side) - fd).max() <= 1e-8
+        assert np.abs((A @ E if side == "right" else E @ A) - fd).max() <= 1e-8
+        unit = np.eye(len(pairs))[k]
+        fd = (retract(A, unit, h) - retract(A, unit, -h)) / (2 * h)
+        assert np.abs(A @ E - fd).max() <= 1e-8
 
 
 def test_velocities_span_tangent_space():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4, 5):
         A = haar_sample(n, rng)
-        V = np.stack([curve_velocity(A, p).ravel() for p in pair_indices(n)])
+        V = np.stack([(A @ generator(p, n)).ravel() for p in pair_indices(n)])
         assert np.linalg.matrix_rank(V) == pair_count(n)
 
 
@@ -117,13 +122,26 @@ def test_haar_membership():
 
 def test_haar_entry_mean_is_zero():
     # rotation invariance of the uniform measure forces zero-mean entries
-    rng = np.random.default_rng(2024)
-    xs = [haar_sample(3, rng)[0, 0] for _ in range(10_000)]
+    xs = _haar(3, 10_000, 2024)[:, 0, 0]
     assert abs(np.mean(xs)) < 0.05
 
 
 def test_haar_deterministic_given_seed():
     assert_array_equal(haar_sample(4, 99), haar_sample(4, 99))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5])
+def test_stacked_haar_draw_equals_the_one_matrix_loop(seed):
+    # One draw of S matrices reads the stream that S draws of one read, so
+    # every prefix of the reference loop is the stack of that size.
+    for n in range(1, 9):
+        rng = np.random.default_rng(seed)
+        loop = np.array([reference_haar_sample(n, rng) for _ in range(1000)])
+        for samples in (0, 1, 4, 257, 1000):
+            stack = _haar(n, samples, seed)
+            assert stack.shape == (samples, n, n)
+            assert stack.tobytes() == loop[:samples].tobytes()
+        assert haar_sample(n, seed).tobytes() == loop[0].tobytes()
 
 
 def test_retract_zero_coefficients_is_noop():

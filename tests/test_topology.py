@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from rotmorse.critical import morse_polynomial
 from rotmorse.intpoly import IntPolynomial
 from rotmorse.topology import (
-    enumerate_basis,
     is_perfect,
     morse_remainder,
     morse_split_by_last_sign,
     poincare_from_basis,
     poincare_product,
 )
+
+from helpers import enumerate_basis, evaluate
 
 
 def expand_product_naive(n):
@@ -78,7 +79,7 @@ def test_two_routes_agree():
 def test_count_and_degree_identities():
     for n in range(1, 13):
         p = poincare_product(n)
-        assert p(1) == 2 ** (n - 1)
+        assert evaluate(p, 1) == 2 ** (n - 1)
         assert p.degree == n * (n - 1) // 2
 
 

@@ -15,13 +15,13 @@ from rotmorse.critical import (
     sign_patterns,
 )
 from rotmorse.riemannian import (
-    _haar_starts,
+    _MAX_ITERATIONS,
     curve_derivatives,
     gradient_flow,
     numeric_index,
     tangent_hessian,
 )
-from rotmorse.rotations import haar_sample
+from rotmorse.rotations import _haar, haar_sample
 from rotmorse.verify import (
     _flow_suite,
     _gradient_suite,
@@ -37,12 +37,12 @@ from helpers import random_costs
 
 
 def test_gradient_suite_passes():
-    result = _gradient_suite(_haar_starts(4, 25, 1), default_costs(4))
+    result = _gradient_suite(_haar(4, 25, 1), default_costs(4))
     assert result.passed and result.max_residual <= result.threshold
 
 
 def test_hessian_suite_passes():
-    result = _hessian_suite(_haar_starts(4, 10, 2), default_costs(4))
+    result = _hessian_suite(_haar(4, 10, 2), default_costs(4))
     assert result.passed
 
 
@@ -55,12 +55,12 @@ def test_index_suite_passes():
 
 
 def test_flow_suite_passes():
-    result = _flow_suite(_haar_starts(3, 25, 4), default_costs(3), 1e-8, 100_000)
+    result = _flow_suite(_haar(3, 25, 4), default_costs(3), 1e-8, _MAX_ITERATIONS)
     assert result.passed and result.max_residual <= result.threshold
 
 
 def test_flow_suite_unreachable_tolerance_fails():
-    result = _flow_suite(_haar_starts(4, 2, 5), default_costs(4), 1e-300, 200)
+    result = _flow_suite(_haar(4, 2, 5), default_costs(4), 1e-300, 200)
     assert not result.passed
 
 
@@ -87,7 +87,7 @@ def test_worst_of_finite_and_empty_arrays():
 @pytest.mark.parametrize("nan_first", [False, True])
 def test_a_nan_residual_fails_its_suite_in_any_position(suite, nan_first):
     c = default_costs(4)
-    finite = _haar_starts(4, 1, 3)
+    finite = _haar(4, 1, 3)
     assert suite(finite, c).passed
     nan_point = np.full((1, 4, 4), np.nan)
     stack = np.concatenate([nan_point, finite] if nan_first else [finite, nan_point])
