@@ -4,7 +4,10 @@ cross-check suites, and gradient-flow batches, all with reproducible seeds.
 JSON is the machine format and is byte-stable for fixed flags and seed on a
 fixed platform; tables are for humans and carry no stability promise. The
 library returns plain records; this module alone builds the JSON objects,
-CSV rows and table lines from their fields.
+CSV rows and table lines from their fields. It writes JSON itself
+(`_dumps`), byte-identical to `json.dumps(..., indent=2)`: floats as
+`float.__repr__`, and a non-finite float as the non-standard `NaN`,
+`Infinity` or `-Infinity` token.
 
 Exit codes: 0 success (and perfect, for `polynomials`), 2 a bad argument
 or --out path, 3 perfectness check failed, 4 a numeric suite failed.
@@ -20,6 +23,8 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -103,15 +108,96 @@ def _parse_args(argv) -> argparse.Namespace:
     return args
 
 
+class _FloatText(dict):
+    """float -> its JSON text, as json.dumps writes it, filled on first use.
+
+    0.0 and -0.0 are equal keys with different texts, so zeros are never
+    stored; nor are NaN and the infinities.
+    """
+
+    def __missing__(self, x):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        text = float.__repr__(x)
+        if x:
+            self[x] = text
+        return text
+
+
+class _KeyText(dict):
+    """str key -> its JSON text followed by ": ", filled on first use."""
+
+    def __missing__(self, k):
+        text = self[k] = encode_basestring_ascii(k) + ": "
+        return text
+
+
+def _dumps(value) -> str:
+    """The text of json.dumps(value, indent=2), byte for byte.
+
+    value is built from str-keyed dicts, lists, tuples, str, int, float,
+    bool and None; anything else raises TypeError, as json.dumps does. A
+    container whose values are all floats or all ints is written by one
+    C-level join, and each distinct float and key is formatted once per
+    call: a Hessian diagonal takes only four values per pair.
+    """
+    floats = _FloatText()
+    keys = _KeyText()
+
+    def leaves(values):
+        # The texts of values if they are all floats or all ints, else None.
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            return map(floats.__getitem__, values)
+        if kinds == {int}:
+            return map(int.__repr__, values)
+        return None
+
+    def write(v, pad: str) -> str:
+        if isinstance(v, str):
+            return encode_basestring_ascii(v)
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, float):
+            return floats[v]
+        inner = pad + "  "
+        if isinstance(v, (list, tuple)):
+            if not v:
+                return "[]"
+            items = leaves(v) or map(write, v, repeat(inner))
+            return f"[{inner}{(',' + inner).join(items)}{pad}]"
+        if isinstance(v, dict):
+            if not v:
+                return "{}"
+            values = v.values()
+            items = leaves(values) or map(write, values, repeat(inner))
+            pairs = map(str.__add__, map(keys.__getitem__, v), items)
+            return f"{{{inner}{(',' + inner).join(pairs)}{pad}}}"
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    return write(value, "\n")
+
+
 def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> None:
     """Write the requested format to --out or stdout.
 
-    payload is the JSON object after the "n" and "c" every command echoes.
+    payload is the JSON object after the "n" and "c" every command echoes;
+    its JSON text is `_dumps`, the bytes of `json.dumps(..., indent=2)`.
     csv_rows (header first) and table_lines are callables, so only the
     requested format is built.
     """
     if args.format == "json":
-        text = json.dumps({"n": args.n, "c": args.c.tolist(), **payload}, indent=2)
+        text = _dumps({"n": args.n, "c": args.c.tolist(), **payload})
     elif args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows())

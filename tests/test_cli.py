@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotmorse
-from rotmorse.cli import main
+from rotmorse.cli import _dumps, main
 from rotmorse.critical import default_costs
 from rotmorse.riemannian import gradient_flow
 from rotmorse.rotations import haar_sample
@@ -370,3 +373,103 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# Floats the writer's memo must keep apart: equal zeros with different
+# texts, NaN (unequal to itself) and the infinities, plus repeated values.
+_MEMO_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, -2.5, 1e300])
+_JSON_FLOATS = st.floats() | _MEMO_EDGE_FLOATS
+_JSON_TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "∑ ε", "\U0001f600"])
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _JSON_FLOATS
+    | _JSON_TEXT
+    # homogeneous containers take the writer's one-join path
+    | st.lists(_JSON_FLOATS)
+    | st.lists(st.integers())
+    | st.lists(st.booleans() | st.integers())
+    | st.dictionaries(_JSON_TEXT, _JSON_FLOATS)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(_JSON_TEXT, children)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_equals_stdlib_indented_json(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [0.0, -0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+        {"a": [0.0, 1.0], "b": [-0.0, 1.0], "c": -0.0},
+        [math.nan, math.nan, float("nan"), float("nan")],
+        [float("0.1"), float("0.1"), -float("0.1"), 0.1],
+        [math.inf, 1.0, math.inf],
+        [-math.inf, math.inf, -math.inf, 1e308 * 10],
+        [[1.5, 2.5], [2.5, 1.5], {"x": 1.5, "y": 2.5}],
+    ],
+)
+def test_dumps_float_memo_edges(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        object(),
+        {1, 2},
+        b"x",
+        np.float32(1.0),
+        np.int64(1),
+        [1.0, complex(1, 2)],
+        {"a": {"b": object()}},
+        {(1, 2): 3},
+    ],
+    ids=["object", "set", "bytes", "float32", "int64", "complex-in-list", "nested-object", "tuple-key"],
+)
+def test_dumps_unsupported_type_raises_type_error(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+def _increasing_weights(n: int, seed: int) -> str:
+    c = np.cumsum(np.random.default_rng(seed).uniform(0.05, 1.0, n))
+    return ",".join(map(repr, c.tolist()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("critical-points", "--n", "9", "--c", _increasing_weights(9, 9)),
+        ("flow", "--n", "3", "--samples", "20", "--c", _increasing_weights(3, 3)),
+        ("verify", "--n", "4", "--samples", "3", "--c", _increasing_weights(4, 4)),
+        ("polynomials", "--n", "12", "--c", _increasing_weights(12, 12)),
+        # the descent overflows at these weights, so the norms are inf
+        pytest.param(("flow", "--n", "2", "--samples", "2", "--c", "1e300,2e300"), id="infinity"),
+    ],
+)
+def test_json_output_is_stdlib_indented_json(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if "1e300,2e300" in argv:
+        assert '"max_final_gradient_norm": Infinity,' in out
+    dest = tmp_path / "out.json"
+    code, printed, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(dest))
+    assert code == 0 and printed == ""
+    assert dest.read_text() == out
