@@ -23,6 +23,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict
+from functools import cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -40,7 +41,9 @@ class CliInputError(Exception):
     """Input problems detected after argument parsing (e.g. a bad start file)."""
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process for every main call."""
     parser = argparse.ArgumentParser(
         prog="rotmorse",
         description=(
@@ -332,10 +335,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
         starts = _load_start_matrix(args.start, args.n)[None]
     else:
         starts = _haar(args.n, args.samples, args.seed)
-    points, iterations, norms, signs, found = _flows(starts, args.c, args.tol)
-    converged = (norms <= args.tol).tolist()
+    points, iterations, norms, converged, patterns = _flows(starts, args.c, args.tol)
     points, iterations, norms = points.tolist(), iterations.tolist(), norms.tolist()
-    patterns = [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
+    converged = converged.tolist()
 
     limits = Counter(patterns)
     unclassified = limits.pop(None, 0)

@@ -1,9 +1,7 @@
-"""Dense polynomials with nonnegative integer coefficients.
-
-These polynomials carry counts (critical points per Morse index, Z2 Betti
-numbers), so nonnegativity is part of the contract and every operation is
-exact integer arithmetic. Python integers are unbounded, so coefficient
-growth needs no overflow guard.
+"""Dense polynomials with nonnegative integer coefficients, used as exact
+count vectors (critical points per Morse index, Z2 Betti numbers): built by
+counting degrees or from coefficients, then compared and printed. There is
+no arithmetic.
 """
 
 from __future__ import annotations
@@ -35,16 +33,6 @@ class IntPolynomial:
     @classmethod
     def zero(cls) -> "IntPolynomial":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, power: int) -> "IntPolynomial":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (1,))
 
     @classmethod
     def counting(cls, degrees: Iterable[int]) -> "IntPolynomial":
@@ -81,25 +69,6 @@ class IntPolynomial:
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __add__(self, other) -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPolynomial(out)
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -5,10 +5,10 @@ in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
 backtracking gradient descent whose limits empirically recover the analytic
 critical set. The descent steps along the Cayley retraction
 (``rotations.retract``) and runs a whole batch of starts as one
-(S, n, n) stack; a single start is a batch of one. Its results stay
-arrays with one row per start (final points, iteration counts, gradient
-norms, limit signs and a classified mask); gradient_flow turns the one
-row of a single start into a FlowResult.
+(S, n, n) stack; a single start is a batch of one. Its results have one
+row per start (final points, iteration counts, gradient norms, a
+converged mask and the classified limit patterns); gradient_flow turns
+the one row of a single start into a FlowResult.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -343,13 +343,13 @@ def gradient_flow(
     """
     c = _check_flow_args(c, grad_tol, max_iterations)
     A = _check_start(A0, c.size)[None]
-    points, iterations, norms, signs, found = _flows(A, c, grad_tol, max_iterations)
+    points, iterations, norms, converged, patterns = _flows(A, c, grad_tol, max_iterations)
     return FlowResult(
         final_point=points[0],
         iterations=int(iterations[0]),
         final_gradient_norm=float(norms[0]),
-        classified_pattern=tuple(signs[0].tolist()) if found[0] else None,
-        converged=bool(norms[0] <= grad_tol),
+        classified_pattern=patterns[0],
+        converged=bool(converged[0]),
     )
 
 
@@ -357,14 +357,17 @@ def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_M
     """The descent of gradient_flow from every start of an (S, n, n) stack,
     run through _descend in blocks of _FLOW_BLOCK.
 
-    Returns (points, iterations, norms, signs, found), one row per start:
-    the stack itself, overwritten by the final points; the iteration counts
-    and final gradient norms; and _classify of the final points. A start
-    converged where its norm is at most grad_tol.
+    Returns (points, iterations, norms, converged, patterns), one row per
+    start: a new stack of final points (starts is left unchanged), the
+    iteration counts and final gradient norms, the mask norms <= grad_tol,
+    and a list of the limits' sign-pattern tuples (None if unclassified).
     """
-    iterations = np.empty(len(starts), dtype=int)
-    norms = np.empty(len(starts))
-    for first in range(0, len(starts), _FLOW_BLOCK):
+    points = np.array(starts, dtype=float)
+    iterations = np.empty(len(points), dtype=int)
+    norms = np.empty(len(points))
+    for first in range(0, len(points), _FLOW_BLOCK):
         block = slice(first, first + _FLOW_BLOCK)
-        iterations[block], norms[block] = _descend(starts[block], c, grad_tol, max_iterations)
-    return (starts, iterations, norms, *_classify(starts))
+        iterations[block], norms[block] = _descend(points[block], c, grad_tol, max_iterations)
+    signs, found = _classify(points)
+    patterns = [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
+    return points, iterations, norms, norms <= grad_tol, patterns

@@ -21,13 +21,14 @@ from .intpoly import IntPolynomial
 
 
 def poincare_product(n: int) -> IntPolynomial:
-    """Expanded product (1+t)(1+t^2)...(1+t^(n-1)); the constant 1 for n=1."""
+    """Expanded product (1+t)(1+t^2)...(1+t^(n-1)); the constant 1 for n=1.
+    Multiplying by 1 + t^k adds a copy of the coefficients shifted up by k."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    poly = IntPolynomial.one()
+    coeffs = [1]
     for k in range(1, n):
-        poly = poly * (IntPolynomial.one() + IntPolynomial.monomial(k))
-    return poly
+        coeffs = [a + b for a, b in zip(coeffs + [0] * k, [0] * k + coeffs)]
+    return IntPolynomial(coeffs)
 
 
 def poincare_from_basis(n: int) -> IntPolynomial:

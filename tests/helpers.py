@@ -56,3 +56,15 @@ def evaluate(p, x: int) -> int:
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def shift_coeffs(coeffs, k: int) -> tuple:
+    """The coefficients of t^k times the polynomial with these coefficients."""
+    return (0,) * k + tuple(coeffs)
+
+
+def add_coeffs(*polys) -> tuple:
+    """The coefficients of the sum of the polynomials with these coefficient
+    sequences, padded with zeros to the longest."""
+    size = max(map(len, polys), default=0)
+    return tuple(sum(p[k] for p in polys if k < len(p)) for k in range(size))

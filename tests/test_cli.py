@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotmorse
-from rotmorse.cli import _dumps, main
+from rotmorse.cli import _dumps, build_parser, main
 from rotmorse.critical import default_costs
 from rotmorse.riemannian import gradient_flow
 from rotmorse.rotations import haar_sample
@@ -83,6 +83,14 @@ def test_polynomials_n2_json(capsys):
     assert payload["morse"] == payload["poincare_basis"] == payload["poincare_product"] == [1, 1]
     assert payload["remainder"] == []
     assert payload["perfect"] is True
+
+
+def test_parser_state_does_not_leak_between_main_calls(capsys):
+    code, out, _ = run_cli(capsys, "polynomials", "--n", "3", "--c", "1,2,5")
+    assert code == 0 and "c = [1.0, 2.0, 5.0]" in out
+    code, out, _ = run_cli(capsys, "polynomials", "--n", "3")
+    assert code == 0 and out.splitlines()[0] == "n = 3, c = [1.0, 2.0, 3.0]"
+    assert build_parser() is build_parser()
 
 
 def test_polynomials_n12_under_ten_seconds(capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 
-from helpers import random_costs
+from rotmorse.intpoly import IntPolynomial
+
+from helpers import add_coeffs, evaluate, random_costs, shift_coeffs
 
 
 def test_random_costs_strictly_increasing():
@@ -9,3 +11,13 @@ def test_random_costs_strictly_increasing():
         c = random_costs(n, rng)
         assert c.size == n and c[0] >= 0.0
         assert np.all(np.diff(c) > 0)
+
+
+def test_coefficient_shift_add_and_evaluate():
+    assert shift_coeffs((1, 2), 2) == (0, 0, 1, 2)
+    assert shift_coeffs((1, 2), 0) == (1, 2)
+    assert add_coeffs((1, 2), (0, 1, 1)) == (1, 3, 1)
+    assert add_coeffs((1,), (), (0, 0, 4)) == (1, 0, 4)
+    assert add_coeffs() == ()
+    assert evaluate(IntPolynomial([1, 2]), 3) == 7
+    assert evaluate(IntPolynomial.zero(), 5) == 0

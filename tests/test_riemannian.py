@@ -387,22 +387,22 @@ def test_fd_oracles_equal_reference_exactly():
         assert np.array_equal(fd_tangent_hessian(A, c), H)
 
 
-def _patterns(flows):
-    """The classified pattern, or None, of every row of _flows' arrays (or
-    of the (signs, found) of _classify)."""
-    *_, signs, found = flows
+def _patterns(classified):
+    """The classified pattern, or None, of every row of _classify's
+    (signs, found)."""
+    signs, found = classified
     return [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
 
 
 def _assert_same_flows(batched, single, grad_tol=1e-8):
-    points, iterations, norms, _, _ = batched
-    assert len(points) == len(single)
-    for k, (pattern, s) in enumerate(zip(_patterns(batched), single)):
+    points, iterations, norms, converged, patterns = batched
+    assert len(points) == len(patterns) == len(single)
+    for k, s in enumerate(single):
         assert points[k].tobytes() == s.final_point.tobytes()
         assert iterations[k] == s.iterations
         assert norms[k] == s.final_gradient_norm
-        assert pattern == s.classified_pattern
-        assert (norms[k] <= grad_tol) == s.converged
+        assert patterns[k] == s.classified_pattern
+        assert converged[k] == (norms[k] <= grad_tol) == s.converged
 
 
 def _one_at_a_time(n, c, samples, seed, grad_tol=1e-8):
@@ -438,6 +438,16 @@ def test_batched_flows_equal_single_flows_across_blocks():
     assert np.all(batched[2] <= 1e-8)
 
 
+def test_flows_leave_their_starts_unchanged():
+    c = default_costs(4)
+    starts = _haar(4, 6, 3)
+    before = starts.tobytes()
+    points, *_ = riemannian._flows(starts, c, 1e-8)
+    assert starts.tobytes() == before
+    assert not np.shares_memory(points, starts)
+    assert points.tobytes() != before
+
+
 def test_batch_mixes_a_critical_start_with_capped_descents():
     c = default_costs(4)
     rng = np.random.default_rng(9)
@@ -461,7 +471,8 @@ def test_line_search_failure_inside_a_batch(monkeypatch):
     assert stack[0].tobytes() == A0.tobytes()
     assert norms[0] > 0
     assert norms[1] <= 1e-8 and classify_rotation(stack[1]) == eps
-    failed = (stack[:1], iterations[:1], norms[:1], *riemannian._classify(stack[:1]))
+    rows = stack[:1], iterations[:1], norms[:1], norms[:1] <= 1e-8
+    failed = (*rows, _patterns(riemannian._classify(stack[:1])))
     _assert_same_flows(failed, [gradient_flow(A0, c)])
 
 
@@ -483,10 +494,10 @@ def test_backtracking_in_a_batch_matches_the_reference_loop(monkeypatch, min_ste
     monkeypatch.setattr(riemannian, "_cayley", counting_cayley)
     c = default_costs(4)
     batched = riemannian._flows(_haar(4, 8, 1), c, 1e-8)
-    points, counts, norms, _, _ = batched
+    points, counts, norms, _, patterns = batched
     assert sum(trials) > sum(counts.tolist())
     rng = np.random.default_rng(1)
-    for k, got in enumerate(zip(counts.tolist(), norms.tolist(), _patterns(batched))):
+    for k, got in enumerate(zip(counts.tolist(), norms.tolist(), patterns)):
         A, iterations, gnorm, pattern = _reference_flow(haar_sample(4, rng), c)
         assert points[k].tobytes() == A.tobytes()
         assert got == (iterations, gnorm, pattern)
