@@ -4,11 +4,12 @@ Evaluates the objective, its directional derivatives and second derivatives
 in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
 backtracking gradient descent whose limits empirically recover the analytic
 critical set. The descent steps along the Cayley retraction
-(``rotations.retract``) and runs a whole batch of starts as one
-(S, n, n) stack; a single start is a batch of one. Its results have one
-row per start (final points, iteration counts, gradient norms, a
-converged mask and the classified limit patterns); gradient_flow turns
-the one row of a single start into a FlowResult.
+(``rotations.retract``), tries the Barzilai-Borwein step first and stops
+at its tolerance or at the gradient's rounding floor. It runs a whole
+batch of starts as one (S, n, n) stack; a single start is a batch of one.
+Its results have one row per start (final points, iteration counts,
+gradient norms, a converged mask and the classified limit patterns);
+gradient_flow turns the one row of a single start into a FlowResult.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -36,14 +37,21 @@ from .rotations import (
     pair_count,
 )
 
-# Line-search constants of gradient_flow. An accepted step may raise the
-# objective by at most _DESCENT_SLACK, which lets the flow keep moving once
-# objective differences fall below float resolution while the gradient is
-# still above tolerance.
+# Line-search constants of gradient_flow. The Armijo test, the halving and
+# the step floor apply to every trial, the Barzilai-Borwein first trial
+# included. An accepted step may raise the objective by at most
+# _DESCENT_SLACK, which lets the flow keep moving once objective
+# differences fall below float resolution while the gradient is still
+# above tolerance.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
 _DESCENT_SLACK = 1e-12
+# Near a limit the off-diagonal entries are about _EPS, so each gradient
+# component c_i A_ij - c_j A_ji carries a rounding error of about
+# _EPS^2 * max(c); a descent stops once its gradient norm is at most
+# n * _EPS^2 * max(c), whatever its tolerance.
+_EPS = 2.0**-52  # the float64 machine epsilon
 # _flows runs its starts through _descend at most this many at a time,
 # so the kernel's working memory does not grow with the sample count.
 _FLOW_BLOCK = 256
@@ -266,11 +274,12 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     """The descent of gradient_flow on a stack A of S starts at once.
 
     A is (S, n, n), and each start is overwritten by its final point. Each
-    sample keeps its own objective, gradient and step, and stays live until
-    its gradient norm is at most grad_tol, it reaches max_iterations or its
-    line search fails. Every live sample has taken the same number of
-    steps, so that count is one integer. The live samples' state is kept in
-    compact arrays; a sample that stops is written back once and never
+    sample keeps its own objective, gradient, gradient norm and next first
+    trial step, and stays live until its gradient norm is at most grad_tol
+    or at most the rounding floor n*eps^2*max(c), it reaches max_iterations
+    or its line search fails. Every live sample has taken the same number
+    of steps, so that count is one integer. The live samples' state is kept
+    in compact arrays; a sample that stops is written back once and never
     touched again. Every kernel computes a sample as it would alone, so no
     result depends on the rest of the batch. Returns the (S,) iteration
     counts and final gradient norms.
@@ -279,14 +288,19 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     g = _gradient(A, c)
     gnorm = np.sqrt(np.vecdot(g, g))
     iterations = np.zeros(A.shape[0], dtype=int)
+    stop = max(grad_tol, c.size * _EPS * _EPS * float(c[-1]))
 
     t = 0
-    idx = np.flatnonzero((gnorm > grad_tol) & (t < max_iterations))
+    idx = np.flatnonzero((gnorm > stop) & (t < max_iterations))
+    if not idx.size:
+        return iterations, gnorm
+    step0 = 1.0 / (2.0 * float(c[-1]))
     Al, fl, gl, gn = A[idx], f[idx], g[idx], gnorm[idx]
+    hl = np.full(idx.size, step0)
     while idx.size:
-        # One line search for every live sample: the first trial for all of
+        # One line search for every live sample: its first trial for all of
         # them, then backtracking for those whose trial was refused.
-        step = np.minimum(1.0 / (2.0 * float(c[-1])), 2.0 / (math.sqrt(2.0) * gn))
+        step = np.minimum(hl, 2.0 / (math.sqrt(2.0) * gn))
         trial = _cayley(Al, -gl, step)
         ft = _objective(trial, c)
         ok = (step >= _MIN_STEP) & (ft <= fl - _ARMIJO * step * gn * gn + _DESCENT_SLACK)
@@ -306,16 +320,22 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
                 todo = todo[~passed]
             trial[~ok], ft[~ok] = Al[~ok], fl[~ok]  # a failed search keeps its point
         t += 1
-        Al, fl = trial, ft
-        gl = _gradient(Al, c)
+        g_next = _gradient(trial, c)
+        # The Barzilai-Borwein step h*|g|^2 / <g, g - g_next> of the accepted
+        # step h is the next first trial, and 1/(2*max(c)) where the
+        # denominator is not a positive finite number.
+        denom = np.vecdot(gl, gl - g_next)
+        hl = np.full(idx.size, step0)
+        np.divide(step * gn * gn, denom, out=hl, where=(denom > 0.0) & np.isfinite(denom))
+        Al, fl, gl = trial, ft, g_next
         gn = np.sqrt(np.vecdot(gl, gl))
-        stay = ok & (gn > grad_tol) & (t < max_iterations)
+        stay = ok & (gn > stop) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
             done = ~stay
             rows = idx[done]
             A[rows], f[rows], gnorm[rows] = Al[done], fl[done], gn[done]
             iterations[rows] = np.where(ok[done], t, t - 1)
-            idx, Al, fl, gl, gn = idx[stay], Al[stay], fl[stay], gl[stay], gn[stay]
+            idx, Al, fl, gl, gn, hl = idx[stay], Al[stay], fl[stay], gl[stay], gn[stay], hl[stay]
 
     return iterations, gnorm
 
@@ -325,13 +345,22 @@ def gradient_flow(
 ) -> FlowResult:
     """Backtracking gradient descent on the objective over SO(n).
 
-    Repeats A <- retract(A, -gradient, step), shrinking the step until the
+    Repeats A <- retract(A, -gradient, step), halving the step until the
     Armijo decrease (up to a small slack) holds, and stops once the
-    gradient 2-norm falls below grad_tol. The first trial step is
-    1/(2*max(c)): gradient components are bounded by 2*max(c), which makes
-    it scale-aware. The Cayley retraction is defined for every step; trial
-    steps are still capped so step * ||K||_F <= 2, which bounds how far one
-    step moves.
+    gradient 2-norm is at most grad_tol. The first trial of the first
+    iteration is 1/(2*max(c)): gradient components are bounded by
+    2*max(c), which makes it scale-aware. Every later first trial is the
+    Barzilai-Borwein step h*|g_k|^2 / <g_k, g_k - g_{k+1}> of the step h
+    just accepted, with gradients in the pair basis; where that
+    denominator is not a positive finite number it is 1/(2*max(c)) again.
+    The Cayley retraction is defined for every step; trial steps are still
+    capped so step * ||K||_F <= 2, which bounds how far one step moves.
+
+    The descent also stops once the gradient norm is at most
+    n*eps^2*max(c), the rounding error of the gradient near a limit. A
+    grad_tol below that floor thus ends promptly rather than at
+    max_iterations, with converged=False unless the norm has rounded to
+    exactly 0.
 
     Hitting max_iterations, or a line search whose step shrinks below
     _MIN_STEP, returns a result with converged=False rather than raising.

@@ -18,8 +18,8 @@ matrix products, associated as (A @ B_p) @ B_q. The index suite builds
 the pattern table, the embedded matrices and the formula indices, makes
 one stacked Hessian-diagonal count and, over blocks of patterns, stacked
 tangent-Hessian and eigenvalue passes. A pattern whose Hessian has an
-eigenvalue inside the relative zero band of numeric_index has no
-eigenvalue index and counts as a mismatch.
+eigenvalue inside the relative zero band of numeric_index, or a
+non-finite entry, has no eigenvalue index and counts as a mismatch.
 Stacked matmul, vecdot and eigvalsh treat each matrix as they would
 alone, so every value has the bits of the one-matrix-at-a-time loops.
 
@@ -155,6 +155,16 @@ def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
     return SuiteResult("hessian-fd", worst <= _HESSIAN_THRESHOLD, worst, _HESSIAN_THRESHOLD)
 
 
+def _finite_or_zero(H: np.ndarray) -> np.ndarray:
+    """H with every matrix that has a non-finite entry set to zero, in place.
+
+    An overflowed Hessian has no eigenvalue index; as a zero matrix it
+    gets -1 from _numeric_indices, where eigvalsh could fail to converge.
+    """
+    H[~np.isfinite(H).all(axis=(-2, -1))] = 0.0
+    return H
+
+
 def _index_suite(c: np.ndarray) -> SuiteResult:
     """Formula index == Hessian-diagonal index == eigenvalue index, for
     every admissible pattern. The residual is the number of mismatches."""
@@ -169,7 +179,7 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     block = max(1, _STACK_BYTES // max(1, 8 * d * d))
     by_eigen = np.concatenate(
         [
-            _numeric_indices(_tangent_hessian(embedded[first : first + block], c))
+            _numeric_indices(_finite_or_zero(_tangent_hessian(embedded[first : first + block], c)))
             for first in range(0, len(patterns), block)
         ]
     )

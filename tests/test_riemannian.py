@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from rotmorse import riemannian
@@ -291,6 +294,51 @@ def test_flow_unreachable_tolerance():
     assert not res.converged
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_flow_stops_at_the_rounding_floor(n):
+    # Below n*eps^2*max(c) the gradient norm is rounding noise: a tolerance
+    # under that floor stops there, long before the iteration cap, and
+    # converged still means norm <= tol (a few norms round to exactly 0).
+    c = default_costs(n)
+    floor = n * np.finfo(float).eps ** 2 * c[-1]
+    _, iterations, norms, converged, _ = riemannian._flows(_haar(n, 20, n), c, 1e-300)
+    assert iterations.max() < 500
+    assert np.all(norms <= floor)
+    assert converged.tolist() == (norms <= 1e-300).tolist()
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("scale", [1e6, 1e9, 1e15])
+def test_flow_converges_at_large_weights_above_the_floor(n, scale):
+    # At these weights the floor n*eps^2*max(c) stays far below 1e-8.
+    c = scale * default_costs(n)
+    _, _, norms, converged, patterns = riemannian._flows(_haar(n, 20, n), c, 1e-8)
+    assert converged.all() and np.all(norms <= 1e-8)
+    assert None not in patterns
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_flow_commutes_with_sign_conjugation(n, seed):
+    # f reads only diag(A), which A -> D A D keeps for every diagonal D of
+    # +-1 entries, and D A D stays in SO(n). Each gradient component only
+    # changes sign, so the descent from D A D is D (descent from A) D, bit
+    # for bit, with the same iterations and norms.
+    rng = np.random.default_rng(seed)
+    c = random_costs(n, rng)
+    starts = _haar(n, 3, seed)
+    d = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    flips = (d[:, :, None] * d[:, None, :])[:, None]  # (2^n, 1, n, n), identity first
+    conjugated = (flips * starts).reshape(-1, n, n)
+    points, iterations, norms, converged, patterns = riemannian._flows(conjugated, c, 1e-8)
+    points = points.reshape(flips.shape[0], len(starts), n, n)
+    assert np.array_equal(points, flips * points[0])
+    for rows in (iterations, norms, converged):
+        rows = rows.reshape(flips.shape[0], len(starts))
+        assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+    assert patterns == patterns[: len(starts)] * flips.shape[0]
+
+
 def test_flow_result_json_round_trip():
     # The fields the CLI emits per sample are JSON-native: numpy scalars
     # (np.bool_, np.int64) would make json.dumps raise.
@@ -312,13 +360,17 @@ def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
     the module's line-search constants: every evaluation validates again."""
     c = np.asarray(c, dtype=float)
     A = np.array(A0, dtype=float)
-    step0 = 1.0 / (2.0 * c[-1])
+    eps = np.finfo(float).eps
+    stop = max(grad_tol, len(c) * eps * eps * c[-1])
     f = objective(A, c)
     g = curve_derivatives(A, c)
     gnorm = float(np.linalg.norm(g))
     iterations = 0
-    while gnorm > grad_tol and iterations < max_iterations:
-        step = min(step0, 2.0 / (math.sqrt(2.0) * gnorm))
+    first_trial = None
+    while gnorm > stop and iterations < max_iterations:
+        if first_trial is None:
+            first_trial = 1.0 / (2.0 * c[-1])  # c[-1] > 0 wherever a sample is live
+        step = min(first_trial, 2.0 / (math.sqrt(2.0) * gnorm))
         accepted = False
         while step >= riemannian._MIN_STEP:
             trial = retract(A, -g, step)
@@ -332,7 +384,11 @@ def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
             break
         A, f = trial, f_trial
         iterations += 1
-        g = curve_derivatives(A, c)
+        g_next = curve_derivatives(A, c)
+        # Barzilai-Borwein: h |g|^2 / <g, g - g_next>, else 1/(2 max c) again
+        denom = float(np.dot(g, g - g_next))
+        first_trial = step * gnorm * gnorm / denom if 0.0 < denom < math.inf else None
+        g = g_next
         gnorm = float(np.linalg.norm(g))
     return A, iterations, gnorm, classify_rotation(A)
 

@@ -175,12 +175,14 @@ def test_suite_residuals_equal_reference_loops(n, seed, c):
     [
         ("--n", "3", "--samples", "1", "--c", "0,1e-12,1"),
         ("--n", "2", "--samples", "1", "--c", "1e308,1.5e308"),
+        ("--n", "3", "--samples", "1", "--c", "1e308,1.2e308,1.5e308"),
     ],
 )
 def test_verify_degenerate_hessian_fails_the_index_suite(argv):
     # A Hessian eigenvalue inside the relative zero band (a tiny gap between
-    # weights, or a diagonal overflowed to -inf) has no index: the suite
-    # counts it as a mismatch instead of raising.
+    # weights, or a diagonal overflowed to -inf) or a non-finite Hessian
+    # entry has no index: the suite counts it as a mismatch instead of
+    # raising.
     src = Path(rotmorse.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
