@@ -63,8 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         # None stands for "not given", so that flow can refuse these with --start.
         p.add_argument("--seed", type=int, default=None, help="rng seed for anything sampled (default 0)")
-        p.add_argument("--samples", type=int, default=None, help="number of random samples (default 100)")
-        p.add_argument("--tol", type=float, default=1e-8, help="gradient-norm tolerance")
+        if name in ("verify", "flow"):
+            p.add_argument("--samples", type=int, default=None, help="number of random samples (default 100)")
+            p.add_argument("--tol", type=float, default=1e-8, help="gradient-norm tolerance")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     sub.choices["flow"].add_argument(
@@ -99,9 +100,11 @@ def _parse_args(argv) -> argparse.Namespace:
     if getattr(args, "start", None) is not None and (args.samples is not None or args.seed is not None):
         parser.error("--samples and --seed cannot be used with --start")
     args.seed = 0 if args.seed is None else args.seed
-    args.samples = 100 if args.samples is None else args.samples
     if args.seed < 0:
         parser.error("seed must be >= 0")
+    if "samples" not in args:  # only verify and flow take --samples and --tol
+        return args
+    args.samples = 100 if args.samples is None else args.samples
     if args.samples < 1:
         parser.error("samples must be >= 1")
     if not math.isfinite(args.tol):

@@ -84,8 +84,9 @@ def sign_patterns(n: int) -> list:
 # pass a validated pattern and weights.
 
 
-def _index(eps) -> int:
-    return sum(i for i, e in enumerate(eps) if e == 1)
+def _index(eps) -> np.ndarray:
+    # eps may also be a (P, n) stack of patterns, giving (P,).
+    return np.dot(np.asarray(eps) == 1, np.arange(np.shape(eps)[-1]))
 
 
 def _value(eps, c: np.ndarray) -> np.ndarray:
@@ -108,7 +109,7 @@ def index_by_formula(eps) -> int:
     exactly when +1 occurs nowhere (even n) or only in position 1 (odd n);
     the all-(-1) pattern exists in SO(n) only for even n.
     """
-    return _index(validate_pattern(eps))
+    return int(_index(validate_pattern(eps)))
 
 
 def hessian_diagonal(eps, c) -> np.ndarray:
@@ -161,19 +162,17 @@ def enumerate_critical_points(n: int, c=None) -> list:
     """All 2^(n-1) critical points, fully populated.
 
     Order follows sign_patterns(n), so output is deterministic. Weights
-    default to c(i) = i. The values and the Hessian diagonals come from
-    one stacked call each over the (P, n) sign table, with the bits of
-    critical_value and hessian_diagonal; each record holds its row.
+    default to c(i) = i. Indices, values and Hessian diagonals come from
+    one stacked call each over the (P, n) sign table, the floats with the
+    bits of critical_value and hessian_diagonal; each record holds its row.
     """
     patterns = sign_patterns(n)
     c = default_costs(n) if c is None else validate_costs(c, n=n)
     signs = np.array(patterns, dtype=float)
+    indices = _index(signs).tolist()
     values = _value(signs, c).tolist()
     hessians = _hessian_diagonal(signs, c)
-    return [
-        CriticalPointRecord(eps, _index(eps), value, hessian)
-        for eps, value, hessian in zip(patterns, values, hessians)
-    ]
+    return list(itertools.starmap(CriticalPointRecord, zip(patterns, indices, values, hessians)))
 
 
 def morse_polynomial(n: int, c=None) -> IntPolynomial:

@@ -38,11 +38,12 @@ from .rotations import (
 )
 
 # Line-search constants of gradient_flow. The Armijo test, the halving and
-# the step floor apply to every trial, the Barzilai-Borwein first trial
-# included. An accepted step may raise the objective by at most
-# _DESCENT_SLACK, which lets the flow keep moving once objective
-# differences fall below float resolution while the gradient is still
-# above tolerance.
+# the floor step * max(c) >= _MIN_STEP (not step >= _MIN_STEP / max(c),
+# which underflows to 0 near the float maximum and then never ends a
+# search) apply to every trial, the Barzilai-Borwein first trial included.
+# An accepted step may raise the objective by at most _DESCENT_SLACK, which
+# lets the flow keep moving once objective differences fall below float
+# resolution while the gradient is still above tolerance.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
@@ -52,9 +53,10 @@ _DESCENT_SLACK = 1e-12
 # _EPS^2 * max(c); a descent stops once its gradient norm is at most
 # n * _EPS^2 * max(c), whatever its tolerance.
 _EPS = 2.0**-52  # the float64 machine epsilon
-# _flows runs its starts through _descend at most this many at a time,
-# so the kernel's working memory does not grow with the sample count.
-_FLOW_BLOCK = 256
+# _blocks keeps every stacked temporary here and in verify at most this many
+# bytes, below glibc's 128 KiB mmap threshold: freeing a mapped block raises
+# the threshold, after which freed blocks stay resident and peak RSS grows.
+_STACK_BYTES = 1 << 17
 # The default iteration cap of every descent.
 _MAX_ITERATIONS = 100_000
 
@@ -80,6 +82,12 @@ def _check_start(A0, n: int) -> np.ndarray:
     if not is_rotation(A):
         raise ValueError("start matrix is not a rotation matrix within membership tolerance")
     return A
+
+
+def _blocks(count: int, item_bytes: int):
+    """Slices of range(count), each of as many items as fit in _STACK_BYTES (at least one)."""
+    size = max(1, _STACK_BYTES // max(1, item_bytes))
+    return (slice(first, first + size) for first in range(0, count, size))
 
 
 # The closed forms, each written once. Callers pass validated float weights
@@ -116,13 +124,15 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
     embedded sign-pattern matrices.
     """
     A, c = _check_args(A, c)
-    if side == "right":
-        return _gradient(A, c)
-    if side == "left":
-        # f reads only the diagonal, so f(B @ A) = f(A^T @ B^T) and the
-        # left curve through A is the right curve through A^T, reversed.
-        return -_gradient(A.T, c)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _curve_derivatives(A, c, side == "left")
+
+
+def _curve_derivatives(A: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
+    # f reads only the diagonal, so f(B @ A) = f(A^T @ B^T) and the left
+    # curve through A is the right curve through A^T, reversed.
+    return -_gradient(A.mT, c) if left else _gradient(A, c)
 
 
 @lru_cache(maxsize=None)
@@ -284,18 +294,19 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     result depends on the rest of the batch. Returns the (S,) iteration
     counts and final gradient norms.
     """
-    f = _objective(A, c)
     g = _gradient(A, c)
     gnorm = np.sqrt(np.vecdot(g, g))
     iterations = np.zeros(A.shape[0], dtype=int)
-    stop = max(grad_tol, c.size * _EPS * _EPS * float(c[-1]))
+    c_max = float(c[-1])
+    stop = max(grad_tol, c.size * _EPS * _EPS * c_max)
 
     t = 0
     idx = np.flatnonzero((gnorm > stop) & (t < max_iterations))
     if not idx.size:
         return iterations, gnorm
-    step0 = 1.0 / (2.0 * float(c[-1]))
-    Al, fl, gl, gn = A[idx], f[idx], g[idx], gnorm[idx]
+    step0 = 1.0 / (2.0 * c_max)
+    Al, gl, gn = A[idx], g[idx], gnorm[idx]
+    fl = _objective(Al, c)
     hl = np.full(idx.size, step0)
     while idx.size:
         # One line search for every live sample: its first trial for all of
@@ -303,12 +314,12 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
         step = np.minimum(hl, 2.0 / (math.sqrt(2.0) * gn))
         trial = _cayley(Al, -gl, step)
         ft = _objective(trial, c)
-        ok = (step >= _MIN_STEP) & (ft <= fl - _ARMIJO * step * gn * gn + _DESCENT_SLACK)
+        ok = (step * c_max >= _MIN_STEP) & (ft <= fl - _ARMIJO * step * gn * gn + _DESCENT_SLACK)
         if np.count_nonzero(ok) < ok.size:
             todo = np.flatnonzero(~ok)
             while True:
                 step[todo] *= _BACKTRACK
-                todo = todo[step[todo] >= _MIN_STEP]
+                todo = todo[step[todo] * c_max >= _MIN_STEP]
                 if not todo.size:
                     break
                 s, gt = step[todo], gn[todo]
@@ -333,7 +344,7 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
         if np.count_nonzero(stay) < stay.size:
             done = ~stay
             rows = idx[done]
-            A[rows], f[rows], gnorm[rows] = Al[done], fl[done], gn[done]
+            A[rows], gnorm[rows] = Al[done], gn[done]
             iterations[rows] = np.where(ok[done], t, t - 1)
             idx, Al, fl, gl, gn, hl = idx[stay], Al[stay], fl[stay], gl[stay], gn[stay], hl[stay]
 
@@ -363,8 +374,8 @@ def gradient_flow(
     exactly 0.
 
     Hitting max_iterations, or a line search whose step shrinks below
-    _MIN_STEP, returns a result with converged=False rather than raising.
-    A grad_tol that is not a finite positive number, a negative
+    _MIN_STEP / max(c), returns a result with converged=False rather than
+    raising. A grad_tol that is not a finite positive number, a negative
     max_iterations, a start of the wrong shape or off the manifold raise
     ValueError; past these checks the loop runs on unchecked kernels.
     The final matrix is classified by classify_rotation (None if no sign
@@ -384,7 +395,7 @@ def gradient_flow(
 
 def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_MAX_ITERATIONS):
     """The descent of gradient_flow from every start of an (S, n, n) stack,
-    run through _descend in blocks of _FLOW_BLOCK.
+    run through _descend in _blocks of starts.
 
     Returns (points, iterations, norms, converged, patterns), one row per
     start: a new stack of final points (starts is left unchanged), the
@@ -394,8 +405,7 @@ def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_M
     points = np.array(starts, dtype=float)
     iterations = np.empty(len(points), dtype=int)
     norms = np.empty(len(points))
-    for first in range(0, len(points), _FLOW_BLOCK):
-        block = slice(first, first + _FLOW_BLOCK)
+    for block in _blocks(len(points), 8 * c.size * c.size):
         iterations[block], norms[block] = _descend(points[block], c, grad_tol, max_iterations)
     signs, found = _classify(points)
     patterns = [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]

@@ -1,27 +1,26 @@
 """Cross-checking suites: finite-difference oracles against the closed-form
 derivatives, exact index agreement, and flow-based recovery of the critical
 set, all for one admissible weight vector. run_all_suites is the entry
-point and the `verify` CLI subcommand calls it: it validates the weights
-once and draws one stack of Haar points from one default_rng(seed). The
-gradient, Hessian and flow suites read that stack; the index suite depends
-on the weights alone and runs once.
-
-The finite-difference routes validate the weights and the point once, then
-go through the objective kernel and givens_curve() only, so they share
-nothing with the closed-form derivative formulas they check.
+point and the `verify` CLI subcommand calls it. It validates the weights,
+the one check of the run, and draws one stack of Haar points from one
+default_rng(seed); the gradient, Hessian and flow suites each make one
+pass over that stack through private kernels that check nothing, and the
+index suite depends on the weights alone and runs once. The
+finite-difference kernels go through the objective kernel and
+givens_curve() only, so they share nothing with the closed forms.
 
 Every oracle runs as a few numpy calls on stacked arrays rather than one
-call per matrix. fd_gradient and fd_tangent_hessian stack the Givens
-rotations of all d pairs once per (n, step) and form the d (gradient) or
-d x d (Hessian, a block of rows at a time) rotated points as stacked
+call per matrix, in blocks cut by riemannian._blocks. _fd_gradient and
+_fd_tangent_hessian stack the Givens rotations of all d pairs once per
+(n, step) and form the d or d x d rotated points of each point as stacked
 matrix products, associated as (A @ B_p) @ B_q. The index suite builds
 the pattern table, the embedded matrices and the formula indices, makes
-one stacked Hessian-diagonal count and, over blocks of patterns, stacked
-tangent-Hessian and eigenvalue passes. A pattern whose Hessian has an
-eigenvalue inside the relative zero band of numeric_index, or a
-non-finite entry, has no eigenvalue index and counts as a mismatch.
-Stacked matmul, vecdot and eigvalsh treat each matrix as they would
-alone, so every value has the bits of the one-matrix-at-a-time loops.
+one stacked Hessian-diagonal count and stacked tangent-Hessian and
+eigenvalue passes. A pattern whose Hessian has an eigenvalue inside the
+relative zero band of numeric_index, or a non-finite entry, has no
+eigenvalue index and counts as a mismatch. Stacked matmul, vecdot and
+eigvalsh treat each matrix as they would alone, so every value has the
+bits of the one-matrix-at-a-time loops.
 
 Fixed oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of 1e-7, the Hessian
@@ -39,14 +38,13 @@ import numpy as np
 from .critical import _hessian_diagonal, _index, default_costs, sign_patterns
 from .riemannian import (
     _MAX_ITERATIONS,
-    _check_args,
+    _blocks,
     _check_flow_args,
+    _curve_derivatives,
     _flows,
     _numeric_indices,
     _objective,
     _tangent_hessian,
-    curve_derivatives,
-    tangent_hessian,
 )
 from .rotations import _haar, givens_curve, pair_count, pair_indices
 
@@ -55,14 +53,6 @@ _GRADIENT_STEP = 1e-5
 _GRADIENT_THRESHOLD = 1e-7
 _HESSIAN_STEP = 1e-4
 _HESSIAN_THRESHOLD = 1e-4
-
-
-# The oracles' stacked temporaries (rows of the finite-difference Hessian's
-# rotated points, blocks of the index suite's Hessians) stay at most this
-# many bytes: below glibc's default 128 KiB mmap threshold. A larger block
-# is mapped, and freeing it raises the threshold, after which freed blocks
-# stay resident and the peak RSS grows.
-_STACK_BYTES = 1 << 17
 
 
 @lru_cache(maxsize=None)
@@ -78,44 +68,41 @@ def _curve_stack(n: int, h: float) -> tuple:
     return stacks
 
 
-def fd_gradient(A, c, side: str = "right") -> np.ndarray:
+def _fd_gradient(A: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
     """Central differences along every rotation-plane curve of the given
-    side (as in curve_derivatives), pair order."""
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    A, c = _check_args(A, c)
+    family (as in curve_derivatives) at each point of an (S, n, n) stack:
+    (S, d), pair order."""
     h = _GRADIENT_STEP
     B_plus, B_minus = _curve_stack(c.size, h)
-    if side == "right":
-        A_plus, A_minus = A @ B_plus, A @ B_minus
-    else:
-        A_plus, A_minus = B_plus @ A, B_minus @ A
+    A = A[:, None]
+    A_plus, A_minus = (B_plus @ A, B_minus @ A) if left else (A @ B_plus, A @ B_minus)
     return (_objective(A_plus, c) - _objective(A_minus, c)) / (2.0 * h)
 
 
-def fd_tangent_hessian(A, c) -> np.ndarray:
-    """Second-order mixed central differences along curve pairs.
+def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Second-order mixed central differences along curve pairs at each
+    point of an (S, n, n) stack: (S, d, d).
 
     Entry (p, q) approximates d^2/dtheta dphi of the objective along
     A @ B_p(theta) @ B_q(phi) at zero, as
-    (((f++ - f+-) - f-+) + f--) / (4 h^2) with f+- = f((A @ B_p(h)) @ B_q(-h)).
+    (((f++ - f+-) - f-+) + f--) / (4 h^2) with f+- = f((A @ B_p(h)) @ B_q(-h)),
+    in _blocks of (point, row p) pairs.
     """
-    A, c = _check_args(A, c)
     n, h = c.size, _HESSIAN_STEP
     B_plus, B_minus = _curve_stack(n, h)
     d = len(B_plus)
-    rows = max(1, _STACK_BYTES // max(1, 8 * d * n * n))
-    H = np.empty((d, d))
-    for first in range(0, d, rows):
-        Ap = (A @ B_plus[first : first + rows])[:, None]
-        Am = (A @ B_minus[first : first + rows])[:, None]
-        H[first : first + rows] = (
+    H = np.empty((len(A) * d, d))
+    for block in _blocks(len(H), 8 * d * n * n):
+        point, pair = np.divmod(np.arange(len(H))[block], d)
+        Ap = (A[point] @ B_plus[pair])[:, None]
+        Am = (A[point] @ B_minus[pair])[:, None]
+        H[block] = (
             _objective(Ap @ B_plus, c)
             - _objective(Ap @ B_minus, c)
             - _objective(Am @ B_plus, c)
             + _objective(Am @ B_minus, c)
         ) / (4.0 * h * h)
-    return H
+    return H.reshape(len(A), d, d)
 
 
 @dataclass(frozen=True)
@@ -142,16 +129,19 @@ def _gradient_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
     """Closed-form curve derivatives vs central differences at every start,
     along both curve families."""
     worst = _worst(
-        curve_derivatives(A, c, side=side) - fd_gradient(A, c, side=side)
-        for A in starts
-        for side in ("right", "left")
+        _curve_derivatives(starts[block], c, left) - _fd_gradient(starts[block], c, left)
+        for block in _blocks(len(starts), 8 * pair_count(c.size) * c.size**2)
+        for left in (False, True)
     )
     return SuiteResult("gradient-fd", worst <= _GRADIENT_THRESHOLD, worst, _GRADIENT_THRESHOLD)
 
 
 def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
     """Bilinear-form Hessian vs second-order central differences at every start."""
-    worst = _worst(tangent_hessian(A, c) - fd_tangent_hessian(A, c) for A in starts)
+    worst = _worst(
+        _tangent_hessian(starts[block], c) - _fd_tangent_hessian(starts[block], c)
+        for block in _blocks(len(starts), 8 * pair_count(c.size) ** 2)
+    )
     return SuiteResult("hessian-fd", worst <= _HESSIAN_THRESHOLD, worst, _HESSIAN_THRESHOLD)
 
 
@@ -169,18 +159,16 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     """Formula index == Hessian-diagonal index == eigenvalue index, for
     every admissible pattern. The residual is the number of mismatches."""
     n = c.size
-    patterns = sign_patterns(n)
-    signs = np.array(patterns, dtype=float)
-    by_formula = np.array([_index(eps) for eps in patterns])
+    signs = np.array(sign_patterns(n), dtype=float)
+    by_formula = _index(signs)
     by_count = np.count_nonzero(_hessian_diagonal(signs, c) < 0, axis=-1)
-    embedded = np.zeros((len(patterns), n, n))
+    embedded = np.zeros((len(signs), n, n))
     embedded[:, np.arange(n), np.arange(n)] = signs
     d = pair_count(n)
-    block = max(1, _STACK_BYTES // max(1, 8 * d * d))
     by_eigen = np.concatenate(
         [
-            _numeric_indices(_finite_or_zero(_tangent_hessian(embedded[first : first + block], c)))
-            for first in range(0, len(patterns), block)
+            _numeric_indices(_finite_or_zero(_tangent_hessian(embedded[block], c)))
+            for block in _blocks(len(signs), 8 * d * d)
         ]
     )
     mismatches = int(np.count_nonzero((by_formula != by_count) | (by_count != by_eigen)))
@@ -189,7 +177,7 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
         mismatches == 0,
         float(mismatches),
         0.0,
-        detail=f"{len(patterns)} patterns",
+        detail=f"{len(signs)} patterns",
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import rotmorse as rm
 from rotmorse.intpoly import IntPolynomial
 from rotmorse.topology import morse_split_by_last_sign
-from rotmorse.verify import fd_gradient, fd_tangent_hessian
+from rotmorse.verify import _fd_gradient, _fd_tangent_hessian
 
 from helpers import add_coeffs, random_costs, shift_coeffs
 
@@ -85,14 +85,14 @@ def test_criterion_5_oracle_suites():
         n = 2 + (k % 5)  # n in 2..6
         A = rm.haar_sample(n, rng)
         c = random_costs(n, rng)
-        resid = np.abs(rm.curve_derivatives(A, c) - fd_gradient(A, c)).max()
+        resid = np.abs(rm.curve_derivatives(A, c) - _fd_gradient(A[None], c, False)[0]).max()
         worst_grad = max(worst_grad, float(resid))
     worst_hess = 0.0
     for k in range(20):
         n = 2 + (k % 4)  # n in 2..5
         A = rm.haar_sample(n, rng)
         c = random_costs(n, rng)
-        resid = np.abs(rm.tangent_hessian(A, c) - fd_tangent_hessian(A, c)).max()
+        resid = np.abs(rm.tangent_hessian(A, c) - _fd_tangent_hessian(A[None], c)[0]).max()
         worst_hess = max(worst_hess, float(resid))
     elapsed = time.perf_counter() - t0
     ok = worst_grad <= 1e-7 and worst_hess <= 1e-4 and elapsed < 30.0

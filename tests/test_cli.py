@@ -309,6 +309,21 @@ def test_negative_seed_exit_2(capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("polynomials", "--n", "3", "--tol", "1e-3"),
+        ("critical-points", "--n", "3", "--samples", "5"),
+    ],
+)
+def test_exact_commands_refuse_samples_and_tol(capsys, argv):
+    # Only verify and flow sample points or descend, so only they take these.
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "content",
     [
         '[["a","b"],["c","d"]]',

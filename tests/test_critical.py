@@ -109,6 +109,14 @@ def test_hessian_diagonal_of_a_pattern_stack_equals_rows():
             assert row.tobytes() == hessian_diagonal(eps, c).tobytes()
 
 
+def test_index_of_a_pattern_stack_equals_the_position_sum():
+    for n in range(1, 12):
+        patterns = sign_patterns(n)
+        expected = [sum(i for i, e in enumerate(eps) if e == 1) for eps in patterns]
+        assert _index(np.array(patterns)).tolist() == expected
+        assert _index(np.array(patterns, dtype=float)).tolist() == expected
+
+
 def test_hessian_all_minus_positive_definite():
     hd = hessian_diagonal((-1,) * 4, [1, 2, 3, 4])
     assert np.all(hd > 0)
@@ -189,7 +197,7 @@ def test_records_equal_the_public_closed_forms_bitwise():
         records = enumerate_critical_points(n, c)
         assert [r.pattern for r in records] == sign_patterns(n)
         for r in records:
-            assert r.index == index_by_formula(r.pattern)
+            assert type(r.index) is int and r.index == index_by_formula(r.pattern)
             assert type(r.value) is float
             value = np.float64(r.value).tobytes()
             assert value == np.float64(critical_value(r.pattern, c)).tobytes()

@@ -23,13 +23,13 @@ from rotmorse.riemannian import (
 )
 from rotmorse.rotations import _haar, haar_sample
 from rotmorse.verify import (
+    _fd_gradient,
+    _fd_tangent_hessian,
     _flow_suite,
     _gradient_suite,
     _hessian_suite,
     _index_suite,
     _worst,
-    fd_gradient,
-    fd_tangent_hessian,
     run_all_suites,
 )
 
@@ -135,16 +135,17 @@ def _reference_worst(n, samples, seed, c, residual):
     ],
 )
 def test_suite_residuals_equal_reference_loops(n, seed, c):
+    # one matrix at a time, through the public derivatives
     def gradient_residual(A, cc):
         return np.concatenate(
             [
-                np.abs(curve_derivatives(A, cc, side=side) - fd_gradient(A, cc, side=side))
-                for side in ("right", "left")
+                np.abs(curve_derivatives(A, cc, side=side) - _fd_gradient(A[None], cc, left)[0])
+                for side, left in (("right", False), ("left", True))
             ]
         )
 
     def hessian_residual(A, cc):
-        return np.abs(tangent_hessian(A, cc) - fd_tangent_hessian(A, cc))
+        return np.abs(tangent_hessian(A, cc) - _fd_tangent_hessian(A[None], cc)[0])
 
     samples = 3
     gradient, hessian, index, flow = run_all_suites(n, samples, seed=seed, c=c)
@@ -197,7 +198,18 @@ def test_verify_degenerate_hessian_fails_the_index_suite(argv):
     assert "[FAIL] index-equivalence" in proc.stdout
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_fd_gradient_rejects_bad_side(n):
-    with pytest.raises(ValueError, match="side"):
-        fd_gradient(np.eye(n), default_costs(n), side="bogus")
+def test_run_all_suites_validates_the_weights_once(monkeypatch):
+    # The weights are checked at the public boundary; the suites then run
+    # private kernels that do not check them again.
+    original, calls = rotmorse.critical.validate_costs, []
+
+    def counting_validate_costs(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rotmorse" and getattr(module, "validate_costs", None) is original:
+            monkeypatch.setattr(module, "validate_costs", counting_validate_costs)
+    results = run_all_suites(8, 4, seed=3)
+    assert all(s.passed for s in results)
+    assert len(calls) == 1
