@@ -9,8 +9,10 @@ CSV rows and table lines from their fields. It writes JSON itself
 `float.__repr__`, and a non-finite float as the non-standard `NaN`,
 `Infinity` or `-Infinity` token.
 
-Exit codes: 0 success (and perfect, for `polynomials`), 2 a bad argument
-or --out path, 3 perfectness check failed, 4 a numeric suite failed.
+Exit codes: 0 success (and perfect, for `polynomials`), 1 standard output
+was closed before all of it was written (a broken pipe, as in `| head`),
+2 a bad argument or --out path, 3 perfectness check failed, 4 a numeric
+suite failed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -416,10 +419,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        code = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone. Python flushes stdout again at exit, so point it
+        # at devnull first, as the signal module's documentation recommends.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,12 +4,13 @@ Evaluates the objective, its directional derivatives and second derivatives
 in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
 backtracking gradient descent whose limits empirically recover the analytic
 critical set. The descent steps along the Cayley retraction
-(``rotations.retract``), tries the Barzilai-Borwein step first and stops
-at its tolerance or at the gradient's rounding floor. It runs a whole
-batch of starts as one (S, n, n) stack; a single start is a batch of one.
-Its results have one row per start (final points, iteration counts,
-gradient norms, a converged mask and the classified limit patterns);
-gradient_flow turns the one row of a single start into a FlowResult.
+(``rotations.retract``), tries the Barzilai-Borwein step first under a
+nonmonotone Armijo test and stops at its tolerance or at the gradient's
+rounding floor. It runs a whole batch of starts as one (S, n, n) stack;
+a single start is a batch of one. Its results have one row per start
+(final points, iteration counts, gradient norms, a converged mask and
+the classified limit patterns); gradient_flow turns the one row of a
+single start into a FlowResult.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -41,13 +42,13 @@ from .rotations import (
 # the floor step * max(c) >= _MIN_STEP (not step >= _MIN_STEP / max(c),
 # which underflows to 0 near the float maximum and then never ends a
 # search) apply to every trial, the Barzilai-Borwein first trial included.
-# An accepted step may raise the objective by at most _DESCENT_SLACK, which
-# lets the flow keep moving once objective differences fall below float
-# resolution while the gradient is still above tolerance.
+# The Armijo test is nonmonotone: a trial is measured against the largest of
+# the sample's last _NONMONOTONE_MEMORY accepted objective values, not the
+# current one, so BB steps that raise the objective for a while are kept.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
-_DESCENT_SLACK = 1e-12
+_NONMONOTONE_MEMORY = 10
 # Near a limit the off-diagonal entries are about _EPS, so each gradient
 # component c_i A_ij - c_j A_ji carries a rounding error of about
 # _EPS^2 * max(c); a descent stops once its gradient norm is at most
@@ -284,11 +285,13 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     """The descent of gradient_flow on a stack A of S starts at once.
 
     A is (S, n, n), and each start is overwritten by its final point. Each
-    sample keeps its own objective, gradient, gradient norm and next first
-    trial step, and stays live until its gradient norm is at most grad_tol
-    or at most the rounding floor n*eps^2*max(c), it reaches max_iterations
-    or its line search fails. Every live sample has taken the same number
-    of steps, so that count is one integer. The live samples' state is kept
+    sample keeps its own gradient, gradient norm, next first trial step and
+    ring of its last _NONMONOTONE_MEMORY accepted objective values (filled
+    with f(A0) at the start), and stays live until its gradient norm is at
+    most grad_tol or at most the rounding floor n*eps^2*max(c), it reaches
+    max_iterations or its line search fails. Every live sample has taken the
+    same number of steps, so that count is one integer, and so is the ring
+    slot the next accepted value replaces. The live samples' state is kept
     in compact arrays; a sample that stops is written back once and never
     touched again. Every kernel computes a sample as it would alone, so no
     result depends on the rest of the batch. Returns the (S,) iteration
@@ -306,15 +309,16 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
         return iterations, gnorm
     step0 = 1.0 / (2.0 * c_max)
     Al, gl, gn = A[idx], g[idx], gnorm[idx]
-    fl = _objective(Al, c)
+    recent = np.repeat(_objective(Al, c)[:, None], _NONMONOTONE_MEMORY, axis=1)
     hl = np.full(idx.size, step0)
     while idx.size:
         # One line search for every live sample: its first trial for all of
         # them, then backtracking for those whose trial was refused.
+        ref = recent.max(axis=1)
         step = np.minimum(hl, 2.0 / (math.sqrt(2.0) * gn))
         trial = _cayley(Al, -gl, step)
         ft = _objective(trial, c)
-        ok = (step * c_max >= _MIN_STEP) & (ft <= fl - _ARMIJO * step * gn * gn + _DESCENT_SLACK)
+        ok = (step * c_max >= _MIN_STEP) & (ft <= ref - _ARMIJO * step * gn * gn)
         if np.count_nonzero(ok) < ok.size:
             todo = np.flatnonzero(~ok)
             while True:
@@ -326,11 +330,12 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
                 retry = _cayley(Al[todo], -gl[todo], s)
                 f_retry = _objective(retry, c)
                 trial[todo], ft[todo] = retry, f_retry
-                passed = f_retry <= fl[todo] - _ARMIJO * s * gt * gt + _DESCENT_SLACK
+                passed = f_retry <= ref[todo] - _ARMIJO * s * gt * gt
                 ok[todo[passed]] = True
                 todo = todo[~passed]
-            trial[~ok], ft[~ok] = Al[~ok], fl[~ok]  # a failed search keeps its point
+            trial[~ok] = Al[~ok]  # a failed search keeps its point and stops
         t += 1
+        recent[:, t % _NONMONOTONE_MEMORY] = ft
         g_next = _gradient(trial, c)
         # The Barzilai-Borwein step h*|g|^2 / <g, g - g_next> of the accepted
         # step h is the next first trial, and 1/(2*max(c)) where the
@@ -338,7 +343,7 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
         denom = np.vecdot(gl, gl - g_next)
         hl = np.full(idx.size, step0)
         np.divide(step * gn * gn, denom, out=hl, where=(denom > 0.0) & np.isfinite(denom))
-        Al, fl, gl = trial, ft, g_next
+        Al, gl = trial, g_next
         gn = np.sqrt(np.vecdot(gl, gl))
         stay = ok & (gn > stop) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
@@ -346,7 +351,8 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
             rows = idx[done]
             A[rows], gnorm[rows] = Al[done], gn[done]
             iterations[rows] = np.where(ok[done], t, t - 1)
-            idx, Al, fl, gl, gn, hl = idx[stay], Al[stay], fl[stay], gl[stay], gn[stay], hl[stay]
+            idx, Al, gl, gn, hl = idx[stay], Al[stay], gl[stay], gn[stay], hl[stay]
+            recent = recent[stay]
 
     return iterations, gnorm
 
@@ -357,10 +363,13 @@ def gradient_flow(
     """Backtracking gradient descent on the objective over SO(n).
 
     Repeats A <- retract(A, -gradient, step), halving the step until the
-    Armijo decrease (up to a small slack) holds, and stops once the
-    gradient 2-norm is at most grad_tol. The first trial of the first
-    iteration is 1/(2*max(c)): gradient components are bounded by
-    2*max(c), which makes it scale-aware. Every later first trial is the
+    nonmonotone Armijo test f(trial) <= ref - 1e-4 * step * ||g||^2 holds,
+    and stops once the gradient 2-norm is at most grad_tol. ref is the
+    largest of the last 10 accepted objective values (f(A0) standing in for
+    those before the first step), so the objective may rise for a few
+    steps but never above f(A0). The first trial of the first iteration is
+    1/(2*max(c)): gradient components are bounded by 2*max(c), which makes
+    it scale-aware. Every later first trial is the
     Barzilai-Borwein step h*|g_k|^2 / <g_k, g_k - g_{k+1}> of the step h
     just accepted, with gradients in the pair basis; where that
     denominator is not a positive finite number it is 1/(2*max(c)) again.
@@ -401,12 +410,22 @@ def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_M
     start: a new stack of final points (starts is left unchanged), the
     iteration counts and final gradient norms, the mask norms <= grad_tol,
     and a list of the limits' sign-pattern tuples (None if unclassified).
+
+    _descend runs on c*s and grad_tol*s, with s the power of two that puts
+    max(c*s) in [0.5, 1) (s is at most 2**1023, for a subnormal max(c)), so
+    its gradient norms cannot overflow. No constant of the descent is
+    absolute and scaling by a power of two is exact, so wherever nothing
+    overflows or underflows the steps and points are those of the descent
+    on c itself, and norms / s are its norms.
     """
+    s = math.ldexp(1.0, min(1023, -math.frexp(c[-1])[1]))
+    c_s, tol_s = c * s, grad_tol * s
     points = np.array(starts, dtype=float)
     iterations = np.empty(len(points), dtype=int)
     norms = np.empty(len(points))
     for block in _blocks(len(points), 8 * c.size * c.size):
-        iterations[block], norms[block] = _descend(points[block], c, grad_tol, max_iterations)
+        iterations[block], norms[block] = _descend(points[block], c_s, tol_s, max_iterations)
+    norms /= s
     signs, found = _classify(points)
     patterns = [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
     return points, iterations, norms, norms <= grad_tol, patterns

@@ -398,6 +398,25 @@ def test_cli_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # The reader takes one line and closes the pipe while the command is
+    # still writing about 0.5 MB of JSON.
+    src = Path(rotmorse.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["flow", "--n", "4", "--samples", "1000", "--seed", "42", "--format", "json"]
+    command = [sys.executable, "-m", "rotmorse", *argv]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert first == b"{\n"
+    assert proc.returncode == 1
+    assert err == b""
+
+
 # Floats the writer's memo must keep apart: equal zeros with different
 # texts, NaN (unequal to itself) and the infinities, plus repeated values.
 _MEMO_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, -2.5, 1e300])
@@ -482,8 +501,8 @@ def _increasing_weights(n: int, seed: int) -> str:
         ("flow", "--n", "3", "--samples", "20", "--c", _increasing_weights(3, 3)),
         ("verify", "--n", "4", "--samples", "3", "--c", _increasing_weights(4, 4)),
         ("polynomials", "--n", "12", "--c", _increasing_weights(12, 12)),
-        # the descent overflows at these weights, so the norms are inf
-        pytest.param(("flow", "--n", "2", "--samples", "2", "--c", "1e300,2e300"), id="infinity"),
+        # the descent runs at weights scaled near 1, so its norms stay finite here
+        pytest.param(("flow", "--n", "2", "--samples", "2", "--c", "1e300,2e300"), id="huge-weights"),
     ],
 )
 def test_json_output_is_stdlib_indented_json(tmp_path, capsys, argv):
@@ -491,7 +510,8 @@ def test_json_output_is_stdlib_indented_json(tmp_path, capsys, argv):
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     if "1e300,2e300" in argv:
-        assert '"max_final_gradient_norm": Infinity,' in out
+        assert "Infinity" not in out
+        assert all(math.isfinite(x["final_gradient_norm"]) for x in json.loads(out)["samples"])
     dest = tmp_path / "out.json"
     code, printed, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(dest))
     assert code == 0 and printed == ""
