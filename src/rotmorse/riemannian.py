@@ -2,15 +2,15 @@
 
 Evaluates the objective, its directional derivatives and second derivatives
 in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
-backtracking gradient descent whose limits empirically recover the analytic
-critical set. The descent steps along the Cayley retraction
-(``rotations.retract``), tries the Barzilai-Borwein step first under a
-nonmonotone Armijo test and stops at its tolerance or at the gradient's
-rounding floor. It runs a whole batch of starts as one (S, n, n) stack;
-a single start is a batch of one. Its results have one row per start
-(final points, iteration counts, gradient norms, a converged mask and
-the classified limit patterns); gradient_flow turns the one row of a
-single start into a FlowResult.
+gradient descent whose limits empirically recover the analytic critical
+set. The descent steps along the Cayley retraction (``rotations.retract``),
+makes one trial per iteration, the Barzilai-Borwein step or half a refused
+one, under a nonmonotone Armijo test, and stops at its tolerance or at the
+gradient's rounding floor. It runs a whole batch of starts as one
+(S, n, n) stack; a single start is a batch of one. Its results have one
+row per start (final points, iteration counts, gradient norms, a converged
+mask and the classified limit patterns); gradient_flow turns the one row
+of a single start into a FlowResult.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -38,13 +38,13 @@ from .rotations import (
     pair_count,
 )
 
-# Line-search constants of gradient_flow. The Armijo test, the halving and
-# the floor step * max(c) >= _MIN_STEP (not step >= _MIN_STEP / max(c),
-# which underflows to 0 near the float maximum and then never ends a
-# search) apply to every trial, the Barzilai-Borwein first trial included.
-# The Armijo test is nonmonotone: a trial is measured against the largest of
-# the sample's last _NONMONOTONE_MEMORY accepted objective values, not the
-# current one, so BB steps that raise the objective for a while are kept.
+# Line-search constants of gradient_flow. The Armijo test and the floor
+# step * max(c) >= _MIN_STEP (not step >= _MIN_STEP / max(c), which
+# underflows to 0 near the float maximum) apply to every trial, and a
+# refused trial is a null step: the next trial is _BACKTRACK times its step.
+# The Armijo test is nonmonotone: a trial is measured against the largest
+# objective value of the sample's last _NONMONOTONE_MEMORY iterations, not
+# the current one, so BB steps that raise the objective for a while are kept.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
@@ -285,17 +285,17 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     """The descent of gradient_flow on a stack A of S starts at once.
 
     A is (S, n, n), and each start is overwritten by its final point. Each
-    sample keeps its own gradient, gradient norm, next first trial step and
-    ring of its last _NONMONOTONE_MEMORY accepted objective values (filled
-    with f(A0) at the start), and stays live until its gradient norm is at
-    most grad_tol or at most the rounding floor n*eps^2*max(c), it reaches
-    max_iterations or its line search fails. Every live sample has taken the
-    same number of steps, so that count is one integer, and so is the ring
-    slot the next accepted value replaces. The live samples' state is kept
-    in compact arrays; a sample that stops is written back once and never
-    touched again. Every kernel computes a sample as it would alone, so no
-    result depends on the rest of the batch. Returns the (S,) iteration
-    counts and final gradient norms.
+    pass makes one trial per live sample. Each sample keeps its own
+    gradient, gradient norm, next trial step and ring of the values of its
+    last _NONMONOTONE_MEMORY iterations (filled with f(A0)), and stays live
+    until its gradient norm is at most grad_tol or the rounding floor
+    n*eps^2*max(c), it reaches max_iterations or its trial step falls below
+    the step floor. Every live sample has made the same number of trials,
+    so that count is one integer, and so is the ring slot the next value
+    replaces. The live state is kept in compact arrays; a sample that stops
+    is written back once and never touched again. Every kernel computes a
+    sample as it would alone, so no result depends on the rest of the
+    batch. Returns the (S,) iteration counts and final gradient norms.
     """
     g = _gradient(A, c)
     gnorm = np.sqrt(np.vecdot(g, g))
@@ -312,45 +312,36 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     recent = np.repeat(_objective(Al, c)[:, None], _NONMONOTONE_MEMORY, axis=1)
     hl = np.full(idx.size, step0)
     while idx.size:
-        # One line search for every live sample: its first trial for all of
-        # them, then backtracking for those whose trial was refused.
+        # A trial below the step floor ends its sample uncounted.
         ref = recent.max(axis=1)
         step = np.minimum(hl, 2.0 / (math.sqrt(2.0) * gn))
         trial = _cayley(Al, -gl, step)
         ft = _objective(trial, c)
-        ok = (step * c_max >= _MIN_STEP) & (ft <= ref - _ARMIJO * step * gn * gn)
+        live = step * c_max >= _MIN_STEP
+        ok = live & (ft <= ref - _ARMIJO * step * gn * gn)
+        hl = np.full(idx.size, step0)
         if np.count_nonzero(ok) < ok.size:
-            todo = np.flatnonzero(~ok)
-            while True:
-                step[todo] *= _BACKTRACK
-                todo = todo[step[todo] * c_max >= _MIN_STEP]
-                if not todo.size:
-                    break
-                s, gt = step[todo], gn[todo]
-                retry = _cayley(Al[todo], -gl[todo], s)
-                f_retry = _objective(retry, c)
-                trial[todo], ft[todo] = retry, f_retry
-                passed = f_retry <= ref[todo] - _ARMIJO * s * gt * gt
-                ok[todo[passed]] = True
-                todo = todo[~passed]
-            trial[~ok] = Al[~ok]  # a failed search keeps its point and stops
+            # A refused trial is a null step: the sample keeps its point, its
+            # current value enters the ring again, and it tries half the step.
+            no = ~ok
+            trial[no], ft[no] = Al[no], recent[no, t % _NONMONOTONE_MEMORY]
+            hl[no] = _BACKTRACK * step[no]
         t += 1
         recent[:, t % _NONMONOTONE_MEMORY] = ft
         g_next = _gradient(trial, c)
-        # The Barzilai-Borwein step h*|g|^2 / <g, g - g_next> of the accepted
-        # step h is the next first trial, and 1/(2*max(c)) where the
-        # denominator is not a positive finite number.
+        # The Barzilai-Borwein step h*|g|^2 / <g, g - g_next> of an accepted
+        # step h is the next trial, and 1/(2*max(c)) where the denominator is
+        # not a positive finite number. After a null step it is exactly 0.
         denom = np.vecdot(gl, gl - g_next)
-        hl = np.full(idx.size, step0)
         np.divide(step * gn * gn, denom, out=hl, where=(denom > 0.0) & np.isfinite(denom))
         Al, gl = trial, g_next
         gn = np.sqrt(np.vecdot(gl, gl))
-        stay = ok & (gn > stop) & (t < max_iterations)
+        stay = live & (gn > stop) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
             done = ~stay
             rows = idx[done]
             A[rows], gnorm[rows] = Al[done], gn[done]
-            iterations[rows] = np.where(ok[done], t, t - 1)
+            iterations[rows] = np.where(live[done], t, t - 1)
             idx, Al, gl, gn, hl = idx[stay], Al[stay], gl[stay], gn[stay], hl[stay]
             recent = recent[stay]
 
@@ -362,19 +353,19 @@ def gradient_flow(
 ) -> FlowResult:
     """Backtracking gradient descent on the objective over SO(n).
 
-    Repeats A <- retract(A, -gradient, step), halving the step until the
-    nonmonotone Armijo test f(trial) <= ref - 1e-4 * step * ||g||^2 holds,
-    and stops once the gradient 2-norm is at most grad_tol. ref is the
-    largest of the last 10 accepted objective values (f(A0) standing in for
-    those before the first step), so the objective may rise for a few
-    steps but never above f(A0). The first trial of the first iteration is
-    1/(2*max(c)): gradient components are bounded by 2*max(c), which makes
-    it scale-aware. Every later first trial is the
-    Barzilai-Borwein step h*|g_k|^2 / <g_k, g_k - g_{k+1}> of the step h
-    just accepted, with gradients in the pair basis; where that
-    denominator is not a positive finite number it is 1/(2*max(c)) again.
-    The Cayley retraction is defined for every step; trial steps are still
-    capped so step * ||K||_F <= 2, which bounds how far one step moves.
+    Each iteration tries A <- retract(A, -gradient, step) and keeps it if
+    the nonmonotone Armijo test f(trial) <= ref - 1e-4 * step * ||g||^2
+    holds; a refused trial is a null step, and the next trial halves its
+    step. iterations counts trials, accepted or null. ref is the largest
+    objective value of the last 10 iterations (f(A0) before the first), so
+    the objective may rise for a few steps but never above f(A0). The
+    first trial is 1/(2*max(c)): gradient components are bounded by
+    2*max(c), which makes it scale-aware. After an accepted step h the next
+    trial is the Barzilai-Borwein step h*|g_k|^2 / <g_k, g_k - g_{k+1}>,
+    with gradients in the pair basis, or 1/(2*max(c)) again where that
+    denominator is not a positive finite number. Trial steps are capped so
+    step * ||K||_F <= 2, which bounds how far one step moves. The descent
+    stops once the gradient 2-norm is at most grad_tol.
 
     The descent also stops once the gradient norm is at most
     n*eps^2*max(c), the rounding error of the gradient near a limit. A
@@ -382,11 +373,11 @@ def gradient_flow(
     max_iterations, with converged=False unless the norm has rounded to
     exactly 0.
 
-    Hitting max_iterations, or a line search whose step shrinks below
-    _MIN_STEP / max(c), returns a result with converged=False rather than
-    raising. A grad_tol that is not a finite positive number, a negative
-    max_iterations, a start of the wrong shape or off the manifold raise
-    ValueError; past these checks the loop runs on unchecked kernels.
+    Hitting max_iterations, or a trial with step * max(c) below
+    _MIN_STEP = 1e-20 (not counted), returns a result with converged=False
+    rather than raising. A grad_tol that is not a finite positive number, a
+    negative max_iterations, a start of the wrong shape or off the manifold
+    raise ValueError; past these checks the loop runs on unchecked kernels.
     The final matrix is classified by classify_rotation (None if no sign
     pattern is near).
     """

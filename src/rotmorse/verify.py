@@ -25,7 +25,7 @@ bits of the one-matrix-at-a-time loops.
 Fixed oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of 1e-7, the Hessian
 suite with _HESSIAN_STEP = 1e-4 at 1e-4; the flow suite caps each descent
-at riemannian._MAX_ITERATIONS = 100_000 steps.
+at riemannian._MAX_ITERATIONS = 100_000 trials.
 """
 
 from __future__ import annotations
@@ -181,12 +181,12 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     )
 
 
-def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int):
+def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float):
     """Every descent from the starts must converge and land on an
     enumerated sign pattern. Residual reported is the worst final gradient
     norm."""
     admissible = set(sign_patterns(c.size))
-    _, _, norms, converged, patterns = _flows(starts, c, grad_tol, max_iterations)
+    _, _, norms, converged, patterns = _flows(starts, c, grad_tol)
     norms = norms.tolist()
     failures = sum(
         not (ok and pattern in admissible) for ok, pattern in zip(converged.tolist(), patterns)
@@ -210,5 +210,5 @@ def run_all_suites(n: int, samples: int, seed=0, c=None, grad_tol: float = 1e-8)
         _gradient_suite(starts, c),
         _hessian_suite(starts, c),
         _index_suite(c),
-        _flow_suite(starts, c, grad_tol, _MAX_ITERATIONS),
+        _flow_suite(starts, c, grad_tol),
     ]

@@ -405,6 +405,29 @@ def test_flow_is_exactly_invariant_under_power_of_two_scaling(n, k, seed):
     assert np.array_equal(gnorm_scaled, scale * gnorm)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_descent_makes_at_most_max_iterations_trials(n, max_iterations, seed):
+    # A strict Armijo constant refuses many trials. Each refused trial is a
+    # null step that counts as an iteration, so max_iterations bounds every
+    # trial the descent makes, not only its accepted steps.
+    c = random_costs(n, np.random.default_rng(seed))
+    cayley, trials = riemannian._cayley, []
+
+    def counting_cayley(A, coeffs, step):
+        trials[-1] += len(A)
+        return cayley(A, coeffs, step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riemannian, "_ARMIJO", 0.9)
+        mp.setattr(riemannian, "_cayley", counting_cayley)
+        for A0 in _haar(n, 4, seed):  # one start per batch, so rows count its trials
+            trials.append(0)
+            _, iterations, *_ = riemannian._flows(A0[None], c, 1e-8, max_iterations)
+            assert trials[-1] <= max_iterations
+            assert iterations[0] <= max_iterations
+
+
 def test_flow_result_json_round_trip():
     # The fields the CLI emits per sample are JSON-native: numpy scalars
     # (np.bool_, np.int64) would make json.dumps raise.
@@ -424,8 +447,12 @@ def test_flow_result_json_round_trip():
 def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
     """The descent loop of gradient_flow, rebuilt from public functions and
     the module's line-search constants: every evaluation validates again.
-    A trial is accepted against the largest of the last
-    _NONMONOTONE_MEMORY accepted objective values."""
+    Each iteration makes one trial, accepted against the largest of the
+    last _NONMONOTONE_MEMORY values. A refused trial is a null step: the
+    point stays, its value is repeated in the list, and the next trial is
+    the refused step halved. A trial below the step floor ends the loop
+    uncounted. Returns the final point, the iteration count, the gradient
+    norm, the classified pattern and the number of null steps."""
     c = np.asarray(c, dtype=float)
     A = np.array(A0, dtype=float)
     eps = np.finfo(float).eps
@@ -433,32 +460,31 @@ def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
     recent = [objective(A, c)] * riemannian._NONMONOTONE_MEMORY
     g = curve_derivatives(A, c)
     gnorm = float(np.linalg.norm(g))
-    iterations = 0
+    iterations = null_steps = 0
     first_trial = None
     while gnorm > stop and iterations < max_iterations:
         if first_trial is None:
             first_trial = 1.0 / (2.0 * c[-1])  # c[-1] > 0 wherever a sample is live
         step = min(first_trial, 2.0 / (math.sqrt(2.0) * gnorm))
-        accepted = False
-        while step * c[-1] >= riemannian._MIN_STEP:
-            trial = retract(A, -g, step)
-            f_trial = objective(trial, c)
-            if f_trial <= max(recent) - riemannian._ARMIJO * step * gnorm * gnorm:
-                accepted = True
-                break
-            step *= riemannian._BACKTRACK
-        if not accepted:
+        if step * c[-1] < riemannian._MIN_STEP:
             break
+        trial = retract(A, -g, step)
+        f_trial = objective(trial, c)
+        iterations += 1
+        if f_trial > max(recent) - riemannian._ARMIJO * step * gnorm * gnorm:
+            recent = recent[1:] + [recent[-1]]
+            first_trial = step * riemannian._BACKTRACK
+            null_steps += 1
+            continue
         A = trial
         recent = recent[1:] + [f_trial]
-        iterations += 1
         g_next = curve_derivatives(A, c)
         # Barzilai-Borwein: h |g|^2 / <g, g - g_next>, else 1/(2 max c) again
         denom = float(np.dot(g, g - g_next))
         first_trial = step * gnorm * gnorm / denom if 0.0 < denom < math.inf else None
         g = g_next
         gnorm = float(np.linalg.norm(g))
-    return A, iterations, gnorm, classify_rotation(A)
+    return A, iterations, gnorm, classify_rotation(A), null_steps
 
 
 def test_flow_equals_reference_loop_exactly():
@@ -468,7 +494,7 @@ def test_flow_equals_reference_loop_exactly():
         for k in range(-3, 3):
             c = 10.0**k * default_costs(n)
             A0 = haar_sample(n, rng)
-            A, iterations, gnorm, pattern = _reference_flow(A0, c)
+            A, iterations, gnorm, pattern, _ = _reference_flow(A0, c)
             res = gradient_flow(A0, c)
             assert np.array_equal(res.final_point, A)
             assert res.iterations == iterations
@@ -618,29 +644,26 @@ def test_line_search_failure_inside_a_batch(monkeypatch):
 
 @pytest.mark.parametrize("min_step", [riemannian._MIN_STEP, 0.2])
 def test_backtracking_in_a_batch_matches_the_reference_loop(monkeypatch, min_step):
-    # A strict Armijo constant refuses some first trials even against the
-    # nonmonotone reference, so the samples of one batch backtrack by
-    # different amounts. A floor of step * max(c) >= 0.2 (a step of 0.05 at
-    # c = 1..4) leaves two trials per line search, the first trial
-    # 1/(2*max(c)) and its half: one start's search fails, while its batch
-    # mates go on and converge.
+    # A strict Armijo constant refuses some trials even against the
+    # nonmonotone reference, so the samples of one batch take different
+    # numbers of null steps. A floor of step * max(c) >= 0.2 (a step of 0.05
+    # at c = 1..4) leaves room for two refused trials in a row, the first
+    # trial 1/(2*max(c)) and its half: one start's descent ends there, while
+    # its batch mates go on and converge. At n = 5 a null step that wrote the
+    # refused trial's value to the ring, in place of the value of the point
+    # it keeps, would change later references and steps.
     monkeypatch.setattr(riemannian, "_ARMIJO", 0.9)
     monkeypatch.setattr(riemannian, "_MIN_STEP", min_step)
-    cayley, trials = riemannian._cayley, []
-
-    def counting_cayley(A, coeffs, step):
-        trials.append(len(A))
-        return cayley(A, coeffs, step)
-
-    monkeypatch.setattr(riemannian, "_cayley", counting_cayley)
-    c = default_costs(4)
-    batched = riemannian._flows(_haar(4, 8, 1), c, 1e-8)
-    points, counts, norms, _, patterns = batched
-    assert sum(trials) > sum(counts.tolist())
-    failed = norms > 1e-8
-    assert failed.any() == (min_step == 0.2) and not failed.all()
-    rng = np.random.default_rng(1)
-    for k, got in enumerate(zip(counts.tolist(), norms.tolist(), patterns)):
-        A, iterations, gnorm, pattern = _reference_flow(haar_sample(4, rng), c)
-        assert points[k].tobytes() == A.tobytes()
-        assert got == (iterations, gnorm, pattern)
+    null_steps = 0
+    for n in (4, 5):
+        c = default_costs(n)
+        points, counts, norms, _, patterns = riemannian._flows(_haar(n, 8, 1), c, 1e-8)
+        failed = norms > 1e-8
+        assert failed.any() == (min_step == 0.2) and not failed.all()
+        rng = np.random.default_rng(1)
+        for k, got in enumerate(zip(counts.tolist(), norms.tolist(), patterns)):
+            A, iterations, gnorm, pattern, nulls = _reference_flow(haar_sample(n, rng), c)
+            assert points[k].tobytes() == A.tobytes()
+            assert got == (iterations, gnorm, pattern)
+            null_steps += nulls
+    assert null_steps > 0  # some trials were refused

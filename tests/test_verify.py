@@ -15,7 +15,6 @@ from rotmorse.critical import (
     sign_patterns,
 )
 from rotmorse.riemannian import (
-    _MAX_ITERATIONS,
     curve_derivatives,
     gradient_flow,
     numeric_index,
@@ -55,12 +54,12 @@ def test_index_suite_passes():
 
 
 def test_flow_suite_passes():
-    result = _flow_suite(_haar(3, 25, 4), default_costs(3), 1e-8, _MAX_ITERATIONS)
+    result = _flow_suite(_haar(3, 25, 4), default_costs(3), 1e-8)
     assert result.passed and result.max_residual <= result.threshold
 
 
 def test_flow_suite_unreachable_tolerance_fails():
-    result = _flow_suite(_haar(4, 2, 5), default_costs(4), 1e-300, 200)
+    result = _flow_suite(_haar(4, 2, 5), default_costs(4), 1e-300)
     assert not result.passed
 
 
