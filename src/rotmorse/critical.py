@@ -96,7 +96,9 @@ def _value(eps, c: np.ndarray) -> np.ndarray:
 
 
 def _hessian_diagonal(eps, c: np.ndarray) -> np.ndarray:
-    # eps may also be a (P, n) stack of patterns, giving (P, d).
+    # eps may also be a (P, n) stack of patterns, giving (P, d), or the float
+    # diagonals of a stack of matrices, giving the diagonal of the tangent
+    # Hessian at each (the descent's preconditioner).
     iu, ju = _pair_arrays(c.size)
     w = c * np.asarray(eps, dtype=float)
     return -(w.take(iu, axis=-1) + w.take(ju, axis=-1))

@@ -3,14 +3,16 @@
 Evaluates the objective, its directional derivatives and second derivatives
 in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
 gradient descent whose limits empirically recover the analytic critical
-set. The descent steps along the Cayley retraction (``rotations.retract``),
-makes one trial per iteration, the Barzilai-Borwein step or half a refused
-one, under a nonmonotone Armijo test, and stops at its tolerance or at the
-gradient's rounding floor. It runs a whole batch of starts as one
-(S, n, n) stack; a single start is a batch of one. Its results have one
-row per start (final points, iteration counts, gradient norms, a converged
-mask and the classified limit patterns); gradient_flow turns the one row
-of a single start into a FlowResult.
+set. The descent steps along the Cayley retraction (``rotations.retract``)
+in the direction of the gradient over the Hessian diagonal at the point,
+whose sizes are floored at the smallest gap between weights. It makes one
+trial per iteration, a unit step or half a refused one, under a
+nonmonotone Armijo test, and stops at its tolerance or at the gradient's
+rounding floor. It runs a whole batch of starts as one (S, n, n) stack; a
+single start is a batch of one. Its results have one row per start (final
+points, iteration counts, gradient norms, a converged mask and the
+classified limit patterns); gradient_flow turns the one row of a single
+start into a FlowResult.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import validate_costs
+from .critical import _hessian_diagonal, validate_costs
 from .rotations import (
     _cayley,
     _check_square,
@@ -39,12 +41,13 @@ from .rotations import (
 )
 
 # Line-search constants of gradient_flow. The Armijo test and the floor
-# step * max(c) >= _MIN_STEP (not step >= _MIN_STEP / max(c), which
-# underflows to 0 near the float maximum) apply to every trial, and a
-# refused trial is a null step: the next trial is _BACKTRACK times its step.
+# step >= _MIN_STEP apply to every trial; the direction is dimensionless, so
+# the floor is too. A refused trial is a null step: the next trial is
+# _BACKTRACK times its step, and a trial after an accepted step is 1.
 # The Armijo test is nonmonotone: a trial is measured against the largest
 # objective value of the sample's last _NONMONOTONE_MEMORY iterations, not
-# the current one, so BB steps that raise the objective for a while are kept.
+# the current one, so unit steps that raise the objective for a while are
+# kept.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
@@ -285,14 +288,17 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     """The descent of gradient_flow on a stack A of S starts at once.
 
     A is (S, n, n), and each start is overwritten by its final point. Each
-    pass makes one trial per live sample. Each sample keeps its own
-    gradient, gradient norm, next trial step and ring of the values of its
-    last _NONMONOTONE_MEMORY iterations (filled with f(A0)), and stays live
-    until its gradient norm is at most grad_tol or the rounding floor
-    n*eps^2*max(c), it reaches max_iterations or its trial step falls below
-    the step floor. Every live sample has made the same number of trials,
-    so that count is one integer, and so is the ring slot the next value
-    replaces. The live state is kept in compact arrays; a sample that stops
+    pass makes one trial per live sample along p = g / w, w being the sizes
+    of the Hessian diagonal at the point floored at gap = min(diff(c)). The
+    trial step is 1 after an accepted step and half the refused step after
+    a null step; p is dimensionless, and so are the trial and the step
+    floor _MIN_STEP. Each sample keeps its own gradient, gradient norm,
+    next trial step and ring of the values of its last _NONMONOTONE_MEMORY
+    iterations (filled with f(A0)), and stays live until its gradient norm
+    is at most grad_tol or the rounding floor n*eps^2*max(c), it reaches
+    max_iterations or its trial step falls below _MIN_STEP. Every live
+    sample has made the same number of trials, so that count is one
+    integer, and so is the ring slot the next value replaces. The live state is kept in compact arrays; a sample that stops
     is written back once and never touched again. Every kernel computes a
     sample as it would alone, so no result depends on the rest of the
     batch. Returns the (S,) iteration counts and final gradient norms.
@@ -300,26 +306,28 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     g = _gradient(A, c)
     gnorm = np.sqrt(np.vecdot(g, g))
     iterations = np.zeros(A.shape[0], dtype=int)
-    c_max = float(c[-1])
-    stop = max(grad_tol, c.size * _EPS * _EPS * c_max)
+    stop = max(grad_tol, c.size * _EPS * _EPS * float(c[-1]))
 
     t = 0
     idx = np.flatnonzero((gnorm > stop) & (t < max_iterations))
     if not idx.size:
         return iterations, gnorm
-    step0 = 1.0 / (2.0 * c_max)
+    # Under validate_costs |c_a eps_a + c_b eps_b| >= c_b - c_a >= gap at
+    # every critical point, so the floor never clips the diagonal at a limit.
+    gap = np.diff(c).min()
     Al, gl, gn = A[idx], g[idx], gnorm[idx]
     recent = np.repeat(_objective(Al, c)[:, None], _NONMONOTONE_MEMORY, axis=1)
-    hl = np.full(idx.size, step0)
+    hl = np.ones(idx.size)
     while idx.size:
         # A trial below the step floor ends its sample uncounted.
+        pl = gl / np.maximum(np.abs(_hessian_diagonal(Al.diagonal(0, -2, -1), c)), gap)
         ref = recent.max(axis=1)
-        step = np.minimum(hl, 2.0 / (math.sqrt(2.0) * gn))
-        trial = _cayley(Al, -gl, step)
+        step = np.minimum(hl, math.sqrt(2.0) / np.sqrt(np.vecdot(pl, pl)))
+        trial = _cayley(Al, -pl, step)
         ft = _objective(trial, c)
-        live = step * c_max >= _MIN_STEP
-        ok = live & (ft <= ref - _ARMIJO * step * gn * gn)
-        hl = np.full(idx.size, step0)
+        live = step >= _MIN_STEP
+        ok = live & (ft <= ref - _ARMIJO * step * np.vecdot(gl, pl))
+        hl = np.ones(idx.size)
         if np.count_nonzero(ok) < ok.size:
             # A refused trial is a null step: the sample keeps its point, its
             # current value enters the ring again, and it tries half the step.
@@ -328,13 +336,7 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
             hl[no] = _BACKTRACK * step[no]
         t += 1
         recent[:, t % _NONMONOTONE_MEMORY] = ft
-        g_next = _gradient(trial, c)
-        # The Barzilai-Borwein step h*|g|^2 / <g, g - g_next> of an accepted
-        # step h is the next trial, and 1/(2*max(c)) where the denominator is
-        # not a positive finite number. After a null step it is exactly 0.
-        denom = np.vecdot(gl, gl - g_next)
-        np.divide(step * gn * gn, denom, out=hl, where=(denom > 0.0) & np.isfinite(denom))
-        Al, gl = trial, g_next
+        Al, gl = trial, _gradient(trial, c)
         gn = np.sqrt(np.vecdot(gl, gl))
         stay = live & (gn > stop) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
@@ -351,21 +353,23 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
 def gradient_flow(
     A0, c, grad_tol: float = 1e-8, max_iterations: int = _MAX_ITERATIONS
 ) -> FlowResult:
-    """Backtracking gradient descent on the objective over SO(n).
+    """Backtracking, diagonally preconditioned gradient descent on the
+    objective over SO(n).
 
-    Each iteration tries A <- retract(A, -gradient, step) and keeps it if
-    the nonmonotone Armijo test f(trial) <= ref - 1e-4 * step * ||g||^2
-    holds; a refused trial is a null step, and the next trial halves its
-    step. iterations counts trials, accepted or null. ref is the largest
-    objective value of the last 10 iterations (f(A0) before the first), so
-    the objective may rise for a few steps but never above f(A0). The
-    first trial is 1/(2*max(c)): gradient components are bounded by
-    2*max(c), which makes it scale-aware. After an accepted step h the next
-    trial is the Barzilai-Borwein step h*|g_k|^2 / <g_k, g_k - g_{k+1}>,
-    with gradients in the pair basis, or 1/(2*max(c)) again where that
-    denominator is not a positive finite number. Trial steps are capped so
-    step * ||K||_F <= 2, which bounds how far one step moves. The descent
-    stops once the gradient 2-norm is at most grad_tol.
+    Each iteration tries A <- retract(A, -p, step) with p = g / w, g the
+    gradient in the pair basis and w the entrywise sizes of the Hessian
+    diagonal at A, -(c(a)*A(a,a) + c(b)*A(b,b)) for the pair (a, b),
+    floored at gap = min(diff(c)). At a sign pattern that diagonal is the
+    whole Hessian and no entry is below gap, so near a limit the step is
+    Newton's. A trial is kept if the nonmonotone Armijo test
+    f(trial) <= ref - 1e-4 * step * <g, p> holds; a refused trial is a null
+    step, and the next trial halves its step. iterations counts trials,
+    accepted or null. ref is the largest objective value of the last 10
+    iterations (f(A0) before the first), so the objective may rise for a
+    few steps but never above f(A0). The first trial, and every trial after
+    an accepted step, is 1; trial steps are capped so step * ||K||_F <= 2,
+    K being the skew matrix of p, which bounds how far one step moves. The
+    descent stops once the gradient 2-norm is at most grad_tol.
 
     The descent also stops once the gradient norm is at most
     n*eps^2*max(c), the rounding error of the gradient near a limit. A
@@ -373,12 +377,12 @@ def gradient_flow(
     max_iterations, with converged=False unless the norm has rounded to
     exactly 0.
 
-    Hitting max_iterations, or a trial with step * max(c) below
-    _MIN_STEP = 1e-20 (not counted), returns a result with converged=False
-    rather than raising. A grad_tol that is not a finite positive number, a
-    negative max_iterations, a start of the wrong shape or off the manifold
-    raise ValueError; past these checks the loop runs on unchecked kernels.
-    The final matrix is classified by classify_rotation (None if no sign
+    Hitting max_iterations, or a trial step below _MIN_STEP = 1e-20 (not
+    counted), returns a result with converged=False rather than raising. A
+    grad_tol that is not a finite positive number, a negative
+    max_iterations, a start of the wrong shape or off the manifold raise
+    ValueError; past these checks the loop runs on unchecked kernels. The
+    final matrix is classified by classify_rotation (None if no sign
     pattern is near).
     """
     c = _check_flow_args(c, grad_tol, max_iterations)

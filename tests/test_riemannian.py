@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 
 from rotmorse import riemannian
 from rotmorse.critical import (
+    _hessian_diagonal,
     critical_value,
     default_costs,
     embed_pattern,
@@ -346,12 +347,44 @@ def test_flow_stops_at_the_rounding_floor(n):
 @pytest.mark.parametrize("scale", [1e6, 1e9, 1e15, 1e20])
 def test_flow_converges_at_large_weights_above_the_floor(n, scale):
     # At these weights the floor n*eps^2*max(c) stays far below 1e-8, and
-    # the step floor is relative to max(c), so the first trial
-    # 1/(2*max(c)) is made at 1e20 too.
+    # the direction g / w and the step floor are dimensionless, so the unit
+    # first trial is made at 1e20 too.
     c = scale * default_costs(n)
     _, _, norms, converged, patterns = riemannian._flows(_haar(n, 20, n), c, 1e-8)
     assert converged.all() and np.all(norms <= 1e-8)
     assert None not in patterns
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_preconditioner_is_gradient_related(n, seed):
+    # The descent divides the gradient by w, the sizes of the Hessian
+    # diagonal -(c_a A_aa + c_b A_bb) floored at gap = min(diff(c)). That
+    # closed form on diag(A) is the diagonal of the tangent Hessian at A,
+    # bit for bit. |A_ii| <= 1 bounds w by c_a + c_b < 2 max(c), so
+    # <g, p> >= |g|^2 / (2 max(c)): p is gradient related at every point.
+    rng = np.random.default_rng(seed)
+    c = random_costs(n, rng)
+    A = _haar(n, 5, seed)
+    diagonal = _hessian_diagonal(A.diagonal(0, -2, -1), c)
+    assert np.array_equal(diagonal, _tangent_hessian(A, c).diagonal(0, -2, -1))
+    gap = np.diff(c).min()
+    w = np.maximum(np.abs(diagonal), gap)
+    assert np.all((gap <= w) & (w <= 2.0 * c[-1]))
+    g = np.array([curve_derivatives(X, c) for X in A])
+    assert np.all(np.vecdot(g, g / w) >= np.vecdot(g, g) / (2.0 * c[-1]))
+
+
+@pytest.mark.parametrize("c", [(1e-3, 1.0, 1e3), (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 100.0)])
+def test_flow_is_fast_on_skewed_weights(c):
+    # The preconditioned step is Newton's near every limit whatever the
+    # spread of the weights, so skewed weights cost no more trials than
+    # c = 1..n.
+    c = np.array(c)
+    _, iterations, _, converged, patterns = riemannian._flows(_haar(c.size, 200, 5), c, 1e-8)
+    assert converged.all()
+    assert iterations.max() <= 30
+    assert None not in patterns and {index_by_formula(eps) for eps in patterns} == {0}
 
 
 @settings(max_examples=30, deadline=None)
@@ -447,12 +480,15 @@ def test_flow_result_json_round_trip():
 def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
     """The descent loop of gradient_flow, rebuilt from public functions and
     the module's line-search constants: every evaluation validates again.
-    Each iteration makes one trial, accepted against the largest of the
-    last _NONMONOTONE_MEMORY values. A refused trial is a null step: the
-    point stays, its value is repeated in the list, and the next trial is
-    the refused step halved. A trial below the step floor ends the loop
-    uncounted. Returns the final point, the iteration count, the gradient
-    norm, the classified pattern and the number of null steps."""
+    Each iteration makes one trial along p = g / w, w being the sizes of
+    the Hessian diagonal -(c_a A_aa + c_b A_bb) floored at the smallest gap
+    between weights, accepted against the largest of the last
+    _NONMONOTONE_MEMORY values. The trial step is 1 after an accepted step.
+    A refused trial is a null step: the point stays, its value is repeated
+    in the list, and the next trial is the refused step halved. A trial
+    below the step floor ends the loop uncounted. Returns the final point,
+    the iteration count, the gradient norm, the classified pattern and the
+    number of null steps."""
     c = np.asarray(c, dtype=float)
     A = np.array(A0, dtype=float)
     eps = np.finfo(float).eps
@@ -461,28 +497,26 @@ def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
     g = curve_derivatives(A, c)
     gnorm = float(np.linalg.norm(g))
     iterations = null_steps = 0
-    first_trial = None
+    h = 1.0
     while gnorm > stop and iterations < max_iterations:
-        if first_trial is None:
-            first_trial = 1.0 / (2.0 * c[-1])  # c[-1] > 0 wherever a sample is live
-        step = min(first_trial, 2.0 / (math.sqrt(2.0) * gnorm))
-        if step * c[-1] < riemannian._MIN_STEP:
+        d = c * np.diagonal(A)
+        diagonal = [d[a - 1] + d[b - 1] for a, b in pair_indices(len(c))]
+        p = g / np.maximum(np.abs(diagonal), np.diff(c).min())
+        step = min(h, math.sqrt(2.0) / float(np.linalg.norm(p)))
+        if step < riemannian._MIN_STEP:
             break
-        trial = retract(A, -g, step)
+        trial = retract(A, -p, step)
         f_trial = objective(trial, c)
         iterations += 1
-        if f_trial > max(recent) - riemannian._ARMIJO * step * gnorm * gnorm:
+        if f_trial > max(recent) - riemannian._ARMIJO * step * float(np.dot(g, p)):
             recent = recent[1:] + [recent[-1]]
-            first_trial = step * riemannian._BACKTRACK
+            h = step * riemannian._BACKTRACK
             null_steps += 1
             continue
         A = trial
         recent = recent[1:] + [f_trial]
-        g_next = curve_derivatives(A, c)
-        # Barzilai-Borwein: h |g|^2 / <g, g - g_next>, else 1/(2 max c) again
-        denom = float(np.dot(g, g - g_next))
-        first_trial = step * gnorm * gnorm / denom if 0.0 < denom < math.inf else None
-        g = g_next
+        h = 1.0
+        g = curve_derivatives(A, c)
         gnorm = float(np.linalg.norm(g))
     return A, iterations, gnorm, classify_rotation(A), null_steps
 
@@ -491,7 +525,7 @@ def test_flow_equals_reference_loop_exactly():
     rng = np.random.default_rng(31)
     unclassified = 0
     for n in range(1, 6):
-        for k in range(-3, 3):
+        for k in range(-6, 3):
             c = 10.0**k * default_costs(n)
             A0 = haar_sample(n, rng)
             A, iterations, gnorm, pattern, _ = _reference_flow(A0, c)
@@ -624,11 +658,10 @@ def test_batch_mixes_a_critical_start_with_capped_descents():
 
 
 def test_line_search_failure_inside_a_batch(monkeypatch):
-    # Every trial step, starting at 1/(2*max(c)) = 1/8, has step * max(c)
-    # below the floor of 1, so a start off the critical set fails its first
-    # line search.
+    # Every trial step is at most 1, below the floor of 2, so a start off
+    # the critical set fails its first line search.
     c = default_costs(4)
-    monkeypatch.setattr(riemannian, "_MIN_STEP", 1.0)
+    monkeypatch.setattr(riemannian, "_MIN_STEP", 2.0)
     A0 = haar_sample(4, 3)
     eps = (-1, -1, -1, -1)
     stack = np.stack([A0, embed_pattern(eps)])
@@ -642,24 +675,27 @@ def test_line_search_failure_inside_a_batch(monkeypatch):
     _assert_same_flows(failed, [gradient_flow(A0, c)])
 
 
-@pytest.mark.parametrize("min_step", [riemannian._MIN_STEP, 0.2])
+@pytest.mark.parametrize("min_step", [riemannian._MIN_STEP, 0.1])
 def test_backtracking_in_a_batch_matches_the_reference_loop(monkeypatch, min_step):
-    # A strict Armijo constant refuses some trials even against the
-    # nonmonotone reference, so the samples of one batch take different
-    # numbers of null steps. A floor of step * max(c) >= 0.2 (a step of 0.05
-    # at c = 1..4) leaves room for two refused trials in a row, the first
-    # trial 1/(2*max(c)) and its half: one start's descent ends there, while
-    # its batch mates go on and converge. At n = 5 a null step that wrote the
-    # refused trial's value to the ring, in place of the value of the point
-    # it keeps, would change later references and steps.
+    # A strict Armijo constant and a ring of two values refuse some trials,
+    # so the samples of one batch take different numbers of null steps.
+    # Against a ring of ten values the reference stays at f(A0) while trials
+    # are refused; with two, a null step that wrote the refused trial's
+    # value, or the ring maximum, in place of the value of the point it
+    # keeps would change later references and steps. A floor of step >= 0.1
+    # leaves room for three refused trials in a row after an accepted step,
+    # 1, 1/2 and 1/4, and a fourth of 1/8 (fewer where the cap
+    # sqrt(2)/|p| makes the first trial smaller): a descent that must go
+    # below 1/8 ends there, while its batch mates go on and converge.
     monkeypatch.setattr(riemannian, "_ARMIJO", 0.9)
+    monkeypatch.setattr(riemannian, "_NONMONOTONE_MEMORY", 2)
     monkeypatch.setattr(riemannian, "_MIN_STEP", min_step)
     null_steps = 0
     for n in (4, 5):
         c = default_costs(n)
         points, counts, norms, _, patterns = riemannian._flows(_haar(n, 8, 1), c, 1e-8)
         failed = norms > 1e-8
-        assert failed.any() == (min_step == 0.2) and not failed.all()
+        assert failed.any() == (min_step == 0.1) and not failed.all()
         rng = np.random.default_rng(1)
         for k, got in enumerate(zip(counts.tolist(), norms.tolist(), patterns)):
             A, iterations, gnorm, pattern, nulls = _reference_flow(haar_sample(n, rng), c)
