@@ -298,10 +298,11 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     is at most grad_tol or the rounding floor n*eps^2*max(c), it reaches
     max_iterations or its trial step falls below _MIN_STEP. Every live
     sample has made the same number of trials, so that count is one
-    integer, and so is the ring slot the next value replaces. The live state is kept in compact arrays; a sample that stops
-    is written back once and never touched again. Every kernel computes a
-    sample as it would alone, so no result depends on the rest of the
-    batch. Returns the (S,) iteration counts and final gradient norms.
+    integer, and so is the ring slot the next value replaces. The live
+    state is kept in compact arrays; a sample that stops is written back
+    once and never touched again. Every kernel computes a sample as it
+    would alone, so no result depends on the rest of the batch. Returns
+    the (S,) iteration counts and final gradient norms.
     """
     g = _gradient(A, c)
     gnorm = np.sqrt(np.vecdot(g, g))

@@ -6,26 +6,34 @@ the one check of the run, and draws one stack of Haar points from one
 default_rng(seed); the gradient, Hessian and flow suites each make one
 pass over that stack through private kernels that check nothing, and the
 index suite depends on the weights alone and runs once. The
-finite-difference kernels go through the objective kernel and
-givens_curve() only, so they share nothing with the closed forms.
+finite-difference kernels use givens_curve() and the linearity of the
+objective in the matrix entries only, so they share nothing with the
+closed forms.
 
 Every oracle runs as a few numpy calls on stacked arrays rather than one
-call per matrix, in blocks cut by riemannian._blocks. _fd_gradient and
-_fd_tangent_hessian stack the Givens rotations of all d pairs once per
-(n, step) and form the d or d x d rotated points of each point as stacked
-matrix products, associated as (A @ B_p) @ B_q. The index suite builds
-the pattern table, the embedded matrices and the formula indices, makes
-one stacked Hessian-diagonal count and stacked tangent-Hessian and
-eigenvalue passes. A pattern whose Hessian has an eigenvalue inside the
-relative zero band of numeric_index, or a non-finite entry, has no
-eigenvalue index and counts as a mismatch. Stacked matmul, vecdot and
-eigvalsh treat each matrix as they would alone, so every value has the
-bits of the one-matrix-at-a-time loops.
+call per matrix, in blocks cut by riemannian._blocks. f(X @ B) is the
+Frobenius product <X, diag(c) @ B^T>, so the finite differences read the
+objective at a rotated point as one vecdot against a per-call table of
+the 2d curves at +-h, without forming that point: _fd_gradient makes 2d
+dots per point, and _fd_tangent_hessian forms the 2d points A @ B_p(+-h)
+of each point by stacked matrix products and makes (2d)^2 dots. The index
+suite builds the pattern table, the embedded matrices and the formula
+indices, makes one stacked Hessian-diagonal count and stacked
+tangent-Hessian and eigenvalue passes. A pattern whose Hessian has an
+eigenvalue inside the relative zero band of numeric_index, or a
+non-finite entry, has no eigenvalue index and counts as a mismatch.
+Stacked matmul, vecdot and eigvalsh treat each matrix or row as they
+would alone (vecdot makes one BLAS dot per entry, as np.dot does), so
+every value has the bits of the one-matrix-at-a-time loops.
 
-Fixed oracle settings: the gradient suite differences with step
-_GRADIENT_STEP = 1e-5 and passes at a worst residual of 1e-7, the Hessian
-suite with _HESSIAN_STEP = 1e-4 at 1e-4; the flow suite caps each descent
-at riemannian._MAX_ITERATIONS = 100_000 trials.
+Oracle settings: the gradient suite differences with step
+_GRADIENT_STEP = 1e-5 and passes at a worst residual of
+1e-7 * max(c) / n, the Hessian suite with _HESSIAN_STEP = 1e-4 at
+1e-4 * max(c) / n. The finite-difference errors grow with max(c), so the
+thresholds are relative to it, and they are exactly 1e-7 and 1e-4 at the
+default weights 1..n. The flow suite caps each descent at
+riemannian._MAX_ITERATIONS = 100_000 trials and compares the final
+gradient norms with the absolute grad_tol.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from .riemannian import (
     _curve_derivatives,
     _flows,
     _numeric_indices,
-    _objective,
     _tangent_hessian,
 )
 from .rotations import _haar, givens_curve, pair_count, pair_indices
@@ -56,27 +63,37 @@ _HESSIAN_THRESHOLD = 1e-4
 
 
 @lru_cache(maxsize=None)
-def _curve_stack(n: int, h: float) -> tuple:
-    """Read-only (d, n, n) stacks of givens_curve(p, h, n) and
-    givens_curve(p, -h, n) over pair_indices(n)."""
+def _curve_stack(n: int, h: float) -> np.ndarray:
+    """Read-only (2d, n, n) stack of givens_curve(p, h, n) over
+    pair_indices(n), then of givens_curve(p, -h, n)."""
     pairs = pair_indices(n)
-    stacks = tuple(
-        np.array([givens_curve(p, t, n) for p in pairs]).reshape(len(pairs), n, n) for t in (h, -h)
-    )
-    for B in stacks:
-        B.flags.writeable = False
-    return stacks
+    B = np.array([givens_curve(p, t, n) for t in (h, -h) for p in pairs]).reshape(-1, n, n)
+    B.flags.writeable = False
+    return B
+
+
+def _weight_table(c: np.ndarray, h: float, left: bool) -> np.ndarray:
+    """Read-only (2d, n*n) table W whose row k gives the objective at the
+    rotated point of X along curve k of _curve_stack(n, h) as
+    np.vecdot(X.ravel(), W[k]).
+
+    f is linear in the matrix entries, so f(X @ B) = <X, diag(c) @ B^T>_F
+    and f(B @ X) = <X, (diag(c) @ B)^T>_F: no rotated point is formed.
+    """
+    n = c.size
+    B = _curve_stack(n, h)
+    W = ((c[:, None] * B).mT if left else c[:, None] * B.mT).reshape(len(B), n * n)
+    W.flags.writeable = False
+    return W
 
 
 def _fd_gradient(A: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
     """Central differences along every rotation-plane curve of the given
     family (as in curve_derivatives) at each point of an (S, n, n) stack:
     (S, d), pair order."""
-    h = _GRADIENT_STEP
-    B_plus, B_minus = _curve_stack(c.size, h)
-    A = A[:, None]
-    A_plus, A_minus = (B_plus @ A, B_minus @ A) if left else (A @ B_plus, A @ B_minus)
-    return (_objective(A_plus, c) - _objective(A_minus, c)) / (2.0 * h)
+    n, d, h = c.size, pair_count(c.size), _GRADIENT_STEP
+    f = np.vecdot(A.reshape(len(A), 1, n * n), _weight_table(c, h, left))
+    return (f[:, :d] - f[:, d:]) / (2.0 * h)
 
 
 def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -85,24 +102,21 @@ def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Entry (p, q) approximates d^2/dtheta dphi of the objective along
     A @ B_p(theta) @ B_q(phi) at zero, as
-    (((f++ - f+-) - f-+) + f--) / (4 h^2) with f+- = f((A @ B_p(h)) @ B_q(-h)),
-    in _blocks of (point, row p) pairs.
+    (((f++ - f+-) - f-+) + f--) / (4 h^2) with f+- = f((A @ B_p(h)) @ B_q(-h)).
+    Only the 2d points A @ B_p(+-h) are formed; _weight_table gives the
+    objective at all (2d)^2 points X @ B_q(+-h) of them, in _blocks of points.
     """
-    n, h = c.size, _HESSIAN_STEP
-    B_plus, B_minus = _curve_stack(n, h)
-    d = len(B_plus)
-    H = np.empty((len(A) * d, d))
-    for block in _blocks(len(H), 8 * d * n * n):
-        point, pair = np.divmod(np.arange(len(H))[block], d)
-        Ap = (A[point] @ B_plus[pair])[:, None]
-        Am = (A[point] @ B_minus[pair])[:, None]
-        H[block] = (
-            _objective(Ap @ B_plus, c)
-            - _objective(Ap @ B_minus, c)
-            - _objective(Am @ B_plus, c)
-            + _objective(Am @ B_minus, c)
-        ) / (4.0 * h * h)
-    return H.reshape(len(A), d, d)
+    n, d, h = c.size, pair_count(c.size), _HESSIAN_STEP
+    B, W = _curve_stack(n, h), _weight_table(c, h, False)
+    H = np.empty((len(A), d, d))
+    for block in _blocks(len(A), 8 * 2 * d * n * n):
+        X = A[block, None] @ B
+        f = np.vecdot(X.reshape(len(X), 2 * d, 1, n * n), W).reshape(len(X), 2, d, 2, d)
+        # f[:, i, p, j, q] is f((A @ B_p(+-h)) @ B_q(+-h)), index 0 of i and j
+        # picking +h and 1 picking -h.
+        (fpp, fpm), (fmp, fmm) = f.transpose(1, 3, 0, 2, 4)
+        H[block] = (((fpp - fpm) - fmp) + fmm) / (4.0 * h * h)
+    return H
 
 
 @dataclass(frozen=True)
@@ -125,15 +139,23 @@ def _worst(differences) -> float:
     return float(np.max([np.abs(d).max(initial=0.0) for d in differences], initial=0.0))
 
 
+def _weight_scale(c: np.ndarray) -> float:
+    """max(c) / n: exactly 1.0 at the default weights 1..n. The finite
+    differences' truncation and rounding errors both grow with max(c), so
+    the oracle thresholds are the fixed constants times this."""
+    return float(c[-1] / c.size)
+
+
 def _gradient_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
     """Closed-form curve derivatives vs central differences at every start,
     along both curve families."""
     worst = _worst(
         _curve_derivatives(starts[block], c, left) - _fd_gradient(starts[block], c, left)
-        for block in _blocks(len(starts), 8 * pair_count(c.size) * c.size**2)
+        for block in _blocks(len(starts), 8 * c.size**2)
         for left in (False, True)
     )
-    return SuiteResult("gradient-fd", worst <= _GRADIENT_THRESHOLD, worst, _GRADIENT_THRESHOLD)
+    threshold = _GRADIENT_THRESHOLD * _weight_scale(c)
+    return SuiteResult("gradient-fd", worst <= threshold, worst, threshold)
 
 
 def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
@@ -142,7 +164,8 @@ def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
         _tangent_hessian(starts[block], c) - _fd_tangent_hessian(starts[block], c)
         for block in _blocks(len(starts), 8 * pair_count(c.size) ** 2)
     )
-    return SuiteResult("hessian-fd", worst <= _HESSIAN_THRESHOLD, worst, _HESSIAN_THRESHOLD)
+    threshold = _HESSIAN_THRESHOLD * _weight_scale(c)
+    return SuiteResult("hessian-fd", worst <= threshold, worst, threshold)
 
 
 def _finite_or_zero(H: np.ndarray) -> np.ndarray:

@@ -538,30 +538,41 @@ def test_flow_equals_reference_loop_exactly():
     assert unclassified > 0  # the small-weight starts stop short of a pattern
 
 
+def _rotated_objective(X, Q, c, left=False):
+    """f(X @ Q), or f(Q @ X) if left, as one np.dot by the linearity of f in
+    the matrix entries: <X, diag(c) Q^T>_F, or <X, (diag(c) Q)^T>_F."""
+    W = (c[:, None] * Q).T if left else c[:, None] * Q.T
+    return np.dot(X.ravel(), W.ravel())
+
+
 def test_fd_oracles_equal_reference_exactly():
-    # The stacked kernels on a stack of three points (A, A^T and a second
-    # Haar point) against one-point-at-a-time loops over the public
-    # objective. At n = 8 the Hessian's blocks of (point, row) pairs cross
-    # from one point to the next.
+    # The stacked kernels on a stack of six points (A, A^T and four more
+    # Haar points) against one-point-at-a-time loops of np.dot. At n = 8 a
+    # block of _fd_tangent_hessian holds four points, so the stack crosses
+    # from one block to the next.
     rng = np.random.default_rng(32)
     h1, h2 = 1e-5, 1e-4
     for n in range(1, 9):
         A = haar_sample(n, rng)
         c = random_costs(n, rng)
-        stack = np.stack([A, A.T, haar_sample(n, rng)])
+        stack = np.stack([A, A.T, *(haar_sample(n, rng) for _ in range(4))])
+        S = len(stack)
         pairs = pair_indices(n)
         plus = [givens_curve(p, h1, n) for p in pairs]
         minus = [givens_curve(p, -h1, n) for p in pairs]
-        right = [
-            [(objective(X @ P, c) - objective(X @ M, c)) / (2.0 * h1) for P, M in zip(plus, minus)]
-            for X in stack
-        ]
-        left = [
-            [(objective(P @ X, c) - objective(M @ X, c)) / (2.0 * h1) for P, M in zip(plus, minus)]
-            for X in stack
-        ]
-        assert np.array_equal(_fd_gradient(stack, c, False), np.array(right).reshape(3, -1))
-        assert np.array_equal(_fd_gradient(stack, c, True), np.array(left).reshape(3, -1))
+        right, left = (
+            [
+                [
+                    (_rotated_objective(X, P, c, side) - _rotated_objective(X, M, c, side))
+                    / (2.0 * h1)
+                    for P, M in zip(plus, minus)
+                ]
+                for X in stack
+            ]
+            for side in (False, True)
+        )
+        assert np.array_equal(_fd_gradient(stack, c, False), np.array(right).reshape(S, -1))
+        assert np.array_equal(_fd_gradient(stack, c, True), np.array(left).reshape(S, -1))
         plus = [givens_curve(p, h2, n) for p in pairs]
         minus = [givens_curve(p, -h2, n) for p in pairs]
         H = np.array(
@@ -569,10 +580,10 @@ def test_fd_oracles_equal_reference_exactly():
                 [
                     [
                         (
-                            objective(X @ P @ Q, c)
-                            - objective(X @ P @ R, c)
-                            - objective(X @ M @ Q, c)
-                            + objective(X @ M @ R, c)
+                            _rotated_objective(X @ P, Q, c)
+                            - _rotated_objective(X @ P, R, c)
+                            - _rotated_objective(X @ M, Q, c)
+                            + _rotated_objective(X @ M, R, c)
                         )
                         / (4.0 * h2 * h2)
                         for Q, R in zip(plus, minus)
@@ -581,8 +592,43 @@ def test_fd_oracles_equal_reference_exactly():
                 ]
                 for X in stack
             ]
-        ).reshape(3, len(pairs), len(pairs))
+        ).reshape(S, len(pairs), len(pairs))
         assert np.array_equal(_fd_tangent_hessian(stack, c), H)
+
+
+def test_rotated_objective_equals_objective_of_the_product():
+    # The linearity identity of the reference loops against the objective
+    # of the formed product, within a few ulps of sum |c| (the rotated
+    # points' rows and columns have unit norm).
+    rng = np.random.default_rng(33)
+    for n in range(1, 9):
+        c = random_costs(n, rng)
+        tol = 4.0 * np.finfo(float).eps * np.abs(c).sum()
+        X = haar_sample(n, rng)
+        curves = [givens_curve(p, t, n) for p in pair_indices(n) for t in (1e-4, -1e-4)]
+        for P in curves:
+            assert abs(_rotated_objective(X, P, c) - objective(X @ P, c)) <= tol
+            assert abs(_rotated_objective(X, P, c, left=True) - objective(P @ X, c)) <= tol
+            for Q in curves:
+                assert abs(_rotated_objective(X @ P, Q, c) - objective(X @ P @ Q, c)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    S=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fd_oracles_give_each_point_of_a_stack_its_own_bits(n, S, seed):
+    rng = np.random.default_rng(seed)
+    c = random_costs(n, rng)
+    stack = _haar(n, S, rng)
+    gradients = [_fd_gradient(stack, c, left) for left in (False, True)]
+    H = _fd_tangent_hessian(stack, c)
+    for k in range(S):
+        for left, G in zip((False, True), gradients):
+            assert G[k].tobytes() == _fd_gradient(stack[k : k + 1], c, left)[0].tobytes()
+        assert H[k].tobytes() == _fd_tangent_hessian(stack[k : k + 1], c)[0].tobytes()
 
 
 def _patterns(classified):

@@ -45,6 +45,20 @@ def test_hessian_suite_passes():
     assert result.passed
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+def test_fd_suites_pass_at_every_weight_scale(n, scale):
+    # The finite-difference errors grow with max(c), and so do the thresholds.
+    c = scale * default_costs(n)
+    starts = _haar(n, 5, n)
+    for suite, constant in ((_gradient_suite, 1e-7), (_hessian_suite, 1e-4)):
+        result = suite(starts, c)
+        assert result.passed
+        assert result.threshold == constant * (c[-1] / n)
+        if scale == 1.0:  # the default weights keep their threshold bytes
+            assert result.threshold == constant
+
+
 def test_index_suite_passes():
     rng = np.random.default_rng(3)
     for _ in range(10):
