@@ -6,13 +6,13 @@ gradient descent whose limits empirically recover the analytic critical
 set. The descent steps along the Cayley retraction (``rotations.retract``)
 in the direction of the gradient over the Hessian diagonal at the point,
 whose sizes are floored at the smallest gap between weights. It makes one
-trial per iteration, a unit step or half a refused one, under a
-nonmonotone Armijo test, and stops at its tolerance or at the gradient's
-rounding floor. It runs a whole batch of starts as one (S, n, n) stack; a
-single start is a batch of one. Its results have one row per start (final
-points, iteration counts, gradient norms, a converged mask and the
-classified limit patterns); gradient_flow turns the one row of a single
-start into a FlowResult.
+trial per iteration, a unit step or half a refused one, under an Armijo
+test that allows for the objective's rounding, and stops at its
+tolerance or at the gradient's rounding floor. It runs a whole batch of
+starts as one (S, n, n) stack; a single start is a batch of one. Its
+results have one row per start (final points, iteration counts, gradient
+norms, a converged mask and the classified limit patterns); gradient_flow
+turns the one row of a single start into a FlowResult.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -44,18 +44,15 @@ from .rotations import (
 # step >= _MIN_STEP apply to every trial; the direction is dimensionless, so
 # the floor is too. A refused trial is a null step: the next trial is
 # _BACKTRACK times its step, and a trial after an accepted step is 1.
-# The Armijo test is nonmonotone: a trial is measured against the largest
-# objective value of the sample's last _NONMONOTONE_MEMORY iterations, not
-# the current one, so unit steps that raise the objective for a while are
-# kept.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-20
-_NONMONOTONE_MEMORY = 10
-# Near a limit the off-diagonal entries are about _EPS, so each gradient
-# component c_i A_ij - c_j A_ji carries a rounding error of about
-# _EPS^2 * max(c); a descent stops once its gradient norm is at most
-# n * _EPS^2 * max(c), whatever its tolerance.
+# The objective rounds by about n * _EPS * max(c), and the Armijo test
+# allows that much: a trial is kept if f(trial) <= f + n * _EPS * max(c) -
+# _ARMIJO * step * <g, p>, f the current value. Near a limit the
+# off-diagonal entries are about _EPS, so each gradient component
+# c_i A_ij - c_j A_ji carries a rounding error of about _EPS^2 * max(c); a
+# descent stops once its gradient norm is at most n * _EPS^2 * max(c).
 _EPS = 2.0**-52  # the float64 machine epsilon
 # _blocks keeps every stacked temporary here and in verify at most this many
 # bytes, below glibc's 128 KiB mmap threshold: freeing a mapped block raises
@@ -292,22 +289,23 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     of the Hessian diagonal at the point floored at gap = min(diff(c)). The
     trial step is 1 after an accepted step and half the refused step after
     a null step; p is dimensionless, and so are the trial and the step
-    floor _MIN_STEP. Each sample keeps its own gradient, gradient norm,
-    next trial step and ring of the values of its last _NONMONOTONE_MEMORY
-    iterations (filled with f(A0)), and stays live until its gradient norm
-    is at most grad_tol or the rounding floor n*eps^2*max(c), it reaches
-    max_iterations or its trial step falls below _MIN_STEP. Every live
-    sample has made the same number of trials, so that count is one
-    integer, and so is the ring slot the next value replaces. The live
-    state is kept in compact arrays; a sample that stops is written back
-    once and never touched again. Every kernel computes a sample as it
-    would alone, so no result depends on the rest of the batch. Returns
-    the (S,) iteration counts and final gradient norms.
+    floor _MIN_STEP. A trial is kept if f(trial) <= f + n*eps*max(c) -
+    _ARMIJO*step*<g, p>; a null step keeps the point and its value f. Each
+    sample keeps its own f, gradient, gradient norm and next trial step,
+    and stays live until its gradient norm is at most grad_tol or the
+    rounding floor n*eps^2*max(c), it reaches max_iterations or its trial
+    step falls below _MIN_STEP. Every live sample has made the same number
+    of trials, so that count is one integer. The live state is kept in
+    compact arrays; a sample that stops is written back once and never
+    touched again. Every kernel computes a sample as it would alone, so no
+    result depends on the rest of the batch. Returns the (S,) iteration
+    counts and final gradient norms.
     """
     g = _gradient(A, c)
     gnorm = np.sqrt(np.vecdot(g, g))
     iterations = np.zeros(A.shape[0], dtype=int)
     stop = max(grad_tol, c.size * _EPS * _EPS * float(c[-1]))
+    slack = c.size * _EPS * float(c[-1])
 
     t = 0
     idx = np.flatnonzero((gnorm > stop) & (t < max_iterations))
@@ -317,27 +315,25 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     # every critical point, so the floor never clips the diagonal at a limit.
     gap = np.diff(c).min()
     Al, gl, gn = A[idx], g[idx], gnorm[idx]
-    recent = np.repeat(_objective(Al, c)[:, None], _NONMONOTONE_MEMORY, axis=1)
+    fl = _objective(Al, c)
     hl = np.ones(idx.size)
     while idx.size:
         # A trial below the step floor ends its sample uncounted.
         pl = gl / np.maximum(np.abs(_hessian_diagonal(Al.diagonal(0, -2, -1), c)), gap)
-        ref = recent.max(axis=1)
         step = np.minimum(hl, math.sqrt(2.0) / np.sqrt(np.vecdot(pl, pl)))
         trial = _cayley(Al, -pl, step)
         ft = _objective(trial, c)
         live = step >= _MIN_STEP
-        ok = live & (ft <= ref - _ARMIJO * step * np.vecdot(gl, pl))
+        ok = live & (ft <= fl + slack - _ARMIJO * step * np.vecdot(gl, pl))
         hl = np.ones(idx.size)
         if np.count_nonzero(ok) < ok.size:
-            # A refused trial is a null step: the sample keeps its point, its
-            # current value enters the ring again, and it tries half the step.
+            # A refused trial is a null step: the sample keeps its point and
+            # its value, and tries half the step.
             no = ~ok
-            trial[no], ft[no] = Al[no], recent[no, t % _NONMONOTONE_MEMORY]
+            trial[no], ft[no] = Al[no], fl[no]
             hl[no] = _BACKTRACK * step[no]
         t += 1
-        recent[:, t % _NONMONOTONE_MEMORY] = ft
-        Al, gl = trial, _gradient(trial, c)
+        Al, fl, gl = trial, ft, _gradient(trial, c)
         gn = np.sqrt(np.vecdot(gl, gl))
         stay = live & (gn > stop) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
@@ -345,8 +341,8 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
             rows = idx[done]
             A[rows], gnorm[rows] = Al[done], gn[done]
             iterations[rows] = np.where(live[done], t, t - 1)
-            idx, Al, gl, gn, hl = idx[stay], Al[stay], gl[stay], gn[stay], hl[stay]
-            recent = recent[stay]
+            idx, Al, fl, gl = idx[stay], Al[stay], fl[stay], gl[stay]
+            gn, hl = gn[stay], hl[stay]
 
     return iterations, gnorm
 
@@ -362,13 +358,12 @@ def gradient_flow(
     diagonal at A, -(c(a)*A(a,a) + c(b)*A(b,b)) for the pair (a, b),
     floored at gap = min(diff(c)). At a sign pattern that diagonal is the
     whole Hessian and no entry is below gap, so near a limit the step is
-    Newton's. A trial is kept if the nonmonotone Armijo test
-    f(trial) <= ref - 1e-4 * step * <g, p> holds; a refused trial is a null
-    step, and the next trial halves its step. iterations counts trials,
-    accepted or null. ref is the largest objective value of the last 10
-    iterations (f(A0) before the first), so the objective may rise for a
-    few steps but never above f(A0). The first trial, and every trial after
-    an accepted step, is 1; trial steps are capped so step * ||K||_F <= 2,
+    Newton's. A trial is kept if f(trial) <= f(A) + n*eps*max(c) - 1e-4 *
+    step * <g, p>, n*eps*max(c) being the objective's rounding error, so
+    no accepted step raises the objective by more. A refused trial is a
+    null step, and the next trial halves its step. iterations counts
+    trials, accepted or null. The first trial, and every trial after an
+    accepted step, is 1; trial steps are capped so step * ||K||_F <= 2,
     K being the skew matrix of p, which bounds how far one step moves. The
     descent stops once the gradient 2-norm is at most grad_tol.
 

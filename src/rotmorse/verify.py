@@ -104,19 +104,15 @@ def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     A @ B_p(theta) @ B_q(phi) at zero, as
     (((f++ - f+-) - f-+) + f--) / (4 h^2) with f+- = f((A @ B_p(h)) @ B_q(-h)).
     Only the 2d points A @ B_p(+-h) are formed; _weight_table gives the
-    objective at all (2d)^2 points X @ B_q(+-h) of them, in _blocks of points.
+    objective at all (2d)^2 points X @ B_q(+-h) of them.
     """
     n, d, h = c.size, pair_count(c.size), _HESSIAN_STEP
-    B, W = _curve_stack(n, h), _weight_table(c, h, False)
-    H = np.empty((len(A), d, d))
-    for block in _blocks(len(A), 8 * 2 * d * n * n):
-        X = A[block, None] @ B
-        f = np.vecdot(X.reshape(len(X), 2 * d, 1, n * n), W).reshape(len(X), 2, d, 2, d)
-        # f[:, i, p, j, q] is f((A @ B_p(+-h)) @ B_q(+-h)), index 0 of i and j
-        # picking +h and 1 picking -h.
-        (fpp, fpm), (fmp, fmm) = f.transpose(1, 3, 0, 2, 4)
-        H[block] = (((fpp - fpm) - fmp) + fmm) / (4.0 * h * h)
-    return H
+    X = A[:, None] @ _curve_stack(n, h)
+    f = np.vecdot(X.reshape(len(X), 2 * d, 1, n * n), _weight_table(c, h, False))
+    # f[:, i, p, j, q] is f((A @ B_p(+-h)) @ B_q(+-h)), index 0 of i and j
+    # picking +h and 1 picking -h.
+    (fpp, fpm), (fmp, fmm) = f.reshape(len(X), 2, d, 2, d).transpose(1, 3, 0, 2, 4)
+    return (((fpp - fpm) - fmp) + fmm) / (4.0 * h * h)
 
 
 @dataclass(frozen=True)
@@ -159,10 +155,12 @@ def _gradient_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
 
 
 def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
-    """Bilinear-form Hessian vs second-order central differences at every start."""
+    """Bilinear-form Hessian vs second-order central differences at every
+    start, in blocks cut by the largest temporary per point: the 2d rotated
+    points of _fd_tangent_hessian, 16 d n^2 bytes."""
     worst = _worst(
         _tangent_hessian(starts[block], c) - _fd_tangent_hessian(starts[block], c)
-        for block in _blocks(len(starts), 8 * pair_count(c.size) ** 2)
+        for block in _blocks(len(starts), 16 * pair_count(c.size) * c.size**2)
     )
     threshold = _HESSIAN_THRESHOLD * _weight_scale(c)
     return SuiteResult("hessian-fd", worst <= threshold, worst, threshold)
