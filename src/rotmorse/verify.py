@@ -17,14 +17,12 @@ objective at a rotated point as one vecdot against a per-call table of
 the 2d curves at +-h, without forming that point: _fd_gradient makes 2d
 dots per point, and _fd_tangent_hessian forms the 2d points A @ B_p(+-h)
 of each point by stacked matrix products and makes (2d)^2 dots. The index
-suite builds the pattern table, the embedded matrices and the formula
-indices, makes one stacked Hessian-diagonal count and stacked
-tangent-Hessian and eigenvalue passes. A pattern whose Hessian has an
-eigenvalue inside the relative zero band of numeric_index, or a
-non-finite entry, has no eigenvalue index and counts as a mismatch.
-Stacked matmul, vecdot and eigvalsh treat each matrix or row as they
-would alone (vecdot makes one BLAS dot per entry, as np.dot does), so
-every value has the bits of the one-matrix-at-a-time loops.
+suite builds the pattern table and the formula indices, makes one stacked
+Hessian-diagonal count, and reads every pattern's tangent Hessian off one
+_tangent_hessian call at the n unit diagonal matrices. Stacked matmul and
+vecdot treat each matrix or row as they would alone (vecdot makes one
+BLAS dot per entry, as np.dot does), so every value has the bits of the
+one-matrix-at-a-time loops.
 
 Oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of
@@ -46,11 +44,11 @@ import numpy as np
 from .critical import _hessian_diagonal, _index, default_costs, sign_patterns
 from .riemannian import (
     _MAX_ITERATIONS,
+    _ZERO_BAND,
     _blocks,
     _check_flow_args,
     _curve_derivatives,
     _flows,
-    _numeric_indices,
     _tangent_hessian,
 )
 from .rotations import _haar, givens_curve, pair_count, pair_indices
@@ -166,33 +164,31 @@ def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
     return SuiteResult("hessian-fd", worst <= threshold, worst, threshold)
 
 
-def _finite_or_zero(H: np.ndarray) -> np.ndarray:
-    """H with every matrix that has a non-finite entry set to zero, in place.
-
-    An overflowed Hessian has no eigenvalue index; as a zero matrix it
-    gets -1 from _numeric_indices, where eigvalsh could fail to converge.
-    """
-    H[~np.isfinite(H).all(axis=(-2, -1))] = 0.0
-    return H
-
-
 def _index_suite(c: np.ndarray) -> SuiteResult:
-    """Formula index == Hessian-diagonal index == eigenvalue index, for
-    every admissible pattern. The residual is the number of mismatches."""
+    """Formula index == Hessian-diagonal index == tangent-Hessian index, for
+    every admissible pattern. The residual is the number of mismatches.
+
+    _tangent_hessian is linear in M = diag(c) @ A, and M is diagonal at a
+    pattern eps, so H(eps) = sum_k eps_k T_k, T being the Hessians at the
+    unit diagonal matrices E_kk. If every off-diagonal entry of T is 0.0,
+    every H(eps) is diagonal, with diagonal signs @ diag(T): two nonzero
+    terms per entry, rounded once in any order. A pattern has a Hessian
+    index only then, and only if that diagonal is finite and has no entry
+    inside the _ZERO_BAND that numeric_index applies to eigenvalues; else
+    it counts as a mismatch.
+    """
     n = c.size
     signs = np.array(sign_patterns(n), dtype=float)
     by_formula = _index(signs)
     by_count = np.count_nonzero(_hessian_diagonal(signs, c) < 0, axis=-1)
-    embedded = np.zeros((len(signs), n, n))
-    embedded[:, np.arange(n), np.arange(n)] = signs
-    d = pair_count(n)
-    by_eigen = np.concatenate(
-        [
-            _numeric_indices(_finite_or_zero(_tangent_hessian(embedded[block], c)))
-            for block in _blocks(len(signs), 8 * d * d)
-        ]
-    )
-    mismatches = int(np.count_nonzero((by_formula != by_count) | (by_count != by_eigen)))
+    T = _tangent_hessian(np.eye(n)[:, :, None] * np.eye(n), c)
+    t = T.diagonal(0, -2, -1)
+    h = signs @ t
+    size = np.abs(h)
+    defined = (np.count_nonzero(T) == np.count_nonzero(t)) & np.isfinite(h).all(axis=-1)
+    defined &= size.min(axis=-1, initial=np.inf) > _ZERO_BAND * size.max(axis=-1, initial=0.0)
+    by_hessian = np.where(defined, np.count_nonzero(h < 0, axis=-1), -1)
+    mismatches = int(np.count_nonzero((by_formula != by_count) | (by_count != by_hessian)))
     return SuiteResult(
         "index-equivalence",
         mismatches == 0,

@@ -146,8 +146,9 @@ def test_verify_unreachable_tolerance_exit_4(capsys):
     ],
 )
 def test_verify_tiny_weights_give_a_verdict(capsys, argv):
-    # The eigenvalue index is scale-free, so admissible weights this small
-    # still yield the index suite; the flow suite may fail at this scale.
+    # The index suite's zero band is relative to the largest Hessian
+    # diagonal entry, so admissible weights this small still pass it; the
+    # flow suite may fail at this scale.
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code in (0, 4)
     assert "[PASS] index-equivalence" in out

@@ -5,9 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rotmorse
+from rotmorse import riemannian
 from rotmorse.critical import (
+    _hessian_diagonal,
+    _index,
     default_costs,
     embed_pattern,
     hessian_diagonal,
@@ -15,12 +20,14 @@ from rotmorse.critical import (
     sign_patterns,
 )
 from rotmorse.riemannian import (
+    _numeric_indices,
+    _tangent_hessian,
     curve_derivatives,
     gradient_flow,
     numeric_index,
     tangent_hessian,
 )
-from rotmorse.rotations import _haar, haar_sample
+from rotmorse.rotations import _haar, haar_sample, pair_count
 from rotmorse.verify import (
     _fd_gradient,
     _fd_tangent_hessian,
@@ -65,6 +72,68 @@ def test_index_suite_passes():
         result = _index_suite(random_costs(5, rng))
         assert result.passed and result.max_residual == 0.0
         assert result.detail == "16 patterns"
+    # The Hessian diagonal -(c_a eps_a + c_b eps_b) is finite here, though
+    # twice it overflows: the pattern's index is defined.
+    assert _index_suite(np.array([4e307, 6e307])).passed
+
+
+@pytest.mark.parametrize("n,patterns", [(3, 4), (4, 8), (8, 128)])
+def test_an_off_diagonal_scatter_fails_every_pattern(monkeypatch, n, patterns):
+    # Move one diagonal destination of the scatter table's second term off
+    # the diagonal. Every pattern's Hessian then has a nonzero off-diagonal
+    # entry, which eigenvalues would fold into the spectrum.
+    original = riemannian._hessian_scatter
+    d = pair_count(n)
+
+    def moved_scatter(m):
+        terms = list(original(m))
+        sign, dst, src = terms[1]
+        dst = dst.copy()
+        free = np.setdiff1d(np.arange(d * d), dst)
+        dst[np.flatnonzero(dst // d == dst % d)[0]] = free[free // d != free % d][0]
+        terms[1] = (sign, dst, src)
+        return tuple(terms)
+
+    monkeypatch.setattr(riemannian, "_hessian_scatter", moved_scatter)
+    result = _index_suite(default_costs(n))
+    assert not result.passed
+    assert result.max_residual == patterns
+
+
+def _eigenvalue_route_mismatches(c):
+    """The index suite's residual with the eigenvalue route as its third
+    index: _numeric_indices of every embedded pattern's tangent Hessian, a
+    matrix with a non-finite entry zeroed so that it has no index."""
+    n = c.size
+    signs = np.array(sign_patterns(n), dtype=float)
+    embedded = np.zeros((len(signs), n, n))
+    embedded[:, np.arange(n), np.arange(n)] = signs
+    H = _tangent_hessian(embedded, c)
+    H[~np.isfinite(H).all(axis=(-2, -1))] = 0.0
+    by_eigen = _numeric_indices(H)
+    by_count = np.count_nonzero(_hessian_diagonal(signs, c) < 0, axis=-1)
+    return int(np.count_nonzero((_index(signs) != by_count) | (by_count != by_eigen)))
+
+
+_SCALED_WEIGHTS = st.builds(
+    lambda n, seed, scale: scale * random_costs(n, np.random.default_rng(seed)),
+    st.integers(1, 10),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-300, 1e-6, 1.0, 1e12, 1e300]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SCALED_WEIGHTS)
+@example(np.array([0.0, 1e-12, 1.0]))
+@example(np.array([1e308, 1.5e308]))
+@example(np.array([1e308, 1.2e308, 1.5e308]))
+def test_index_suite_agrees_with_the_eigenvalue_route(c):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mismatches = _eigenvalue_route_mismatches(c)
+        result = _index_suite(c)
+    assert result.max_residual == mismatches
+    assert result.passed == (mismatches == 0)
 
 
 def test_flow_suite_passes():
