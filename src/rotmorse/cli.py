@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .critical import default_costs, enumerate_critical_points, index_by_formula, validate_costs
-from .riemannian import _check_start, _flows
+from .riemannian import _MAX_ITERATIONS, _check_flow_args, _check_start, _flows
 from .rotations import _haar, pair_indices
 from .topology import is_perfect
 from .verify import run_all_suites
@@ -110,10 +110,10 @@ def _parse_args(argv) -> argparse.Namespace:
     args.samples = 100 if args.samples is None else args.samples
     if args.samples < 1:
         parser.error("samples must be >= 1")
-    if not math.isfinite(args.tol):
-        parser.error("tol must be finite")
-    if args.tol <= 0:
-        parser.error("tol must be positive")
+    try:
+        _check_flow_args(args.c, args.tol, _MAX_ITERATIONS)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args
 
 

@@ -8,7 +8,7 @@ in the direction of the gradient over the Hessian diagonal at the point,
 whose sizes are floored at the smallest gap between weights. It makes one
 trial per iteration, a unit step or half a refused one, under an Armijo
 test that allows for the objective's rounding, and stops at its
-tolerance or at the gradient's rounding floor. It runs a whole batch of
+tolerance (or the gradient's rounding floor) or its cap. It runs a batch of
 starts as one (S, n, n) stack; a single start is a batch of one. Its
 results have one row per start (final points, iteration counts, gradient
 norms, a converged mask and the classified limit patterns); gradient_flow
@@ -40,13 +40,11 @@ from .rotations import (
     pair_count,
 )
 
-# Line-search constants of gradient_flow. The Armijo test and the floor
-# step >= _MIN_STEP apply to every trial; the direction is dimensionless, so
-# the floor is too. A refused trial is a null step: the next trial is
-# _BACKTRACK times its step, and a trial after an accepted step is 1.
+# Line-search constants of gradient_flow. Every trial, accepted or refused,
+# counts toward max_iterations. A refused trial is a null step: the next
+# trial is _BACKTRACK times its step, and a trial after an accepted step is 1.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
-_MIN_STEP = 1e-20
 # The objective rounds by about n * _EPS * max(c), and the Armijo test
 # allows that much: a trial is kept if f(trial) <= f + n * _EPS * max(c) -
 # _ARMIJO * step * <g, p>, f the current value. Near a limit the
@@ -270,10 +268,17 @@ class FlowResult:
     converged: bool
 
 
+def _scale(c: np.ndarray) -> float:
+    """The power of two s that puts max(c*s) in [0.5, 1), or 2**1023 at most."""
+    return math.ldexp(1.0, min(1023, -math.frexp(c[-1])[1]))
+
+
 def _check_flow_args(c, grad_tol: float, max_iterations: int, n: int | None = None) -> np.ndarray:
     """Validated float weights (of length n if given); ValueError for a bad
-    tolerance or iteration cap."""
+    tolerance or iteration cap, or for weights that tie once scaled by _scale."""
     c = validate_costs(c, n=n)
+    if np.any(np.diff(c * _scale(c)) <= 0):
+        raise ValueError("cost vector spans more than the float64 range: scaled to max < 1, it ties")
     if not (math.isfinite(grad_tol) and grad_tol > 0):
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
     if max_iterations < 0:
@@ -288,18 +293,16 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     pass makes one trial per live sample along p = g / w, w being the sizes
     of the Hessian diagonal at the point floored at gap = min(diff(c)). The
     trial step is 1 after an accepted step and half the refused step after
-    a null step; p is dimensionless, and so are the trial and the step
-    floor _MIN_STEP. A trial is kept if f(trial) <= f + n*eps*max(c) -
-    _ARMIJO*step*<g, p>; a null step keeps the point and its value f. Each
-    sample keeps its own f, gradient, gradient norm and next trial step,
-    and stays live until its gradient norm is at most grad_tol or the
-    rounding floor n*eps^2*max(c), it reaches max_iterations or its trial
-    step falls below _MIN_STEP. Every live sample has made the same number
-    of trials, so that count is one integer. The live state is kept in
-    compact arrays; a sample that stops is written back once and never
-    touched again. Every kernel computes a sample as it would alone, so no
-    result depends on the rest of the batch. Returns the (S,) iteration
-    counts and final gradient norms.
+    a null step; p is dimensionless, and so is the trial. A trial is kept
+    if f(trial) <= f + n*eps*max(c) - _ARMIJO*step*<g, p>; a null step
+    keeps the point and its value f. Each sample keeps its own f, gradient,
+    gradient norm and next trial step, and stays live until its gradient
+    norm is at most grad_tol or the rounding floor n*eps^2*max(c), or it
+    reaches max_iterations. Every live sample has made the same number of
+    trials, one integer. The live state is kept in compact arrays; a sample
+    that stops is written back once and never touched again. Every kernel
+    computes a sample as it would alone, so no result depends on the batch.
+    Returns the (S,) iteration counts and final gradient norms.
     """
     g = _gradient(A, c)
     gnorm = np.sqrt(np.vecdot(g, g))
@@ -318,13 +321,11 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     fl = _objective(Al, c)
     hl = np.ones(idx.size)
     while idx.size:
-        # A trial below the step floor ends its sample uncounted.
         pl = gl / np.maximum(np.abs(_hessian_diagonal(Al.diagonal(0, -2, -1), c)), gap)
         step = np.minimum(hl, math.sqrt(2.0) / np.sqrt(np.vecdot(pl, pl)))
         trial = _cayley(Al, -pl, step)
         ft = _objective(trial, c)
-        live = step >= _MIN_STEP
-        ok = live & (ft <= fl + slack - _ARMIJO * step * np.vecdot(gl, pl))
+        ok = ft <= fl + slack - _ARMIJO * step * np.vecdot(gl, pl)
         hl = np.ones(idx.size)
         if np.count_nonzero(ok) < ok.size:
             # A refused trial is a null step: the sample keeps its point and
@@ -335,12 +336,12 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
         t += 1
         Al, fl, gl = trial, ft, _gradient(trial, c)
         gn = np.sqrt(np.vecdot(gl, gl))
-        stay = live & (gn > stop) & (t < max_iterations)
+        stay = (gn > stop) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
             done = ~stay
             rows = idx[done]
             A[rows], gnorm[rows] = Al[done], gn[done]
-            iterations[rows] = np.where(live[done], t, t - 1)
+            iterations[rows] = t
             idx, Al, fl, gl = idx[stay], Al[stay], fl[stay], gl[stay]
             gn, hl = gn[stay], hl[stay]
 
@@ -364,22 +365,19 @@ def gradient_flow(
     null step, and the next trial halves its step. iterations counts
     trials, accepted or null. The first trial, and every trial after an
     accepted step, is 1; trial steps are capped so step * ||K||_F <= 2,
-    K being the skew matrix of p, which bounds how far one step moves. The
-    descent stops once the gradient 2-norm is at most grad_tol.
+    K being the skew matrix of p, which bounds how far one step moves.
 
-    The descent also stops once the gradient norm is at most
-    n*eps^2*max(c), the rounding error of the gradient near a limit. A
-    grad_tol below that floor thus ends promptly rather than at
-    max_iterations, with converged=False unless the norm has rounded to
-    exactly 0.
-
-    Hitting max_iterations, or a trial step below _MIN_STEP = 1e-20 (not
-    counted), returns a result with converged=False rather than raising. A
+    The descent stops for one of two reasons. Its gradient 2-norm is at
+    most grad_tol, or at most n*eps^2*max(c), the rounding error of the
+    gradient near a limit: a grad_tol below that floor ends promptly, with
+    converged=False unless the norm has rounded to exactly 0. Or it has
+    made max_iterations trials, and returns with converged=False. A
     grad_tol that is not a finite positive number, a negative
-    max_iterations, a start of the wrong shape or off the manifold raise
-    ValueError; past these checks the loop runs on unchecked kernels. The
-    final matrix is classified by classify_rotation (None if no sign
-    pattern is near).
+    max_iterations, a start of the wrong shape or off the manifold, and
+    weights that tie once scaled to max(c) < 1, such as (0, 5e-324, 1),
+    raise ValueError; past these checks the loop runs on unchecked
+    kernels. The final matrix is classified by classify_rotation (None if
+    no sign pattern is near).
     """
     c = _check_flow_args(c, grad_tol, max_iterations)
     A = _check_start(A0, c.size)[None]
@@ -402,14 +400,13 @@ def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_M
     iteration counts and final gradient norms, the mask norms <= grad_tol,
     and a list of the limits' sign-pattern tuples (None if unclassified).
 
-    _descend runs on c*s and grad_tol*s, with s the power of two that puts
-    max(c*s) in [0.5, 1) (s is at most 2**1023, for a subnormal max(c)), so
-    its gradient norms cannot overflow. No constant of the descent is
+    _descend runs on c*s and grad_tol*s, with s = _scale(c), so its
+    gradient norms cannot overflow. No constant of the descent is
     absolute and scaling by a power of two is exact, so wherever nothing
     overflows or underflows the steps and points are those of the descent
     on c itself, and norms / s are its norms.
     """
-    s = math.ldexp(1.0, min(1023, -math.frexp(c[-1])[1]))
+    s = _scale(c)
     c_s, tol_s = c * s, grad_tol * s
     points = np.array(starts, dtype=float)
     iterations = np.empty(len(points), dtype=int)

@@ -301,6 +301,35 @@ def test_non_finite_tol_exit_2(capsys, command, tol):
     assert "tol must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["flow", "verify"])
+@pytest.mark.parametrize("c", ["0,5e-324,1", "0,1e-200,1e200"])
+def test_weights_that_tie_once_scaled_exit_2(command, c):
+    # The descent runs at weights scaled so that the largest lies in
+    # [0.5, 1), where these tie; flow and verify refuse them before any
+    # descent starts, in a fresh process well inside the timeout.
+    src = Path(rotmorse.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [command, "--n", "3", "--samples", "20", "--c", c]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rotmorse", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "float64 range" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["critical-points", "polynomials"])
+@pytest.mark.parametrize("c", ["0,5e-324,1", "0,1e-200,1e200"])
+def test_exact_commands_accept_weights_that_tie_once_scaled(capsys, command, c):
+    code, out, _ = run_cli(capsys, command, "--n", "3", "--c", c)
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("command", ["critical-points", "polynomials", "verify", "flow"])
 def test_negative_seed_exit_2(capsys, command):
     with pytest.raises(SystemExit) as excinfo:

@@ -257,6 +257,26 @@ def test_flow_rejects_negative_iteration_cap():
     assert_array_equal(res.final_point, A0)
 
 
+@pytest.mark.parametrize("c", [[0.0, 5e-324, 1.0], [0.0, 1e-200, 1e200]])
+def test_flow_refuses_weights_that_tie_once_scaled(c):
+    # The descent runs at c*s with max(c*s) in [0.5, 1). There these weights
+    # underflow into a tie, (0, 0, 0.5) and (0, 0, about 0.68), on which
+    # the direction g / max(|h|, gap) would be 0/0.
+    with pytest.raises(ValueError, match="float64 range"):
+        gradient_flow(np.eye(3), c)
+
+
+@pytest.mark.parametrize("c", [[0.0, 1e-323, 1.0], [0.0, 1e-320, 1.0], [1e-300, 1e300, 1.7e308]])
+def test_flow_at_the_edge_of_the_float64_range_raises_nothing(c):
+    # Still strictly increasing once scaled: every descent ends within a few
+    # trials, with no overflow, division by zero or NaN. Underflow of the
+    # smallest weight's products stays ignored, as numpy does by default.
+    c = riemannian._check_flow_args(c, 1e-8, 100_000)
+    with np.errstate(all="raise", under="ignore"):
+        _, iterations, *_ = riemannian._flows(_haar(3, 20, 0), c, 1e-8)
+    assert iterations.max() <= 20
+
+
 def test_flow_starts_at_minimum():
     res = gradient_flow(embed_pattern((-1, -1, -1, -1)), default_costs(4))
     assert res.iterations == 0 and res.converged
@@ -504,10 +524,9 @@ def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
     between weights, accepted against the current value plus the rounding
     allowance n*eps*max(c). The trial step is 1 after an accepted step.
     A refused trial is a null step: the point and its value stay, and the
-    next trial is the refused step halved. A trial below the step floor
-    ends the loop uncounted. Returns the final point, the iteration count,
-    the gradient norm, the classified pattern and the number of null
-    steps."""
+    next trial is the refused step halved. Returns the final point, the
+    iteration count, the gradient norm, the classified pattern and the
+    number of null steps."""
     c = np.asarray(c, dtype=float)
     A = np.array(A0, dtype=float)
     eps = np.finfo(float).eps
@@ -523,8 +542,6 @@ def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):
         diagonal = [d[a - 1] + d[b - 1] for a, b in pair_indices(len(c))]
         p = g / np.maximum(np.abs(diagonal), np.diff(c).min())
         step = min(h, math.sqrt(2.0) / float(np.linalg.norm(p)))
-        if step < riemannian._MIN_STEP:
-            break
         trial = retract(A, -p, step)
         f_trial = objective(trial, c)
         iterations += 1
@@ -721,45 +738,26 @@ def test_batch_mixes_a_critical_start_with_capped_descents():
     assert (batched[2] <= 1e-8).tolist() == [False, True, False]
 
 
-def test_line_search_failure_inside_a_batch(monkeypatch):
-    # Every trial step is at most 1, below the floor of 2, so a start off
-    # the critical set fails its first line search.
-    c = default_costs(4)
-    monkeypatch.setattr(riemannian, "_MIN_STEP", 2.0)
-    A0 = haar_sample(4, 3)
-    eps = (-1, -1, -1, -1)
-    stack = np.stack([A0, embed_pattern(eps)])
-    iterations, norms = riemannian._descend(stack, c, 1e-8, 100_000)
-    assert iterations[0] == 0 and not (norms[0] <= 1e-8)
-    assert stack[0].tobytes() == A0.tobytes()
-    assert norms[0] > 0
-    assert norms[1] <= 1e-8 and classify_rotation(stack[1]) == eps
-    rows = stack[:1], iterations[:1], norms[:1], norms[:1] <= 1e-8
-    failed = (*rows, _patterns(riemannian._classify(stack[:1])))
-    _assert_same_flows(failed, [gradient_flow(A0, c)])
-
-
-@pytest.mark.parametrize("min_step", [riemannian._MIN_STEP, 0.1])
-def test_backtracking_in_a_batch_matches_the_reference_loop(monkeypatch, min_step):
+@pytest.mark.parametrize("max_iterations", [100_000, 465])
+def test_backtracking_in_a_batch_matches_the_reference_loop(monkeypatch, max_iterations):
     # A strict Armijo constant refuses some trials, so the samples of one
     # batch take different numbers of null steps. A null step that kept the
     # refused trial's value in place of its point's would change the later
-    # tests and steps. A floor of step >= 0.1 leaves room for three refused
-    # trials in a row after an accepted step, 1, 1/2 and 1/4, and a fourth
-    # of 1/8 (fewer where the cap sqrt(2)/|p| makes the first trial
-    # smaller): a descent that must go below 1/8 ends there, while its
-    # batch mates go on and converge.
+    # tests and steps. Uncapped, these starts take 459-470 trials at n = 4
+    # and 460-505 at n = 5, so a cap of 465 ends some of them at each n
+    # while their batch mates go on and converge.
     monkeypatch.setattr(riemannian, "_ARMIJO", 0.9)
-    monkeypatch.setattr(riemannian, "_MIN_STEP", min_step)
     null_steps = 0
     for n in (4, 5):
         c = default_costs(n)
-        points, counts, norms, _, patterns = riemannian._flows(_haar(n, 8, 1), c, 1e-8)
+        points, counts, norms, _, patterns = riemannian._flows(_haar(n, 8, 1), c, 1e-8, max_iterations)
         failed = norms > 1e-8
-        assert failed.any() == (min_step == 0.1) and not failed.all()
+        assert failed.any() == (max_iterations == 465) and not failed.all()
         rng = np.random.default_rng(1)
         for k, got in enumerate(zip(counts.tolist(), norms.tolist(), patterns)):
-            A, iterations, gnorm, pattern, nulls = _reference_flow(haar_sample(n, rng), c)
+            A, iterations, gnorm, pattern, nulls = _reference_flow(
+                haar_sample(n, rng), c, max_iterations=max_iterations
+            )
             assert points[k].tobytes() == A.tobytes()
             assert got == (iterations, gnorm, pattern)
             null_steps += nulls
