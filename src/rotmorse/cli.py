@@ -3,11 +3,16 @@ cross-check suites, and gradient-flow batches, all with reproducible seeds.
 
 JSON is the machine format and is byte-stable for fixed flags and seed on a
 fixed platform; tables are for humans and carry no stability promise. The
-library returns plain records; this module alone builds the JSON objects,
-CSV rows and table lines from their fields. It writes JSON itself
+library returns plain records and arrays; this module alone builds the JSON
+objects, CSV rows and table lines from them. It writes JSON itself
 (`_dumps`), byte-identical to `json.dumps(..., indent=2)`: floats as
 `float.__repr__`, and a non-finite float as the non-standard `NaN`,
 `Infinity` or `-Infinity` token.
+
+`critical-points` writes the same bytes without building a record object or
+dict per pattern: it renders each record straight from the stacked sign
+table of the exact layer, formats every Hessian entry text once per pair
+and sign code, and writes the records one by one instead of joining them.
 
 Exit codes: 0 success (and perfect, for `polynomials`), 1 standard output
 was closed before all of it was written (a broken pipe, as in `| head`),
@@ -33,9 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .critical import default_costs, enumerate_critical_points, index_by_formula, validate_costs
+from .critical import _pattern_table, default_costs, index_by_formula, validate_costs
 from .riemannian import _MAX_ITERATIONS, _check_flow_args, _check_start, _flows
-from .rotations import _haar, pair_indices
+from .rotations import _haar, _pair_arrays, pair_indices
 from .topology import is_perfect
 from .verify import run_all_suites
 
@@ -152,7 +157,7 @@ def _dumps(value) -> str:
     bool and None; anything else raises TypeError, as json.dumps does. A
     container whose values are all floats or all ints is written by one
     C-level join, and each distinct float and key is formatted once per
-    call: a Hessian diagonal takes only four values per pair.
+    call.
     """
     floats = _FloatText()
     keys = _KeyText()
@@ -197,6 +202,18 @@ def _dumps(value) -> str:
     return write(value, "\n")
 
 
+def _write(args: argparse.Namespace, pieces) -> None:
+    """Write the text pieces, in order and unjoined, to --out or stdout."""
+    if not args.out:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        with open(args.out, "w") as f:
+            f.writelines(pieces)
+    except OSError as exc:
+        raise CliInputError(f"could not write {args.out!r}: {exc}") from exc
+
+
 def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> None:
     """Write the requested format to --out or stdout.
 
@@ -213,48 +230,82 @@ def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> N
         text = buf.getvalue().rstrip("\n")
     else:
         text = "\n".join(table_lines())
-    if args.out:
-        try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            raise CliInputError(f"could not write {args.out!r}: {exc}") from exc
-    else:
-        print(text)
+    _write(args, (text, "\n"))
 
 
 def _pattern_key(eps) -> str:
     return "".join("+" if e > 0 else "-" for e in eps)
 
 
+def _hessian_texts(negative: np.ndarray, hessians: np.ndarray, prefixes: list, fmt) -> list:
+    """Per pattern, the texts prefix + fmt(h) of its Hessian diagonal
+    entries h, in pair order, with one prefix per pair.
+
+    The entry at the pair (a, b) is -c(a)*eps(a) - c(b)*eps(b): one of four
+    values, fixed by the signs at a and b. A (P, d) code array scatters the
+    bits of hessians into a (4, d) table, each table entry is formatted
+    once, and every row picks its texts through the same codes.
+    """
+    d = hessians.shape[1]
+    iu, ju = _pair_arrays(negative.shape[1])
+    picks = (2 * negative[:, iu] + negative[:, ju]) * d + np.arange(d)
+    table = np.zeros(4 * d)
+    table[picks] = hessians
+    texts = np.array([p + fmt(h) for p, h in zip(prefixes * 4, table.tolist())], dtype=object)
+    return texts[picks].tolist()
+
+
 def cmd_critical_points(args: argparse.Namespace) -> int:
-    records = sorted(enumerate_critical_points(args.n, args.c), key=lambda r: (r.index, r.value))
-    pair_keys = [f"({i},{j})" for i, j in pair_indices(args.n)]
-    payload = {
-        "critical_points": [
-            {
-                "eps": r.pattern,
-                "index": r.index,
-                "value": r.value,
-                "hessian_diagonal": dict(zip(pair_keys, r.hessian_diagonal.tolist())),
-            }
-            for r in records
-        ]
-    }
+    signs, indices, values, hessians = _pattern_table(args.n, args.c)
+    indices, values = indices.tolist(), values.tolist()
+    # the record order is sorted(key=(index, value)) over the patterns
+    sort_keys = list(zip(indices, values))
+    order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
+    negative = signs < 0
+    d = hessians.shape[1]
 
-    def csv_rows():
-        yield ("index", "value", "eps", "hessian_diagonal")
-        for r in records:
-            hessian = ";".join(repr(h) for h in r.hessian_diagonal.tolist())
-            yield (r.index, repr(r.value), _pattern_key(r.pattern), hessian)
+    if args.format == "json":
+        floats = _FloatText()
+        prefixes = [encode_basestring_ascii(f"({i},{j})") + ": " for i, j in pair_indices(args.n)]
+        entries = _hessian_texts(negative, hessians, prefixes, floats.__getitem__)
+        eps = list(map(",\n        ".join, np.where(negative, "-1", "1").tolist()))
+        # the header object without its closing "\n}", then the record list
+        head = _dumps({"n": args.n, "c": args.c.tolist()})[:-2] + ',\n  "critical_points": ['
+        opening, sep, closing = ("{\n        ", ",\n        ", "\n      }") if d else ("{", "", "}")
 
-    def table_lines():
-        yield f"critical points of f_c on SO({args.n}), c = {args.c.tolist()}"
-        yield f"{'index':>5}  {'value':>12}  pattern"
-        for r in records:
-            yield f"{r.index:>5}  {r.value:>12.6g}  {_pattern_key(r.pattern)}"
-        yield f"total: {len(records)} critical points"
+        def pieces():
+            yield head
+            lead = "\n    "
+            for p in order:
+                yield (
+                    f'{lead}{{\n      "eps": [\n        {eps[p]}\n      ],'
+                    f'\n      "index": {indices[p]},\n      "value": {floats[values[p]]},'
+                    f'\n      "hessian_diagonal": {opening}{sep.join(entries[p])}{closing}\n    }}'
+                )
+                lead = ",\n    "
+            yield "\n  ]\n}\n"
 
-    _render(args, payload, csv_rows, table_lines)
+    elif args.format == "csv":
+        entries = _hessian_texts(negative, hessians, [""] * d, float.__repr__)
+        patterns = signs.tolist()
+
+        def pieces():
+            yield "index,value,eps,hessian_diagonal\n"
+            for p in order:
+                key = _pattern_key(patterns[p])
+                yield f"{indices[p]},{values[p]!r},{key},{';'.join(entries[p])}\n"
+
+    else:
+        patterns = signs.tolist()
+
+        def pieces():
+            yield f"critical points of f_c on SO({args.n}), c = {args.c.tolist()}\n"
+            yield f"{'index':>5}  {'value':>12}  pattern\n"
+            for p in order:
+                yield f"{indices[p]:>5}  {values[p]:>12.6g}  {_pattern_key(patterns[p])}\n"
+            yield f"total: {len(order)} critical points\n"
+
+    _write(args, pieces())
     return 0
 
 

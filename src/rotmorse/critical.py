@@ -160,21 +160,33 @@ class CriticalPointRecord:
     hessian_diagonal: np.ndarray
 
 
+def _pattern_table(n: int, c: np.ndarray) -> tuple:
+    """The critical set as stacked arrays, one row per pattern in
+    sign_patterns(n) order: the (P, n) float sign table, the (P,) int
+    indices, the (P,) values and the (P, d) Hessian diagonals.
+
+    One stacked call each of the closed forms, so the floats carry the bits
+    of critical_value and hessian_diagonal. Callers pass validated weights.
+    Near the top of the float64 range a value or Hessian entry overflows to
+    +-inf; that is its float result, so numpy is not asked to warn about it.
+    """
+    signs = np.array(sign_patterns(n), dtype=float)
+    with np.errstate(over="ignore"):
+        return signs, _index(signs), _value(signs, c), _hessian_diagonal(signs, c)
+
+
 def enumerate_critical_points(n: int, c=None) -> list:
     """All 2^(n-1) critical points, fully populated.
 
     Order follows sign_patterns(n), so output is deterministic. Weights
-    default to c(i) = i. Indices, values and Hessian diagonals come from
-    one stacked call each over the (P, n) sign table, the floats with the
-    bits of critical_value and hessian_diagonal; each record holds its row.
+    default to c(i) = i. Each record holds one row of _pattern_table.
     """
-    patterns = sign_patterns(n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     c = default_costs(n) if c is None else validate_costs(c, n=n)
-    signs = np.array(patterns, dtype=float)
-    indices = _index(signs).tolist()
-    values = _value(signs, c).tolist()
-    hessians = _hessian_diagonal(signs, c)
-    return list(itertools.starmap(CriticalPointRecord, zip(patterns, indices, values, hessians)))
+    signs, indices, values, hessians = _pattern_table(n, c)
+    patterns = map(tuple, signs.astype(int).tolist())
+    return list(map(CriticalPointRecord, patterns, indices.tolist(), values.tolist(), hessians))
 
 
 def morse_polynomial(n: int, c=None) -> IntPolynomial:

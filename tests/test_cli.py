@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,14 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rotmorse
 from rotmorse.cli import _dumps, build_parser, main
-from rotmorse.critical import default_costs
+from rotmorse.critical import default_costs, enumerate_critical_points, validate_costs
 from rotmorse.riemannian import gradient_flow
-from rotmorse.rotations import haar_sample
+from rotmorse.rotations import haar_sample, pair_indices
 
 
 def run_cli(capsys, *argv):
@@ -430,21 +432,25 @@ def test_cli_import_does_not_load_scipy():
 
 def test_closed_stdout_exits_1_without_a_traceback():
     # The reader takes one line and closes the pipe while the command is
-    # still writing about 0.5 MB of JSON.
+    # still writing: about 0.5 MB of flow JSON, written at once, and about
+    # 5 MB of critical-points JSON, written record by record.
     src = Path(rotmorse.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = ["flow", "--n", "4", "--samples", "1000", "--seed", "42", "--format", "json"]
-    command = [sys.executable, "-m", "rotmorse", *argv]
-    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        try:
-            _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-    assert first == b"{\n"
-    assert proc.returncode == 1
-    assert err == b""
+    for argv in (
+        ["flow", "--n", "4", "--samples", "1000", "--seed", "42", "--format", "json"],
+        ["critical-points", "--n", "12", "--format", "json"],
+    ):
+        command = [sys.executable, "-m", "rotmorse", *argv]
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            try:
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert first == b"{\n", argv
+        assert proc.returncode == 1, argv
+        assert err == b"", argv
 
 
 # Floats the writer's memo must keep apart: equal zeros with different
@@ -546,3 +552,95 @@ def test_json_output_is_stdlib_indented_json(tmp_path, capsys, argv):
     code, printed, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(dest))
     assert code == 0 and printed == ""
     assert dest.read_text() == out
+
+
+def _reference_critical_points_text(n: int, c: np.ndarray, fmt: str) -> str:
+    """The critical-points stdout built the slow way, as the reference: one
+    record object per pattern, sorted by (index, value), then one JSON dict
+    per record through `_dumps`, one CSV row per record through the csv
+    module, or one table line per record."""
+    records = sorted(enumerate_critical_points(n, c), key=lambda r: (r.index, r.value))
+
+    def key(eps):
+        return "".join("+" if e > 0 else "-" for e in eps)
+
+    if fmt == "json":
+        pair_keys = [f"({i},{j})" for i, j in pair_indices(n)]
+        points = [
+            {
+                "eps": r.pattern,
+                "index": r.index,
+                "value": r.value,
+                "hessian_diagonal": dict(zip(pair_keys, r.hessian_diagonal.tolist())),
+            }
+            for r in records
+        ]
+        return _dumps({"n": n, "c": c.tolist(), "critical_points": points}) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("index", "value", "eps", "hessian_diagonal"))
+        for r in records:
+            hessian = ";".join(repr(h) for h in r.hessian_diagonal.tolist())
+            writer.writerow((r.index, repr(r.value), key(r.pattern), hessian))
+        return buf.getvalue().rstrip("\n") + "\n"
+    lines = [f"critical points of f_c on SO({n}), c = {c.tolist()}", f"{'index':>5}  {'value':>12}  pattern"]
+    lines += [f"{r.index:>5}  {r.value:>12.6g}  {key(r.pattern)}" for r in records]
+    return "\n".join([*lines, f"total: {len(records)} critical points"]) + "\n"
+
+
+@st.composite
+def _weight_families(draw):
+    """(n, weights) with n in 1..9; weights None (the default), random
+    increasing, starting at 0, near 1e-300, or near 1e308, where values and
+    Hessian entries overflow to +-inf."""
+    n = draw(st.integers(1, 9))
+    family = draw(st.sampled_from(["default", "random", "c1-zero", "tiny", "huge"]))
+    if family == "default":
+        return n, None
+    c = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    if family == "c1-zero":
+        c = c - c[0]
+    elif family == "tiny":
+        c = c * 1e-300
+    elif family == "huge":
+        c = 1e308 * (0.6 + c / c[-1])
+    return n, validate_costs(c)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_weight_families())
+def test_critical_points_equal_the_record_reference(tmp_path, capsys, case):
+    n, c = case
+    argv = ["critical-points", "--n", str(n)]
+    if c is not None:
+        argv += ["--c", ",".join(map(repr, c.tolist()))]
+    c = default_costs(n) if c is None else c
+    dest = tmp_path / "out.txt"
+    for fmt in ("json", "csv", "table"):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert out == _reference_critical_points_text(n, c, fmt)
+        code, printed, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(dest))
+        assert code == 0 and printed == ""
+        assert dest.read_text() == out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_critical_points_at_huge_weights_write_no_warning(fmt):
+    # Values and Hessian entries overflow to +-inf here; numpy is not asked
+    # to warn about it, and the output keeps the non-finite texts.
+    c = "1e308,1.2e308,1.4e308,1.5e308,1.6e308,1.7e308"
+    src = Path(rotmorse.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["critical-points", "--n", "6", "--c", c, "--format", fmt]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotmorse", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == _reference_critical_points_text(6, validate_costs(c.split(",")), fmt)
+    if fmt == "json":
+        assert "-Infinity" in proc.stdout and '": Infinity' in proc.stdout
+    if fmt == "csv":
+        assert ",-inf," in proc.stdout and ";inf;" in proc.stdout
