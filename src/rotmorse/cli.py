@@ -4,15 +4,14 @@ cross-check suites, and gradient-flow batches, all with reproducible seeds.
 JSON is the machine format and is byte-stable for fixed flags and seed on a
 fixed platform; tables are for humans and carry no stability promise. The
 library returns plain records and arrays; this module alone builds the JSON
-objects, CSV rows and table lines from them. It writes JSON itself
-(`_dumps`), byte-identical to `json.dumps(..., indent=2)`: floats as
-`float.__repr__`, and a non-finite float as the non-standard `NaN`,
-`Infinity` or `-Infinity` token.
+objects, CSV rows and table lines from them, and writes JSON with
+`json.dumps(..., indent=2)`.
 
-`critical-points` writes the same bytes without building a record object or
-dict per pattern: it renders each record straight from the stacked sign
-table of the exact layer, formats every Hessian entry text once per pair
-and sign code, and writes the records one by one instead of joining them.
+`critical-points` writes the bytes of that JSON without building a record
+object or dict per pattern: it renders each record straight from the
+stacked sign table of the exact layer, formats every Hessian entry text
+once per pair and sign code, and writes the records one by one instead of
+joining them.
 
 Exit codes: 0 success (and perfect, for `polynomials`), 1 standard output
 was closed before all of it was written (a broken pipe, as in `| head`),
@@ -32,8 +31,6 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from functools import cache
-from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +39,7 @@ from .critical import _pattern_table, default_costs, index_by_formula, validate_
 from .riemannian import _MAX_ITERATIONS, _check_flow_args, _check_start, _flows
 from .rotations import _haar, _pair_arrays, pair_indices
 from .topology import is_perfect
-from .verify import run_all_suites
+from .verify import _suites
 
 
 class CliInputError(Exception):
@@ -89,117 +86,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse and validate; args.c becomes the validated weight array."""
+    """Parse and validate; args.c becomes the validated weight array.
+
+    The weights are checked once: by validate_costs, or for flow and verify
+    by _check_flow_args, which also checks --tol and the scaled weights.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("n must be >= 1")
     if args.c == "default":
-        args.c = default_costs(args.n)
+        c = default_costs(args.n)
     else:
         try:
-            values = [float(x) for x in args.c.split(",")]
+            c = [float(x) for x in args.c.split(",")]
         except ValueError:
             parser.error(f"could not parse --c {args.c!r} as comma-separated reals")
-        try:
-            args.c = validate_costs(values, n=args.n)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        if "samples" in args:  # only verify and flow take --samples and --tol
+            args.c = _check_flow_args(c, args.tol, _MAX_ITERATIONS, n=args.n)
+        else:
+            args.c = validate_costs(c, n=args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
     if getattr(args, "start", None) is not None and (args.samples is not None or args.seed is not None):
         parser.error("--samples and --seed cannot be used with --start")
     args.seed = 0 if args.seed is None else args.seed
     if args.seed < 0:
         parser.error("seed must be >= 0")
-    if "samples" not in args:  # only verify and flow take --samples and --tol
-        return args
-    args.samples = 100 if args.samples is None else args.samples
-    if args.samples < 1:
-        parser.error("samples must be >= 1")
-    try:
-        _check_flow_args(args.c, args.tol, _MAX_ITERATIONS)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if "samples" in args:
+        args.samples = 100 if args.samples is None else args.samples
+        if args.samples < 1:
+            parser.error("samples must be >= 1")
     return args
 
 
-class _FloatText(dict):
-    """float -> its JSON text, as json.dumps writes it, filled on first use.
-
-    0.0 and -0.0 are equal keys with different texts, so zeros are never
-    stored; nor are NaN and the infinities.
-    """
-
-    def __missing__(self, x):
-        if x != x:
-            return "NaN"
-        if x == math.inf:
-            return "Infinity"
-        if x == -math.inf:
-            return "-Infinity"
-        text = float.__repr__(x)
-        if x:
-            self[x] = text
-        return text
-
-
-class _KeyText(dict):
-    """str key -> its JSON text followed by ": ", filled on first use."""
-
-    def __missing__(self, k):
-        text = self[k] = encode_basestring_ascii(k) + ": "
-        return text
-
-
-def _dumps(value) -> str:
-    """The text of json.dumps(value, indent=2), byte for byte.
-
-    value is built from str-keyed dicts, lists, tuples, str, int, float,
-    bool and None; anything else raises TypeError, as json.dumps does. A
-    container whose values are all floats or all ints is written by one
-    C-level join, and each distinct float and key is formatted once per
-    call.
-    """
-    floats = _FloatText()
-    keys = _KeyText()
-
-    def leaves(values):
-        # The texts of values if they are all floats or all ints, else None.
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            return map(floats.__getitem__, values)
-        if kinds == {int}:
-            return map(int.__repr__, values)
-        return None
-
-    def write(v, pad: str) -> str:
-        if isinstance(v, str):
-            return encode_basestring_ascii(v)
-        if v is None:
-            return "null"
-        if v is True:
-            return "true"
-        if v is False:
-            return "false"
-        if isinstance(v, int):
-            return int.__repr__(v)
-        if isinstance(v, float):
-            return floats[v]
-        inner = pad + "  "
-        if isinstance(v, (list, tuple)):
-            if not v:
-                return "[]"
-            items = leaves(v) or map(write, v, repeat(inner))
-            return f"[{inner}{(',' + inner).join(items)}{pad}]"
-        if isinstance(v, dict):
-            if not v:
-                return "{}"
-            values = v.values()
-            items = leaves(values) or map(write, values, repeat(inner))
-            pairs = map(str.__add__, map(keys.__getitem__, v), items)
-            return f"{{{inner}{(',' + inner).join(pairs)}{pad}}}"
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-    return write(value, "\n")
+def _json_float(x: float) -> str:
+    """The text json.dumps writes for the float x."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 def _write(args: argparse.Namespace, pieces) -> None:
@@ -218,12 +144,12 @@ def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> N
     """Write the requested format to --out or stdout.
 
     payload is the JSON object after the "n" and "c" every command echoes;
-    its JSON text is `_dumps`, the bytes of `json.dumps(..., indent=2)`.
+    its JSON text is `json.dumps(..., indent=2)`.
     csv_rows (header first) and table_lines are callables, so only the
     requested format is built.
     """
     if args.format == "json":
-        text = _dumps({"n": args.n, "c": args.c.tolist(), **payload})
+        text = json.dumps({"n": args.n, "c": args.c.tolist(), **payload}, indent=2)
     elif args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows())
@@ -265,12 +191,11 @@ def cmd_critical_points(args: argparse.Namespace) -> int:
     d = hessians.shape[1]
 
     if args.format == "json":
-        floats = _FloatText()
-        prefixes = [encode_basestring_ascii(f"({i},{j})") + ": " for i, j in pair_indices(args.n)]
-        entries = _hessian_texts(negative, hessians, prefixes, floats.__getitem__)
+        prefixes = [json.dumps(f"({i},{j})") + ": " for i, j in pair_indices(args.n)]
+        entries = _hessian_texts(negative, hessians, prefixes, _json_float)
         eps = list(map(",\n        ".join, np.where(negative, "-1", "1").tolist()))
         # the header object without its closing "\n}", then the record list
-        head = _dumps({"n": args.n, "c": args.c.tolist()})[:-2] + ',\n  "critical_points": ['
+        head = json.dumps({"n": args.n, "c": args.c.tolist()}, indent=2)[:-2] + ',\n  "critical_points": ['
         opening, sep, closing = ("{\n        ", ",\n        ", "\n      }") if d else ("{", "", "}")
 
         def pieces():
@@ -279,7 +204,7 @@ def cmd_critical_points(args: argparse.Namespace) -> int:
             for p in order:
                 yield (
                     f'{lead}{{\n      "eps": [\n        {eps[p]}\n      ],'
-                    f'\n      "index": {indices[p]},\n      "value": {floats[values[p]]},'
+                    f'\n      "index": {indices[p]},\n      "value": {_json_float(values[p])},'
                     f'\n      "hessian_diagonal": {opening}{sep.join(entries[p])}{closing}\n    }}'
                 )
                 lead = ",\n    "
@@ -348,7 +273,7 @@ def cmd_polynomials(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = run_all_suites(args.n, args.samples, seed=args.seed, c=args.c, grad_tol=args.tol)
+    suites = _suites(_haar(args.n, args.samples, args.seed), args.c, args.tol)
     all_passed = all(s.passed for s in suites)
     payload = {
         "seed": args.seed,

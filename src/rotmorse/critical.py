@@ -91,8 +91,19 @@ def _index(eps) -> np.ndarray:
 
 def _value(eps, c: np.ndarray) -> np.ndarray:
     # eps may also be a (P, n) stack of patterns, giving (P,). vecdot takes
-    # one BLAS dot per pattern, the bits of np.dot(c, eps).
-    return np.vecdot(np.asarray(eps, dtype=float), c)
+    # one BLAS dot per pattern, the bits of np.dot(c, eps). Near the top of
+    # the float64 range a partial sum can overflow with the wrong sign, or
+    # two can meet as inf - inf. A value that is not finite is summed again
+    # over c / 2^k with 2^k >= n, where no partial sum overflows; times 2^k
+    # it overflows, if at all, with the sign of the exact sum.
+    eps = np.asarray(eps, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.vecdot(eps, c)
+        finite = np.isfinite(value)
+        if not finite.all():
+            scale = 2.0 ** (c.size - 1).bit_length()
+            value = np.where(finite, value, np.vecdot(eps, c / scale) * scale)
+    return value
 
 
 def _hessian_diagonal(eps, c: np.ndarray) -> np.ndarray:
@@ -137,7 +148,7 @@ def critical_value(eps, c) -> float:
 
     Algebraically equal to 2*(sum of c over +1 positions) - sum(c). Uses
     the same dot-product expression as the floating objective so the two
-    layers agree bit for bit on embedded patterns.
+    layers agree bit for bit on embedded patterns wherever it is finite.
     """
     eps = validate_pattern(eps)
     c = validate_costs(c, n=len(eps))
@@ -168,7 +179,8 @@ def _pattern_table(n: int, c: np.ndarray) -> tuple:
     One stacked call each of the closed forms, so the floats carry the bits
     of critical_value and hessian_diagonal. Callers pass validated weights.
     Near the top of the float64 range a value or Hessian entry overflows to
-    +-inf; that is its float result, so numpy is not asked to warn about it.
+    +-inf, with the sign of its exact sum; that is its float result, so
+    numpy is not asked to warn about it.
     """
     signs = np.array(sign_patterns(n), dtype=float)
     with np.errstate(over="ignore"):

@@ -222,7 +222,11 @@ def run_all_suites(n: int, samples: int, seed=0, c=None, grad_tol: float = 1e-8)
     (default_costs(n) when None) at `samples` Haar points drawn from
     default_rng(seed)."""
     c = _check_flow_args(default_costs(n) if c is None else c, grad_tol, _MAX_ITERATIONS, n=n)
-    starts = _haar(n, samples, seed)
+    return _suites(_haar(n, samples, seed), c, grad_tol)
+
+
+def _suites(starts: np.ndarray, c: np.ndarray, grad_tol: float) -> list:
+    """run_all_suites on the (S, n, n) stack of starts; checks nothing."""
     # Overflow near 1e308 fails a suite through its non-finite residuals.
     with np.errstate(over="ignore", invalid="ignore"):
         return [

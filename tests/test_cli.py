@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rotmorse
-from rotmorse.cli import _dumps, build_parser, main
+from rotmorse.cli import build_parser, main
 from rotmorse.critical import default_costs, enumerate_critical_points, validate_costs
 from rotmorse.riemannian import gradient_flow
 from rotmorse.rotations import haar_sample, pair_indices
@@ -422,6 +422,30 @@ def test_exact_outputs_byte_stable(capsys, command, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_OUTPUT_SHA256[(command, n, fmt)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flow", "--n", "3", "--samples", "2"),
+        ("flow", "--n", "3", "--samples", "2", "--c", "1,2,3"),
+        ("verify", "--n", "3", "--samples", "2"),
+        ("verify", "--n", "3", "--samples", "2", "--c", "1,2,3"),
+    ],
+)
+def test_flow_and_verify_validate_the_weights_once(monkeypatch, capsys, argv):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_costs(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rotmorse") and getattr(module, "validate_costs", None) is validate_costs:
+            monkeypatch.setattr(module, "validate_costs", counted)
+    code, _, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_cli_import_does_not_load_scipy():
     src = Path(rotmorse.__file__).resolve().parents[1]
     code = "import sys, rotmorse.cli; assert 'scipy' not in sys.modules"
@@ -451,78 +475,6 @@ def test_closed_stdout_exits_1_without_a_traceback():
         assert first == b"{\n", argv
         assert proc.returncode == 1, argv
         assert err == b"", argv
-
-
-# Floats the writer's memo must keep apart: equal zeros with different
-# texts, NaN (unequal to itself) and the infinities, plus repeated values.
-_MEMO_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, -2.5, 1e300])
-_JSON_FLOATS = st.floats() | _MEMO_EDGE_FLOATS
-_JSON_TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "∑ ε", "\U0001f600"])
-_JSON_LEAVES = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | _JSON_FLOATS
-    | _JSON_TEXT
-    # homogeneous containers take the writer's one-join path
-    | st.lists(_JSON_FLOATS)
-    | st.lists(st.integers())
-    | st.lists(st.booleans() | st.integers())
-    | st.dictionaries(_JSON_TEXT, _JSON_FLOATS)
-)
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda children: (
-        st.lists(children)
-        | st.lists(children).map(tuple)
-        | st.dictionaries(_JSON_TEXT, children)
-    ),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-def test_dumps_equals_stdlib_indented_json(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        [0.0, -0.0, 0.0],
-        [-0.0, 0.0, -0.0],
-        {"a": [0.0, 1.0], "b": [-0.0, 1.0], "c": -0.0},
-        [math.nan, math.nan, float("nan"), float("nan")],
-        [float("0.1"), float("0.1"), -float("0.1"), 0.1],
-        [math.inf, 1.0, math.inf],
-        [-math.inf, math.inf, -math.inf, 1e308 * 10],
-        [[1.5, 2.5], [2.5, 1.5], {"x": 1.5, "y": 2.5}],
-    ],
-)
-def test_dumps_float_memo_edges(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        object(),
-        {1, 2},
-        b"x",
-        np.float32(1.0),
-        np.int64(1),
-        [1.0, complex(1, 2)],
-        {"a": {"b": object()}},
-        {(1, 2): 3},
-    ],
-    ids=["object", "set", "bytes", "float32", "int64", "complex-in-list", "nested-object", "tuple-key"],
-)
-def test_dumps_unsupported_type_raises_type_error(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2)
-    with pytest.raises(TypeError):
-        _dumps(value)
 
 
 def _increasing_weights(n: int, seed: int) -> str:
@@ -557,7 +509,7 @@ def test_json_output_is_stdlib_indented_json(tmp_path, capsys, argv):
 def _reference_critical_points_text(n: int, c: np.ndarray, fmt: str) -> str:
     """The critical-points stdout built the slow way, as the reference: one
     record object per pattern, sorted by (index, value), then one JSON dict
-    per record through `_dumps`, one CSV row per record through the csv
+    per record through `json.dumps`, one CSV row per record through the csv
     module, or one table line per record."""
     records = sorted(enumerate_critical_points(n, c), key=lambda r: (r.index, r.value))
 
@@ -575,7 +527,7 @@ def _reference_critical_points_text(n: int, c: np.ndarray, fmt: str) -> str:
             }
             for r in records
         ]
-        return _dumps({"n": n, "c": c.tolist(), "critical_points": points}) + "\n"
+        return json.dumps({"n": n, "c": c.tolist(), "critical_points": points}, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -626,21 +578,35 @@ def test_critical_points_equal_the_record_reference(tmp_path, capsys, case):
         assert dest.read_text() == out
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-def test_critical_points_at_huge_weights_write_no_warning(fmt):
-    # Values and Hessian entries overflow to +-inf here; numpy is not asked
-    # to warn about it, and the output keeps the non-finite texts.
+@pytest.mark.parametrize(
+    "n,fmt",
+    [
+        pytest.param(6, "json", id="json"),
+        pytest.param(6, "csv", id="csv"),
+        pytest.param(6, "table", id="table"),
+        # the n = 16 JSON is 146 MB; the table shows a NaN value as "nan"
+        pytest.param(16, "table", id="n16-table"),
+    ],
+)
+def test_critical_points_at_huge_weights_write_no_warning(n, fmt):
+    # Values and Hessian entries overflow to +-inf here, each with the sign
+    # of its exact sum and none as NaN; numpy is not asked to warn about it,
+    # and the output keeps the non-finite texts.
     c = "1e308,1.2e308,1.4e308,1.5e308,1.6e308,1.7e308"
+    if n == 16:
+        c = ",".join(map(repr, np.linspace(1e308, 1.7e308, 16).tolist()))
     src = Path(rotmorse.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = ["critical-points", "--n", "6", "--c", c, "--format", fmt]
+    argv = ["critical-points", "--n", str(n), "--c", c, "--format", fmt]
     proc = subprocess.run(
         [sys.executable, "-m", "rotmorse", *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
-    assert proc.stdout == _reference_critical_points_text(6, validate_costs(c.split(",")), fmt)
+    assert "nan" not in proc.stdout.lower()
+    assert proc.stdout == _reference_critical_points_text(n, validate_costs(c.split(",")), fmt)
     if fmt == "json":
         assert "-Infinity" in proc.stdout and '": Infinity' in proc.stdout
     if fmt == "csv":
-        assert ",-inf," in proc.stdout and ";inf;" in proc.stdout
+        # ++---- has the exact value -4e308; its leading terms alone overflow to +inf
+        assert "\n1,-inf,++----," in proc.stdout and ";inf;" in proc.stdout

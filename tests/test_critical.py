@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from numpy.testing import assert_array_equal
 from rotmorse.critical import (
     _hessian_diagonal,
     _index,
+    _pattern_table,
     critical_value,
     default_costs,
     enumerate_critical_points,
@@ -203,6 +206,27 @@ def test_records_equal_the_public_closed_forms_bitwise():
             assert value == np.float64(critical_value(r.pattern, c)).tobytes()
             assert value == np.dot(c, np.array(r.pattern, dtype=float)).tobytes()
             assert r.hessian_diagonal.tobytes() == hessian_diagonal(r.pattern, c).tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 8, 11, 16])
+def test_values_near_the_float64_limit_have_the_sign_of_the_exact_sum(n):
+    # Most values overflow here. Each must do so with the sign of its exact
+    # sum, and none may be NaN (an inf - inf inside the dot product). A value
+    # whose exact sum lies within the dot product's rounding bound
+    # n*eps*sum(c) may round to either sign, as a finite sum does anywhere.
+    c = np.linspace(1e308, 1.7e308, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signs, _, values, _ = _pattern_table(n, c)
+    assert np.isinf(values).any()
+    weights = [Fraction(x) for x in c.tolist()]
+    total = sum(weights)
+    bound = n * Fraction(np.finfo(float).eps) * total
+    for eps, value in zip(signs.tolist(), values.tolist()):
+        assert not math.isnan(value)
+        exact = 2 * sum(w for w, e in zip(weights, eps) if e > 0) - total
+        if abs(exact) > bound:
+            assert (value > 0) == (exact > 0), (eps, value)
 
 
 def test_unique_extremes():
