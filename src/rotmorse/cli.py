@@ -9,9 +9,11 @@ objects, CSV rows and table lines from them, and writes JSON with
 
 `critical-points` writes the bytes of that JSON without building a record
 object or dict per pattern: it renders each record straight from the
-stacked sign table of the exact layer, formats every Hessian entry text
-once per pair and sign code, and writes the records one by one instead of
-joining them.
+stacked sign table of the exact layer and writes the records one by one
+instead of joining them. Its sign and Hessian texts are picked, not
+formatted per record: `_picked_texts` builds the text of a run of them
+once per code of the few signs the run reads, and every pattern picks its
+runs' texts by its codes there.
 
 Exit codes: 0 success (and perfect, for `polynomials`), 1 standard output
 was closed before all of it was written (a broken pipe, as in `| head`),
@@ -29,7 +31,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -134,7 +135,7 @@ def _write(args: argparse.Namespace, pieces) -> None:
         sys.stdout.writelines(pieces)
         return
     try:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", buffering=1 << 16) as f:
             f.writelines(pieces)
     except OSError as exc:
         raise CliInputError(f"could not write {args.out!r}: {exc}") from exc
@@ -163,22 +164,66 @@ def _pattern_key(eps) -> str:
     return "".join("+" if e > 0 else "-" for e in eps)
 
 
-def _hessian_texts(negative: np.ndarray, hessians: np.ndarray, prefixes: list, fmt) -> list:
-    """Per pattern, the texts prefix + fmt(h) of its Hessian diagonal
-    entries h, in pair order, with one prefix per pair.
+def _picked_texts(negative: np.ndarray, items: list, sep: str) -> list:
+    """Per row of the (P, n) bool array negative, the texts of the items
+    in runs: a list whose sep-join is the sep-join of the row's item texts.
 
-    The entry at the pair (a, b) is -c(a)*eps(a) - c(b)*eps(b): one of four
-    values, fixed by the signs at a and b. A (P, d) code array scatters the
-    bits of hessians into a (4, d) table, each table entry is formatted
-    once, and every row picks its texts through the same codes.
+    An item is (positions, texts), and its text in a row is texts[code],
+    the code having bit i set when the row's sign at positions[i] is
+    negative. A run is a stretch of consecutive items that read at most 5
+    positions between them. Each run's text is built once per code of its
+    positions, one integer matmul gives every (P, runs) code as a slot in
+    the table of these texts, and one object gather gives the lists. A run
+    that reads all n signs sees only the codes with an even number of set
+    bits, as every pattern has an even number of -1s: its other slots are
+    never read.
     """
-    d = hessians.shape[1]
-    iu, ju = _pair_arrays(negative.shape[1])
-    picks = (2 * negative[:, iu] + negative[:, ju]) * d + np.arange(d)
+    runs = []
+    for positions, texts in items:
+        if not runs or len(set(runs[-1][0]).union(positions)) > 5:
+            runs.append(([], []))
+        run_positions, run_items = runs[-1]
+        run_positions += [p for p in positions if p not in run_positions]
+        run_items.append((positions, texts))
+    weights = np.zeros((negative.shape[1], len(runs)), dtype=np.intp)
+    starts, table = [], []
+    for k, (positions, run_items) in enumerate(runs):
+        weights[positions, k] = 1 << np.arange(len(positions))
+        starts.append(len(table))
+        # the code of each item at each code of the run
+        picks = [[0] * len(run_items) for _ in positions]
+        for i, (item_positions, _) in enumerate(run_items):
+            for j, p in enumerate(item_positions):
+                picks[positions.index(p)][i] = 1 << j
+        bits = np.arange(1 << len(positions))[:, None] >> np.arange(len(positions)) & 1
+        codes = (bits @ picks).T.tolist()
+        columns = [[texts[q] for q in column] for (_, texts), column in zip(run_items, codes)]
+        table += map(sep.join, zip(*columns))
+    slots = np.empty(len(table), dtype=object)
+    slots[:] = table
+    return slots[negative @ weights + np.array(starts, dtype=np.intp)].tolist()
+
+
+def _hessian_items(negative: np.ndarray, hessians: np.ndarray, prefixes: list, fmt) -> list:
+    """The items of _picked_texts for the Hessian diagonal: per pair (a, b),
+    the texts prefix + fmt(h) of its entry h at each code of the signs at
+    a and b, with one prefix per pair.
+
+    The entry at the pair (a, b) is -c(a)*eps(a) - c(b)*eps(b), fixed by
+    the signs at a and b. Signs that occur at (a, b) also occur in a
+    pattern with at most two -1s (one more -1 elsewhere evens out a single
+    one), so the codes of those 1 + d rows scatter the bits of hessians
+    into a (4, d) table, and each table entry is formatted once.
+    """
+    n, d = negative.shape[1], hessians.shape[1]
+    iu, ju = _pair_arrays(n)
+    rows = np.count_nonzero(negative, axis=1) <= 2
+    few = negative[rows]
+    picks = (few[:, iu] + 2 * few[:, ju]) * d + np.arange(d)
     table = np.zeros(4 * d)
-    table[picks] = hessians
-    texts = np.array([p + fmt(h) for p, h in zip(prefixes * 4, table.tolist())], dtype=object)
-    return texts[picks].tolist()
+    table[picks] = hessians[rows]
+    texts = [p + fmt(h) for p, h in zip(prefixes * 4, table.tolist())]
+    return [((a, b), texts[j::d]) for j, (a, b) in enumerate(zip(iu.tolist(), ju.tolist()))]
 
 
 def cmd_critical_points(args: argparse.Namespace) -> int:
@@ -189,21 +234,23 @@ def cmd_critical_points(args: argparse.Namespace) -> int:
     order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
     negative = signs < 0
     d = hessians.shape[1]
+    key_items = [((p,), ("+", "-")) for p in range(args.n)]
 
     if args.format == "json":
+        sep = ",\n        "
         prefixes = [json.dumps(f"({i},{j})") + ": " for i, j in pair_indices(args.n)]
-        entries = _hessian_texts(negative, hessians, prefixes, _json_float)
-        eps = list(map(",\n        ".join, np.where(negative, "-1", "1").tolist()))
+        entries = _picked_texts(negative, _hessian_items(negative, hessians, prefixes, _json_float), sep)
+        eps = _picked_texts(negative, [((p,), ("1", "-1")) for p in range(args.n)], sep)
         # the header object without its closing "\n}", then the record list
         head = json.dumps({"n": args.n, "c": args.c.tolist()}, indent=2)[:-2] + ',\n  "critical_points": ['
-        opening, sep, closing = ("{\n        ", ",\n        ", "\n      }") if d else ("{", "", "}")
+        opening, closing = ("{\n        ", "\n      }") if d else ("{", "}")
 
         def pieces():
             yield head
             lead = "\n    "
             for p in order:
                 yield (
-                    f'{lead}{{\n      "eps": [\n        {eps[p]}\n      ],'
+                    f'{lead}{{\n      "eps": [\n        {sep.join(eps[p])}\n      ],'
                     f'\n      "index": {indices[p]},\n      "value": {_json_float(values[p])},'
                     f'\n      "hessian_diagonal": {opening}{sep.join(entries[p])}{closing}\n    }}'
                 )
@@ -211,23 +258,23 @@ def cmd_critical_points(args: argparse.Namespace) -> int:
             yield "\n  ]\n}\n"
 
     elif args.format == "csv":
-        entries = _hessian_texts(negative, hessians, [""] * d, float.__repr__)
-        patterns = signs.tolist()
+        prefixes = [""] * d
+        entries = _picked_texts(negative, _hessian_items(negative, hessians, prefixes, float.__repr__), ";")
+        keys = _picked_texts(negative, key_items, "")
 
         def pieces():
             yield "index,value,eps,hessian_diagonal\n"
             for p in order:
-                key = _pattern_key(patterns[p])
-                yield f"{indices[p]},{values[p]!r},{key},{';'.join(entries[p])}\n"
+                yield f"{indices[p]},{values[p]!r},{''.join(keys[p])},{';'.join(entries[p])}\n"
 
     else:
-        patterns = signs.tolist()
+        keys = _picked_texts(negative, key_items, "")
 
         def pieces():
             yield f"critical points of f_c on SO({args.n}), c = {args.c.tolist()}\n"
             yield f"{'index':>5}  {'value':>12}  pattern\n"
             for p in order:
-                yield f"{indices[p]:>5}  {values[p]:>12.6g}  {_pattern_key(patterns[p])}\n"
+                yield f"{indices[p]:>5}  {values[p]:>12.6g}  {''.join(keys[p])}\n"
             yield f"total: {len(order)} critical points\n"
 
     _write(args, pieces())
@@ -278,7 +325,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "seed": args.seed,
         "samples": args.samples,
-        "suites": [asdict(s) for s in suites],
+        "suites": [vars(s) for s in suites],
         "passed": all_passed,
     }
 

@@ -80,6 +80,20 @@ def sign_patterns(n: int) -> list:
     return [head + (math.prod(head),) for head in itertools.product((1, -1), repeat=n - 1)]
 
 
+def _sign_table(n: int) -> np.ndarray:
+    """sign_patterns(n) as a (2^(n-1), n) float array, built from bits.
+
+    Row p carries the n bits of 2p + (the parity of p), most significant
+    first, 1 standing for a -1: the first n-1 signs are the bits of p, and
+    the last is -1 exactly when p has an odd number of set bits, which
+    makes the product +1. That is the order of sign_patterns, whose body
+    stays numpy-free.
+    """
+    p = np.arange(2 ** (n - 1))
+    negative = (2 * p + (np.bitwise_count(p) & 1))[:, None] >> np.arange(n - 1, -1, -1) & 1
+    return 1.0 - 2.0 * negative
+
+
 # The closed forms of the module docstring, each written once. Callers
 # pass a validated pattern and weights.
 
@@ -182,7 +196,7 @@ def _pattern_table(n: int, c: np.ndarray) -> tuple:
     +-inf, with the sign of its exact sum; that is its float result, so
     numpy is not asked to warn about it.
     """
-    signs = np.array(sign_patterns(n), dtype=float)
+    signs = _sign_table(n)
     with np.errstate(over="ignore"):
         return signs, _index(signs), _value(signs, c), _hessian_diagonal(signs, c)
 

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import _hessian_diagonal, _index, default_costs, sign_patterns
+from .critical import _hessian_diagonal, _index, _sign_table, default_costs, sign_patterns
 from .riemannian import (
     _MAX_ITERATIONS,
     _ZERO_BAND,
@@ -178,7 +178,7 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     it counts as a mismatch.
     """
     n = c.size
-    signs = np.array(sign_patterns(n), dtype=float)
+    signs = _sign_table(n)
     by_formula = _index(signs)
     by_count = np.count_nonzero(_hessian_diagonal(signs, c) < 0, axis=-1)
     T = _tangent_hessian(np.eye(n)[:, :, None] * np.eye(n), c)

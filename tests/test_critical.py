@@ -13,6 +13,7 @@ from rotmorse.critical import (
     _hessian_diagonal,
     _index,
     _pattern_table,
+    _sign_table,
     critical_value,
     default_costs,
     enumerate_critical_points,
@@ -79,6 +80,16 @@ def test_matches_brute_force():
 def test_cardinality_up_to_12():
     for n in range(1, 13):
         assert len(sign_patterns(n)) == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_sign_table_is_the_stacked_sign_patterns_bitwise(n):
+    table = _sign_table(n)
+    assert table.shape == (2 ** (n - 1), n)
+    expected = np.array(sign_patterns(n), dtype=float)
+    assert table.dtype == expected.dtype and table.tobytes() == expected.tobytes()
+    if n == 1:
+        assert table.tolist() == [[1.0]]
 
 
 def test_enumeration_order_plus_first():
