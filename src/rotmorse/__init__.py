@@ -3,84 +3,64 @@ group SO(n): exact critical-point enumeration with indices and values,
 Morse and Poincaré polynomials with a perfectness verdict, and a
 floating-point Riemannian layer (gradients, Hessians, gradient flow) that
 rediscovers the same structure numerically.
+
+The public names are imported from their modules on first use (PEP 562),
+so that `import rotmorse` loads no numpy and the exact layer runs
+without it.
 """
 
-from .critical import (
-    CriticalPointRecord,
-    critical_value,
-    default_costs,
-    embed_pattern,
-    enumerate_critical_points,
-    hessian_diagonal,
-    index_by_formula,
-    index_by_hessian,
-    morse_polynomial,
-    sign_patterns,
-    validate_costs,
-)
-from .intpoly import IntPolynomial
-from .riemannian import (
-    DegenerateHessianError,
-    FlowResult,
-    classify_rotation,
-    curve_derivatives,
-    gradient_flow,
-    numeric_index,
-    objective,
-    tangent_hessian,
-)
-from .rotations import (
-    generator,
-    givens_curve,
-    haar_sample,
-    is_rotation,
-    pair_count,
-    pair_indices,
-    retract,
-)
-from .topology import (
-    PerfectnessReport,
-    is_perfect,
-    morse_remainder,
-    morse_split_by_last_sign,
-    poincare_from_basis,
-    poincare_product,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CriticalPointRecord",
-    "DegenerateHessianError",
-    "FlowResult",
-    "IntPolynomial",
-    "PerfectnessReport",
-    "classify_rotation",
-    "critical_value",
-    "curve_derivatives",
-    "default_costs",
-    "embed_pattern",
-    "enumerate_critical_points",
-    "generator",
-    "givens_curve",
-    "gradient_flow",
-    "haar_sample",
-    "hessian_diagonal",
-    "index_by_formula",
-    "index_by_hessian",
-    "is_perfect",
-    "is_rotation",
-    "morse_polynomial",
-    "morse_remainder",
-    "morse_split_by_last_sign",
-    "numeric_index",
-    "objective",
-    "pair_count",
-    "pair_indices",
-    "poincare_from_basis",
-    "poincare_product",
-    "retract",
-    "sign_patterns",
-    "tangent_hessian",
-    "validate_costs",
-]
+# public name -> the module that defines it
+_MODULES = {
+    "CriticalPointRecord": "critical",
+    "critical_value": "critical",
+    "default_costs": "critical",
+    "embed_pattern": "critical",
+    "enumerate_critical_points": "critical",
+    "hessian_diagonal": "critical",
+    "index_by_formula": "critical",
+    "index_by_hessian": "critical",
+    "validate_costs": "critical",
+    "IntPolynomial": "intpoly",
+    "morse_polynomial": "patterns",
+    "sign_patterns": "patterns",
+    "DegenerateHessianError": "riemannian",
+    "FlowResult": "riemannian",
+    "classify_rotation": "riemannian",
+    "curve_derivatives": "riemannian",
+    "gradient_flow": "riemannian",
+    "numeric_index": "riemannian",
+    "objective": "riemannian",
+    "tangent_hessian": "riemannian",
+    "generator": "rotations",
+    "givens_curve": "rotations",
+    "haar_sample": "rotations",
+    "is_rotation": "rotations",
+    "pair_count": "rotations",
+    "pair_indices": "rotations",
+    "retract": "rotations",
+    "PerfectnessReport": "topology",
+    "is_perfect": "topology",
+    "morse_remainder": "topology",
+    "morse_split_by_last_sign": "topology",
+    "poincare_from_basis": "topology",
+    "poincare_product": "topology",
+}
+
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name):
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,11 @@ formatted per record: `_picked_texts` builds the text of a run of them
 once per code of the few signs the run reads, and every pattern picks its
 runs' texts by its codes there.
 
+`import rotmorse.cli` loads only the standard library and the numpy-free
+exact layer (`patterns`, `topology`, `intpoly`), and `polynomials` runs on
+them alone. The other commands import numpy and the float layer when
+they are dispatched, in `_import_float_layer`.
+
 Exit codes: 0 success (and perfect, for `polynomials`), 1 standard output
 was closed before all of it was written (a broken pipe, as in `| head`),
 2 a bad argument or --out path, 3 perfectness check failed, 4 a numeric
@@ -34,13 +39,22 @@ from collections import Counter
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
-from .critical import _pattern_table, default_costs, index_by_formula, validate_costs
-from .riemannian import _MAX_ITERATIONS, _check_flow_args, _check_start, _flows
-from .rotations import _haar, _pair_arrays, pair_indices
+from .patterns import _index, default_weights, validate_weights
 from .topology import is_perfect
-from .verify import _suites
+
+
+@cache
+def _import_float_layer() -> None:
+    """Bind numpy and the float layer's names in this module, once; every
+    command but polynomials calls this when it is dispatched."""
+    global np, _pattern_table, _MAX_ITERATIONS, _check_flow_args, _check_start, _flows
+    global _haar, _pair_arrays, pair_indices, _suites
+    import numpy as np
+
+    from .critical import _pattern_table
+    from .riemannian import _MAX_ITERATIONS, _check_flow_args, _check_start, _flows
+    from .rotations import _haar, _pair_arrays, pair_indices
+    from .verify import _suites
 
 
 class CliInputError(Exception):
@@ -87,17 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse and validate; args.c becomes the validated weight array.
+    """Parse and validate; args.c becomes the validated weights, a list of
+    floats.
 
-    The weights are checked once: by validate_costs, or for flow and verify
-    by _check_flow_args, which also checks --tol and the scaled weights.
+    The weights are checked once: by validate_weights, or for flow and
+    verify by _check_flow_args, which also checks --tol and the scaled
+    weights.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "polynomials":
+        _import_float_layer()
     if args.n < 1:
         parser.error("n must be >= 1")
     if args.c == "default":
-        c = default_costs(args.n)
+        c = default_weights(args.n)
     else:
         try:
             c = [float(x) for x in args.c.split(",")]
@@ -105,9 +123,9 @@ def _parse_args(argv) -> argparse.Namespace:
             parser.error(f"could not parse --c {args.c!r} as comma-separated reals")
     try:
         if "samples" in args:  # only verify and flow take --samples and --tol
-            args.c = _check_flow_args(c, args.tol, _MAX_ITERATIONS, n=args.n)
+            args.c = _check_flow_args(c, args.tol, _MAX_ITERATIONS, n=args.n).tolist()
         else:
-            args.c = validate_costs(c, n=args.n)
+            args.c = validate_weights(c, n=args.n)
     except ValueError as exc:
         parser.error(str(exc))
     if getattr(args, "start", None) is not None and (args.samples is not None or args.seed is not None):
@@ -150,7 +168,7 @@ def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> N
     requested format is built.
     """
     if args.format == "json":
-        text = json.dumps({"n": args.n, "c": args.c.tolist(), **payload}, indent=2)
+        text = json.dumps({"n": args.n, "c": args.c, **payload}, indent=2)
     elif args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows())
@@ -227,7 +245,7 @@ def _hessian_items(negative: np.ndarray, hessians: np.ndarray, prefixes: list, f
 
 
 def cmd_critical_points(args: argparse.Namespace) -> int:
-    signs, indices, values, hessians = _pattern_table(args.n, args.c)
+    signs, indices, values, hessians = _pattern_table(args.n, np.array(args.c))
     indices, values = indices.tolist(), values.tolist()
     # the record order is sorted(key=(index, value)) over the patterns
     sort_keys = list(zip(indices, values))
@@ -242,7 +260,7 @@ def cmd_critical_points(args: argparse.Namespace) -> int:
         entries = _picked_texts(negative, _hessian_items(negative, hessians, prefixes, _json_float), sep)
         eps = _picked_texts(negative, [((p,), ("1", "-1")) for p in range(args.n)], sep)
         # the header object without its closing "\n}", then the record list
-        head = json.dumps({"n": args.n, "c": args.c.tolist()}, indent=2)[:-2] + ',\n  "critical_points": ['
+        head = json.dumps({"n": args.n, "c": args.c}, indent=2)[:-2] + ',\n  "critical_points": ['
         opening, closing = ("{\n        ", "\n      }") if d else ("{", "}")
 
         def pieces():
@@ -271,7 +289,7 @@ def cmd_critical_points(args: argparse.Namespace) -> int:
         keys = _picked_texts(negative, key_items, "")
 
         def pieces():
-            yield f"critical points of f_c on SO({args.n}), c = {args.c.tolist()}\n"
+            yield f"critical points of f_c on SO({args.n}), c = {args.c}\n"
             yield f"{'index':>5}  {'value':>12}  pattern\n"
             for p in order:
                 yield f"{indices[p]:>5}  {values[p]:>12.6g}  {''.join(keys[p])}\n"
@@ -282,7 +300,7 @@ def cmd_critical_points(args: argparse.Namespace) -> int:
 
 
 def cmd_polynomials(args: argparse.Namespace) -> int:
-    report = is_perfect(args.n, args.c)
+    report = is_perfect(args.n)  # the weights, checked once, do not enter the count
     verdict = "PERFECT" if report.perfect else "NOT PERFECT"
     remainder = "infeasible" if report.remainder is None else str(report.remainder)
     payload = {
@@ -310,7 +328,7 @@ def cmd_polynomials(args: argparse.Namespace) -> int:
 
     def table_lines():
         return [
-            f"n = {args.n}, c = {args.c.tolist()}",
+            f"n = {args.n}, c = {args.c}",
             *(f"{label:<36}{value}" for _, label, value in rows),
             f"verdict: {verdict}",
         ]
@@ -320,7 +338,7 @@ def cmd_polynomials(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = _suites(_haar(args.n, args.samples, args.seed), args.c, args.tol)
+    suites = _suites(_haar(args.n, args.samples, args.seed), np.array(args.c), args.tol)
     all_passed = all(s.passed for s in suites)
     payload = {
         "seed": args.seed,
@@ -364,14 +382,14 @@ def cmd_flow(args: argparse.Namespace) -> int:
         starts = _load_start_matrix(args.start, args.n)[None]
     else:
         starts = _haar(args.n, args.samples, args.seed)
-    points, iterations, norms, converged, patterns = _flows(starts, args.c, args.tol)
+    points, iterations, norms, converged, patterns = _flows(starts, np.array(args.c), args.tol)
     points, iterations, norms = points.tolist(), iterations.tolist(), norms.tolist()
     converged = converged.tolist()
 
     limits = Counter(patterns)
     unclassified = limits.pop(None, 0)
     # (key, count, Morse index) per limit pattern, sorted by key
-    limit_rows = sorted((_pattern_key(p), k, index_by_formula(p)) for p, k in limits.items())
+    limit_rows = sorted((_pattern_key(p), k, _index(p)) for p, k in limits.items())
     summary = {
         "samples": len(points),
         "converged": sum(converged),
@@ -409,7 +427,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
     def table_lines():
         yield (
-            f"gradient flow on SO({args.n}), c = {args.c.tolist()}, "
+            f"gradient flow on SO({args.n}), c = {args.c}, "
             f"seed {args.seed}, {summary['samples']} start(s)"
         )
         yield (

@@ -1,11 +1,14 @@
-"""Exact combinatorial layer for the weighted-trace objective on SO(n).
+"""Closed forms at the critical points of the weighted-trace objective on
+SO(n), as float64 arrays.
 
 The objective f(A) = sum_i c(i) * A(i,i) with strictly increasing
 nonnegative weights has a finite critical set: the diagonal matrices with
 entries eps(i) = +-1 and det = +1. Everything about a critical point is a
-closed form in its sign pattern, so this layer works with patterns
-directly and stays exact — indices and counts are integers, and only the
-critical values inherit the floating type of the weights.
+closed form in its sign pattern. The patterns themselves, their int
+indices, the Morse polynomial and the weight rule live in the numpy-free
+`patterns` module; this module re-exports them and adds what needs
+arrays: critical values and Hessian diagonals, which inherit the floating
+type of the weights, and the stacked table of the whole critical set.
 
 Closed forms, for a pattern eps and weights c:
 
@@ -18,66 +21,34 @@ Closed forms, for a pattern eps and weights c:
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .intpoly import IntPolynomial
+# morse_polynomial and sign_patterns are re-exported for this module's callers
+from .patterns import (  # noqa: F401
+    default_weights,
+    morse_polynomial,
+    sign_patterns,
+    validate_pattern,
+    validate_weights,
+)
 from .rotations import _pair_arrays
 
 
 def validate_costs(c, n: int | None = None) -> np.ndarray:
-    """Check 0 <= c[0] and strict increase; return the weights as float64.
-
-    Strictness is what keeps every Hessian entry c(a)*eps(a) + c(b)*eps(b)
-    away from zero: with 0 <= c(a) < c(b), both the sum and the difference
-    of two distinct weights are nonzero, even when c[0] == 0.
-    """
+    """The weights as a 1-d float64 array, checked by the weight rule of
+    patterns.validate_weights (of length n if given)."""
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size < 1:
+    if c.ndim != 1:
         raise ValueError("cost vector must be a nonempty 1-d sequence")
-    if n is not None and c.size != n:
-        raise ValueError(f"cost vector has length {c.size}, expected {n}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost vector entries must be finite")
-    if c[0] < 0:
-        raise ValueError("cost vector must satisfy 0 <= c_1")
-    if c.size > 1 and not np.all(np.diff(c) > 0):
-        raise ValueError("cost vector must be strictly increasing")
+    validate_weights(c.tolist(), n=n)
     return c
 
 
 def default_costs(n: int) -> np.ndarray:
-    """The integer weights c(i) = i, the reproducible default everywhere."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return np.arange(1, n + 1, dtype=float)
-
-
-def validate_pattern(eps) -> tuple:
-    """Normalize a sign pattern to a tuple of +-1 ints with product +1."""
-    eps = tuple(int(e) for e in eps)
-    if not eps:
-        raise ValueError("sign pattern must be nonempty")
-    if any(e not in (-1, 1) for e in eps):
-        raise ValueError(f"sign pattern entries must be +-1, got {eps}")
-    if math.prod(eps) != 1:
-        raise ValueError("sign pattern must have product +1 (det constraint of SO(n))")
-    return eps
-
-
-def sign_patterns(n: int) -> list:
-    """All 2^(n-1) admissible sign patterns, lexicographic with +1 first.
-
-    The first n-1 signs run over the sign cube in lexicographic order and
-    the last sign is their product, which makes the full product +1. This
-    is the same order as filtering all 2^n sign vectors lexicographically.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [head + (math.prod(head),) for head in itertools.product((1, -1), repeat=n - 1)]
+    """patterns.default_weights(n), c(i) = i, as a float64 array."""
+    return np.array(default_weights(n))
 
 
 def _sign_table(n: int) -> np.ndarray:
@@ -213,27 +184,3 @@ def enumerate_critical_points(n: int, c=None) -> list:
     signs, indices, values, hessians = _pattern_table(n, c)
     patterns = map(tuple, signs.astype(int).tolist())
     return list(map(CriticalPointRecord, patterns, indices.tolist(), values.tolist(), hessians))
-
-
-def morse_polynomial(n: int, c=None) -> IntPolynomial:
-    """Generating polynomial of the critical set: coefficient of t^k counts
-    the critical points of index k. Equals the expanded product
-    (1+t)(1+t^2)...(1+t^(n-1)) for any admissible weights, which are
-    validated but do not enter the count.
-
-    Every pattern is still enumerated, as one int index rather than a
-    tuple, by doubling over the free head eps(1..n-1): the heads are kept
-    in two lists by the parity of their -1 count, and at 0-based position
-    j a +1 adds j to the index while a -1 flips the parity. The last sign
-    is the head's product, +1 exactly for the even heads, which therefore
-    gain n - 1. The result counts the same multiset as _index over
-    sign_patterns(n).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if c is not None:
-        validate_costs(c, n=n)
-    even, odd = [0], []
-    for j in range(n - 1):
-        even, odd = [i + j for i in even] + odd, [i + j for i in odd] + even
-    return IntPolynomial.counting([i + n - 1 for i in even] + odd)

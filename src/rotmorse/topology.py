@@ -7,17 +7,18 @@ subsets of {1, ..., n-1} with element sum k. That gives two routes to the
 Poincaré polynomial — expand the product (1+t)(1+t^2)...(1+t^(n-1)), or
 enumerate the monomial basis and bin by degree — which must agree.
 
-Floating point is deliberately absent from this module: the Morse
-inequality P_f = P_M + (1+t) R is an exact integer statement and is
-decided by synthetic division at t = -1.
+Floating point is absent from this module: the Morse inequality
+P_f = P_M + (1+t) R is an exact integer statement and is decided by
+synthetic division at t = -1. It imports only the numpy-free `patterns`
+and `intpoly`, so `import rotmorse.topology` loads no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .critical import _index, morse_polynomial, sign_patterns
 from .intpoly import IntPolynomial
+from .patterns import _index, morse_polynomial, sign_patterns
 
 
 def poincare_product(n: int) -> IntPolynomial:

@@ -1,7 +1,15 @@
 """Shared test helpers: reference implementations that the package's own
-kernels are checked against."""
+kernels are checked against, and checks shared by several test modules."""
+
+import hashlib
+import importlib
+import itertools
+import pkgutil
+import sys
 
 import numpy as np
+
+import rotmorse
 
 
 def random_costs(n: int, rng) -> np.ndarray:
@@ -68,3 +76,47 @@ def add_coeffs(*polys) -> tuple:
     sequences, padded with zeros to the longest."""
     size = max(map(len, polys), default=0)
     return tuple(sum(p[k] for p in polys if k < len(p)) for k in range(size))
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """Fail unless the two texts are equal.
+
+    They are compared by length and sha256, so a multi-MB text fails in
+    well under a second, and the message names the first differing line
+    and its number instead of diffing the whole texts.
+    """
+    if len(got) == len(expected) and _sha256(got) == _sha256(expected):
+        return
+    pairs = itertools.zip_longest(got.splitlines(keepends=True), expected.splitlines(keepends=True))
+    number, (line, wanted) = next((k, p) for k, p in enumerate(pairs, 1) if p[0] != p[1])
+    raise AssertionError(
+        f"texts differ (lengths {len(got)} and {len(expected)}); first at line {number}: "
+        f"got {line!r:.300}, expected {wanted!r:.300}"
+    )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def count_weight_checks(monkeypatch) -> list:
+    """Patch patterns.validate_weights, the one function that holds the
+    weight rule, in every rotmorse module that binds it; return the list
+    that records its calls.
+
+    Every rotmorse module but __main__ is imported first, so that a module
+    the code under test would import later cannot bind the unpatched rule.
+    """
+    for info in pkgutil.iter_modules(rotmorse.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"rotmorse.{info.name}")
+    original, calls = sys.modules["rotmorse.patterns"].validate_weights, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rotmorse" and getattr(module, "validate_weights", None) is original:
+            monkeypatch.setattr(module, "validate_weights", counted)
+    return calls

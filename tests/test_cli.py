@@ -19,6 +19,8 @@ from rotmorse.critical import default_costs, enumerate_critical_points, validate
 from rotmorse.riemannian import gradient_flow
 from rotmorse.rotations import haar_sample, pair_indices
 
+from helpers import assert_same_text, count_weight_checks
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -432,26 +434,59 @@ def test_exact_outputs_byte_stable(capsys, command, n, fmt):
     ],
 )
 def test_flow_and_verify_validate_the_weights_once(monkeypatch, capsys, argv):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return validate_costs(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("rotmorse") and getattr(module, "validate_costs", None) is validate_costs:
-            monkeypatch.setattr(module, "validate_costs", counted)
+    calls = count_weight_checks(monkeypatch)
     code, _, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert len(calls) == 1
 
 
-def test_cli_import_does_not_load_scipy():
+@pytest.mark.parametrize("command", ["critical-points", "polynomials"])
+@pytest.mark.parametrize("c", [None, "1,2,3"])
+def test_exact_commands_validate_the_weights_once(monkeypatch, capsys, command, c):
+    calls = count_weight_checks(monkeypatch)
+    code, _, _ = run_cli(capsys, command, "--n", "3", *(("--c", c) if c else ()), "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_exact_path_loads_neither_numpy_nor_scipy():
+    # The exact layer and the CLI import numpy only when a float command is
+    # dispatched; scipy is not a dependency at all.
     src = Path(rotmorse.__file__).resolve().parents[1]
-    code = "import sys, rotmorse.cli; assert 'scipy' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    for step in (
+        "import rotmorse.cli",
+        "import rotmorse.topology",
+        "import rotmorse.cli; assert rotmorse.cli.main(['polynomials', '--n', '12']) == 0",
+    ):
+        code = f"import sys; {step}; assert 'numpy' not in sys.modules; assert 'scipy' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, (step, proc.stderr)
+
+
+# What polynomials writes to stderr, with exit code 2, for each class of bad --c.
+BAD_WEIGHTS_ERRORS = {
+    "1,1,2": "cost vector must be strictly increasing",
+    "-1,1,2": "cost vector must satisfy 0 <= c_1",
+    "nan,1,2": "cost vector entries must be finite",
+    "1,inf,2": "cost vector entries must be finite",
+    "1,2": "cost vector has length 2, expected 3",
+    "1,x,3": "could not parse --c '1,x,3' as comma-separated reals",
+}
+
+
+@pytest.mark.parametrize("c", sorted(BAD_WEIGHTS_ERRORS))
+def test_polynomials_refuses_bad_weights(monkeypatch, capsys, c):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    with pytest.raises(SystemExit) as excinfo:
+        main(["polynomials", "--n", "3", f"--c={c}"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: rotmorse [-h] {critical-points,polynomials,verify,flow} ...\n"
+        f"rotmorse: error: {BAD_WEIGHTS_ERRORS[c]}\n"
+    )
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -496,14 +531,14 @@ def _increasing_weights(n: int, seed: int) -> str:
 def test_json_output_is_stdlib_indented_json(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert_same_text(out, json.dumps(json.loads(out), indent=2) + "\n")
     if "1e300,2e300" in argv:
         assert "Infinity" not in out
         assert all(math.isfinite(x["final_gradient_norm"]) for x in json.loads(out)["samples"])
     dest = tmp_path / "out.json"
     code, printed, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(dest))
     assert code == 0 and printed == ""
-    assert dest.read_text() == out
+    assert_same_text(dest.read_text(), out)
 
 
 def _reference_critical_points_text(n: int, c: np.ndarray, fmt: str) -> str:
@@ -585,10 +620,10 @@ def test_critical_points_equal_the_record_reference(tmp_path, capsys, case):
     for fmt in ("json", "csv", "table"):
         code, out, _ = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0
-        assert out == _reference_critical_points_text(n, c, fmt)
+        assert_same_text(out, _reference_critical_points_text(n, c, fmt))
         code, printed, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(dest))
         assert code == 0 and printed == ""
-        assert dest.read_text() == out
+        assert_same_text(dest.read_text(), out)
 
 
 @pytest.mark.parametrize(
@@ -617,7 +652,7 @@ def test_critical_points_at_huge_weights_write_no_warning(n, fmt):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "nan" not in proc.stdout.lower()
-    assert proc.stdout == _reference_critical_points_text(n, validate_costs(c.split(",")), fmt)
+    assert_same_text(proc.stdout, _reference_critical_points_text(n, validate_costs(c.split(",")), fmt))
     if fmt == "json":
         assert "-Infinity" in proc.stdout and '": Infinity' in proc.stdout
     if fmt == "csv":

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from rotmorse.intpoly import IntPolynomial
 
-from helpers import add_coeffs, evaluate, random_costs, shift_coeffs
+from helpers import add_coeffs, assert_same_text, evaluate, random_costs, shift_coeffs
 
 
 def test_random_costs_strictly_increasing():
@@ -21,3 +22,11 @@ def test_coefficient_shift_add_and_evaluate():
     assert add_coeffs() == ()
     assert evaluate(IntPolynomial([1, 2]), 3) == 7
     assert evaluate(IntPolynomial.zero(), 5) == 0
+
+
+def test_assert_same_text_names_the_first_differing_line():
+    assert_same_text("a\nb\n", "a\nb\n")
+    with pytest.raises(AssertionError, match=r"line 2: got 'b\\n', expected 'c\\n'"):
+        assert_same_text("a\nb\n", "a\nc\n")
+    with pytest.raises(AssertionError, match=r"\(lengths 2 and 4\); first at line 2: got None, expected"):
+        assert_same_text("a\n", "a\nb\n")

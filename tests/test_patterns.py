@@ -1,0 +1,52 @@
+import math
+
+import numpy as np
+import pytest
+
+from rotmorse.critical import validate_costs
+from rotmorse.patterns import default_weights, validate_weights
+
+WEIGHTS = [
+    [1.0, 2.0, 3.0],
+    [0.0, 5e-324, 1.0],
+    [-0.0, 1.0, 2.0],
+    [1e308, 1.5e308, 1.7e308],
+    [1, 2, 3],
+    ["1", "2.5", "3"],
+    np.array([0.5, 1.0, 4.0]),
+    [1.0, 1.0, 2.0],
+    [2.0, 1.0, 3.0],
+    [-1.0, 1.0, 2.0],
+    [math.nan, 1.0, 2.0],
+    [1.0, math.inf, 2.0],
+    [1.0, 2.0],
+    [1.0, 2.0, 3.0, 4.0],
+    [],
+    5.0,
+    "123",
+    [[1.0, 2.0, 3.0]],
+    ["1", "x", "3"],
+]
+
+
+def _outcome(check, c):
+    try:
+        return list(check(c, n=3))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("c", WEIGHTS, ids=repr)
+def test_validate_costs_keeps_the_rule_of_validate_weights(c):
+    # validate_costs converts to float64 and applies the one weight rule,
+    # so both accept the same weights and refuse the rest with one message.
+    assert _outcome(validate_weights, c) == _outcome(validate_costs, c)
+
+
+def test_validate_weights_returns_floats():
+    assert validate_weights([0, 1, 2]) == [0.0, 1.0, 2.0]
+    assert all(type(x) is float for x in validate_weights(np.arange(1.0, 4.0)))
+    assert validate_weights(default_weights(4), n=4) == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        default_weights(0)
+

@@ -39,7 +39,7 @@ from rotmorse.verify import (
     run_all_suites,
 )
 
-from helpers import random_costs
+from helpers import count_weight_checks, random_costs
 
 
 def test_gradient_suite_passes():
@@ -289,15 +289,7 @@ def test_run_all_suites_refuses_weights_that_tie_once_scaled(c):
 def test_run_all_suites_validates_the_weights_once(monkeypatch):
     # The weights are checked at the public boundary; the suites then run
     # private kernels that do not check them again.
-    original, calls = rotmorse.critical.validate_costs, []
-
-    def counting_validate_costs(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rotmorse" and getattr(module, "validate_costs", None) is original:
-            monkeypatch.setattr(module, "validate_costs", counting_validate_costs)
+    calls = count_weight_checks(monkeypatch)
     results = run_all_suites(8, 4, seed=3)
     assert all(s.passed for s in results)
     assert len(calls) == 1
