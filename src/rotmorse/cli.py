@@ -47,12 +47,12 @@ from .topology import is_perfect
 def _import_float_layer() -> None:
     """Bind numpy and the float layer's names in this module, once; every
     command but polynomials calls this when it is dispatched."""
-    global np, _pattern_table, _MAX_ITERATIONS, _check_flow_args, _check_start, _flows
+    global np, _pattern_table, _check_flow_args, _check_start, _flows
     global _haar, _pair_arrays, pair_indices, _suites
     import numpy as np
 
     from .critical import _pattern_table
-    from .riemannian import _MAX_ITERATIONS, _check_flow_args, _check_start, _flows
+    from .riemannian import _check_flow_args, _check_start, _flows
     from .rotations import _haar, _pair_arrays, pair_indices
     from .verify import _suites
 
@@ -123,7 +123,7 @@ def _parse_args(argv) -> argparse.Namespace:
             parser.error(f"could not parse --c {args.c!r} as comma-separated reals")
     try:
         if "samples" in args:  # only verify and flow take --samples and --tol
-            args.c = _check_flow_args(c, args.tol, _MAX_ITERATIONS, n=args.n).tolist()
+            args.c = _check_flow_args(c, args.tol, n=args.n).tolist()
         else:
             args.c = validate_weights(c, n=args.n)
     except ValueError as exc:

@@ -6,7 +6,7 @@ nonnegative weights has a finite critical set: the diagonal matrices with
 entries eps(i) = +-1 and det = +1. Everything about a critical point is a
 closed form in its sign pattern. The patterns themselves, their int
 indices, the Morse polynomial and the weight rule live in the numpy-free
-`patterns` module; this module re-exports them and adds what needs
+`patterns` module, their one import path. This module adds what needs
 arrays: critical values and Hessian diagonals, which inherit the floating
 type of the weights, and the stacked table of the whole critical set.
 
@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# morse_polynomial and sign_patterns are re-exported for this module's callers
-from .patterns import (  # noqa: F401
-    default_weights,
-    morse_polynomial,
-    sign_patterns,
-    validate_pattern,
-    validate_weights,
-)
+from .patterns import default_weights, validate_pattern, validate_weights
 from .rotations import _pair_arrays
 
 

@@ -51,12 +51,14 @@ def default_weights(n: int) -> list:
 
 
 def validate_pattern(eps) -> tuple:
-    """Normalize a sign pattern to a tuple of +-1 ints with product +1."""
-    eps = tuple(int(e) for e in eps)
+    """Normalize a sign pattern to a tuple of +-1 ints with product +1. Each
+    entry must equal 1 or -1 as given: 1.0 does, while 1.5 and "1" do not."""
+    eps = tuple(eps)
     if not eps:
         raise ValueError("sign pattern must be nonempty")
     if any(e not in (-1, 1) for e in eps):
         raise ValueError(f"sign pattern entries must be +-1, got {eps}")
+    eps = tuple(map(int, eps))
     if math.prod(eps) != 1:
         raise ValueError("sign pattern must have product +1 (det constraint of SO(n))")
     return eps

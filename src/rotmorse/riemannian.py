@@ -273,16 +273,14 @@ def _scale(c: np.ndarray) -> float:
     return math.ldexp(1.0, min(1023, -math.frexp(c[-1])[1]))
 
 
-def _check_flow_args(c, grad_tol: float, max_iterations: int, n: int | None = None) -> np.ndarray:
+def _check_flow_args(c, grad_tol: float, n: int | None = None) -> np.ndarray:
     """Validated float weights (of length n if given); ValueError for a bad
-    tolerance or iteration cap, or for weights that tie once scaled by _scale."""
+    tolerance, or for weights that tie once scaled by _scale."""
     c = validate_costs(c, n=n)
     if np.any(np.diff(c * _scale(c)) <= 0):
         raise ValueError("cost vector spans more than the float64 range: scaled to max < 1, it ties")
     if not (math.isfinite(grad_tol) and grad_tol > 0):
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
     return c
 
 
@@ -295,12 +293,12 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     trial step is 1 after an accepted step and half the refused step after
     a null step; p is dimensionless, and so is the trial. A trial is kept
     if f(trial) <= f + n*eps*max(c) - _ARMIJO*step*<g, p>; a null step
-    keeps the point and its value f. Each sample keeps its own f, gradient,
-    gradient norm and next trial step, and stays live until its gradient
-    norm is at most grad_tol or the rounding floor n*eps^2*max(c), or it
-    reaches max_iterations. Every live sample has made the same number of
-    trials, one integer. The live state is kept in compact arrays; a sample
-    that stops is written back once and never touched again. Every kernel
+    keeps the point and its value f. Each sample keeps its own f, gradient
+    and next trial step, and stays live until its gradient norm is at most
+    grad_tol or the rounding floor n*eps^2*max(c), or it reaches
+    max_iterations. Every live sample has made the same number of trials,
+    one integer. The live state is kept in compact arrays; a sample that
+    stops is written back once and never touched again. Every kernel
     computes a sample as it would alone, so no result depends on the batch.
     Returns the (S,) iteration counts and final gradient norms.
     """
@@ -312,12 +310,11 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
 
     t = 0
     idx = np.flatnonzero((gnorm > stop) & (t < max_iterations))
-    if not idx.size:
-        return iterations, gnorm
     # Under validate_costs |c_a eps_a + c_b eps_b| >= c_b - c_a >= gap at
     # every critical point, so the floor never clips the diagonal at a limit.
-    gap = np.diff(c).min()
-    Al, gl, gn = A[idx], g[idx], gnorm[idx]
+    # At n = 1 there is no pair, and gap is inf.
+    gap = np.diff(c).min(initial=np.inf)
+    Al, gl = A[idx], g[idx]
     fl = _objective(Al, c)
     hl = np.ones(idx.size)
     while idx.size:
@@ -342,8 +339,7 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
             rows = idx[done]
             A[rows], gnorm[rows] = Al[done], gn[done]
             iterations[rows] = t
-            idx, Al, fl, gl = idx[stay], Al[stay], fl[stay], gl[stay]
-            gn, hl = gn[stay], hl[stay]
+            idx, Al, fl, gl, hl = idx[stay], Al[stay], fl[stay], gl[stay], hl[stay]
 
     return iterations, gnorm
 
@@ -379,7 +375,9 @@ def gradient_flow(
     kernels. The final matrix is classified by classify_rotation (None if
     no sign pattern is near).
     """
-    c = _check_flow_args(c, grad_tol, max_iterations)
+    c = _check_flow_args(c, grad_tol)
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
     A = _check_start(A0, c.size)[None]
     points, iterations, norms, converged, patterns = _flows(A, c, grad_tol, max_iterations)
     return FlowResult(

@@ -67,11 +67,15 @@ def _check_square(A, nonempty: bool = False) -> np.ndarray:
 
 
 def _validate_pair(pair, n: int) -> tuple:
+    # Each index must be an integral number as given: 2.0 is 2, 2.5 is refused.
+    try:
+        integral = all(k == int(k) for k in pair)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
     i, j = pair
-    i, j = int(i), int(j)
-    if not (1 <= i < j <= n):
-        raise ValueError(f"pair index {pair!r} invalid for dimension {n}: need 1 <= i < j <= n")
-    return i, j
+    if not (integral and 1 <= i < j <= n):
+        raise ValueError(f"pair index {pair!r} invalid for dimension {n}: need integers 1 <= i < j <= n")
+    return int(i), int(j)
 
 
 def givens_curve(pair, theta: float, n: int) -> np.ndarray:

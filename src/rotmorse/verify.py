@@ -17,8 +17,8 @@ objective at a rotated point as one vecdot against a per-call table of
 the 2d curves at +-h, without forming that point: _fd_gradient makes 2d
 dots per point, and _fd_tangent_hessian forms the 2d points A @ B_p(+-h)
 of each point by stacked matrix products and makes (2d)^2 dots. The index
-suite builds the pattern table and the formula indices, makes one stacked
-Hessian-diagonal count, and reads every pattern's tangent Hessian off one
+suite takes every pattern's signs, formula index and Hessian diagonal from
+one _pattern_table call, and reads every pattern's tangent Hessian off one
 _tangent_hessian call at the n unit diagonal matrices. Stacked matmul and
 vecdot treat each matrix or row as they would alone (vecdot makes one
 BLAS dot per entry, as np.dot does), so every value has the bits of the
@@ -41,9 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import _hessian_diagonal, _index, _sign_table, default_costs, sign_patterns
+from .critical import _pattern_table, default_costs
+from .patterns import sign_patterns
 from .riemannian import (
-    _MAX_ITERATIONS,
     _ZERO_BAND,
     _blocks,
     _check_flow_args,
@@ -178,9 +178,8 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     it counts as a mismatch.
     """
     n = c.size
-    signs = _sign_table(n)
-    by_formula = _index(signs)
-    by_count = np.count_nonzero(_hessian_diagonal(signs, c) < 0, axis=-1)
+    signs, by_formula, _, diagonals = _pattern_table(n, c)
+    by_count = np.count_nonzero(diagonals < 0, axis=-1)
     T = _tangent_hessian(np.eye(n)[:, :, None] * np.eye(n), c)
     t = T.diagonal(0, -2, -1)
     h = signs @ t
@@ -221,7 +220,7 @@ def run_all_suites(n: int, samples: int, seed=0, c=None, grad_tol: float = 1e-8)
     """The four cross-check suites, in fixed order, for the weights c
     (default_costs(n) when None) at `samples` Haar points drawn from
     default_rng(seed)."""
-    c = _check_flow_args(default_costs(n) if c is None else c, grad_tol, _MAX_ITERATIONS, n=n)
+    c = _check_flow_args(default_costs(n) if c is None else c, grad_tol, n=n)
     return _suites(_haar(n, samples, seed), c, grad_tol)
 
 

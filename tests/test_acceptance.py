@@ -39,11 +39,19 @@ def test_criterion_2_perfectness_at_desk_scale():
     rng = np.random.default_rng(RNG_SEED)
     zero = IntPolynomial.zero()
     for n in range(1, 13):
+        poincare_basis, poincare_product = rm.poincare_from_basis(n), rm.poincare_product(n)
         for _ in range(20):
-            report = rm.is_perfect(n, random_costs(n, rng))
+            c = random_costs(n, rng)
+            report = rm.is_perfect(n, c)
             assert report.morse == report.poincare_basis == report.poincare_product
             assert report.remainder == zero
             assert report.perfect
+            # The same polynomial counted at c itself: a critical point's
+            # index is the number of negative entries of its Hessian diagonal.
+            hessians = np.array([r.hessian_diagonal for r in rm.enumerate_critical_points(n, c)])
+            morse = IntPolynomial.counting(np.count_nonzero(hessians < 0, axis=-1).tolist())
+            assert morse == poincare_basis == poincare_product
+            assert rm.morse_remainder(morse, poincare_basis) == zero
     _report(
         2,
         True,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -16,16 +17,15 @@ from rotmorse.critical import (
     _sign_table,
     critical_value,
     default_costs,
+    embed_pattern,
     enumerate_critical_points,
     hessian_diagonal,
     index_by_formula,
     index_by_hessian,
-    morse_polynomial,
-    sign_patterns,
     validate_costs,
-    validate_pattern,
 )
 from rotmorse.intpoly import IntPolynomial
+from rotmorse.patterns import morse_polynomial, sign_patterns, validate_pattern
 
 from helpers import evaluate, random_costs
 
@@ -277,3 +277,15 @@ def test_pattern_validation():
         validate_pattern((1, 0, -1))
     with pytest.raises(ValueError):
         validate_pattern(())
+    # An entry must equal +-1 as given; nothing is truncated to an int first.
+    for eps in [(1.7, -1.2, -1), (1.5, 1.2), (1, math.inf, 1), (1, None, 1), ("1", "1"), (1, math.nan, 1)]:
+        with pytest.raises(ValueError, match="entries must be"):
+            validate_pattern(eps)
+    with pytest.raises(ValueError, match=re.escape("got (0.5, 1)")):
+        validate_pattern((0.5, 1))
+    with pytest.raises(ValueError):
+        index_by_formula((1.7, -1.2, -1))
+    with pytest.raises(ValueError):
+        embed_pattern((1.5, 1.2))
+    eps = validate_pattern((1.0, np.int64(1), np.float64(-1.0), -1))
+    assert eps == (1, 1, -1, -1) and all(type(e) is int for e in eps)

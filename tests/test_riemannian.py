@@ -16,8 +16,8 @@ from rotmorse.critical import (
     embed_pattern,
     hessian_diagonal,
     index_by_formula,
-    sign_patterns,
 )
+from rotmorse.patterns import sign_patterns
 from rotmorse.riemannian import (
     DegenerateHessianError,
     _numeric_indices,
@@ -271,7 +271,7 @@ def test_flow_at_the_edge_of_the_float64_range_raises_nothing(c):
     # Still strictly increasing once scaled: every descent ends within a few
     # trials, with no overflow, division by zero or NaN. Underflow of the
     # smallest weight's products stays ignored, as numpy does by default.
-    c = riemannian._check_flow_args(c, 1e-8, 100_000)
+    c = riemannian._check_flow_args(c, 1e-8)
     with np.errstate(all="raise", under="ignore"):
         _, iterations, *_ = riemannian._flows(_haar(3, 20, 0), c, 1e-8)
     assert iterations.max() <= 20

@@ -49,10 +49,17 @@ def test_givens_block_structure_n3():
     assert_array_equal(givens_curve((1, 2), theta, 3), expected)
 
 
-@pytest.mark.parametrize("pair", [(2, 1), (1, 1), (0, 2), (1, 4)])
+@pytest.mark.parametrize(
+    "pair",
+    [(2, 1), (1, 1), (0, 2), (1, 4)]
+    # Not integral as given: truncating (1.9, 2.5) or (1.2, 3.99) would give a valid pair.
+    + [(1.9, 2.5), (1.2, 3.99), (1, math.inf), (None, 2), ("1", 2), (1, math.nan)],
+)
 def test_givens_invalid_pair(pair):
     with pytest.raises(ValueError):
         givens_curve(pair, 0.1, 3)
+    with pytest.raises(ValueError):
+        generator(pair, 3)
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotmorse.critical import morse_polynomial
 from rotmorse.intpoly import IntPolynomial
+from rotmorse.patterns import morse_polynomial
 from rotmorse.topology import (
     is_perfect,
     morse_remainder,

@@ -17,8 +17,8 @@ from rotmorse.critical import (
     embed_pattern,
     hessian_diagonal,
     index_by_formula,
-    sign_patterns,
 )
+from rotmorse.patterns import sign_patterns
 from rotmorse.riemannian import (
     _numeric_indices,
     _tangent_hessian,
