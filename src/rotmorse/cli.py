@@ -15,10 +15,13 @@ formatted per record: `_picked_texts` builds the text of a run of them
 once per code of the few signs the run reads, and every pattern picks its
 runs' texts by its codes there.
 
-`import rotmorse.cli` loads only the standard library and the numpy-free
-exact layer (`patterns`, `topology`, `intpoly`), and `polynomials` runs on
-them alone. The other commands import numpy and the float layer when
-they are dispatched, in `_import_float_layer`.
+`import rotmorse.cli` loads only argparse, json and the numpy-free exact
+layer (`patterns`, `topology`, `intpoly`) beyond what the interpreter
+starts with, and `polynomials` runs on them alone. The other commands
+import numpy and the float layer in `_import_float_layer`: `flow` and
+`verify` just before their weights are checked, `critical-points` when it
+is dispatched, so a bad argument that is caught before then loads no
+numpy. `csv` is imported only when CSV is written through it.
 
 Exit codes: 0 success (and perfect, for `polynomials`), 1 standard output
 was closed before all of it was written (a broken pipe, as in `| head`),
@@ -29,15 +32,12 @@ suite failed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 from collections import Counter
 from functools import cache
-from pathlib import Path
 
 from .patterns import _index, default_weights, validate_weights
 from .topology import is_perfect
@@ -46,7 +46,7 @@ from .topology import is_perfect
 @cache
 def _import_float_layer() -> None:
     """Bind numpy and the float layer's names in this module, once; every
-    command but polynomials calls this when it is dispatched."""
+    command but polynomials runs on them."""
     global np, _pattern_table, _check_flow_args, _check_start, _flows
     global _haar, _pair_arrays, pair_indices, _suites
     import numpy as np
@@ -106,12 +106,10 @@ def _parse_args(argv) -> argparse.Namespace:
 
     The weights are checked once: by validate_weights, or for flow and
     verify by _check_flow_args, which also checks --tol and the scaled
-    weights.
+    weights and is the one check here that needs the float layer.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "polynomials":
-        _import_float_layer()
     if args.n < 1:
         parser.error("n must be >= 1")
     if args.c == "default":
@@ -123,6 +121,7 @@ def _parse_args(argv) -> argparse.Namespace:
             parser.error(f"could not parse --c {args.c!r} as comma-separated reals")
     try:
         if "samples" in args:  # only verify and flow take --samples and --tol
+            _import_float_layer()
             args.c = _check_flow_args(c, args.tol, n=args.n).tolist()
         else:
             args.c = validate_weights(c, n=args.n)
@@ -170,6 +169,9 @@ def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> N
     if args.format == "json":
         text = json.dumps({"n": args.n, "c": args.c, **payload}, indent=2)
     elif args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows())
         text = buf.getvalue().rstrip("\n")
@@ -368,7 +370,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _load_start_matrix(path: str, n: int) -> np.ndarray:
     try:
-        A = np.asarray(json.loads(Path(path).read_text()), dtype=float)
+        with open(path) as f:
+            A = np.asarray(json.load(f), dtype=float)
     except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise CliInputError(f"could not read start file {path!r}: {exc}") from exc
     try:
@@ -459,6 +462,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    if args.command != "polynomials":  # flow and verify imported it for their checks
+        _import_float_layer()
     try:
         code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

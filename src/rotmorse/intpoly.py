@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class IntPolynomial:

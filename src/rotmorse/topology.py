@@ -10,12 +10,14 @@ enumerate the monomial basis and bin by degree — which must agree.
 Floating point is absent from this module: the Morse inequality
 P_f = P_M + (1+t) R is an exact integer statement and is decided by
 synthetic division at t = -1. It imports only the numpy-free `patterns`
-and `intpoly`, so `import rotmorse.topology` loads no numpy.
+and `intpoly` and the standard library's `collections`, so
+`import rotmorse.topology` loads neither numpy nor `dataclasses` or
+`typing`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intpoly import IntPolynomial
 from .patterns import _index, morse_polynomial, sign_patterns
@@ -69,16 +71,13 @@ def morse_remainder(p_f: IntPolynomial, p_m: IntPolynomial):
     return IntPolynomial(r)
 
 
-@dataclass(frozen=True)
-class PerfectnessReport:
-    """Outcome of the three-way polynomial comparison for one dimension."""
-
-    n: int
-    morse: IntPolynomial
-    poincare_basis: IntPolynomial
-    poincare_product: IntPolynomial
-    remainder: IntPolynomial | None
-    perfect: bool
+PerfectnessReport = namedtuple(
+    "PerfectnessReport", ("n", "morse", "poincare_basis", "poincare_product", "remainder", "perfect")
+)
+PerfectnessReport.__doc__ = """Outcome of the three-way polynomial comparison for one dimension:
+the int n, the IntPolynomials morse, poincare_basis and poincare_product,
+the remainder (an IntPolynomial, or None when none exists) and the bool
+perfect. Immutable, like the tuple it is."""
 
 
 def is_perfect(n: int, c=None) -> PerfectnessReport:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -26,6 +27,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """Run python with these arguments in a fresh process that imports
+    rotmorse from the tree under test."""
+    src = Path(rotmorse.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 def test_critical_points_n3_json(capsys):
@@ -234,6 +245,31 @@ def test_flow_missing_start_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "flow", "--n", "3", "--start", "/nonexistent.json")
     assert code == 2
     assert "could not read" in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-json", "empty-path", "trailing-slash"])
+def test_flow_unreadable_start_file_names_the_reason(tmp_path, capsys, kind):
+    # The path is opened as given: "" and "start.json/" name no readable file.
+    path = tmp_path / "start.json"
+    arg, number = str(path), None
+    if kind == "missing":
+        number = errno.ENOENT
+    elif kind == "directory":
+        path.mkdir()
+        number = errno.EISDIR
+    elif kind == "empty-path":
+        arg, number = "", errno.ENOENT
+    else:
+        path.write_text("[[1, 0], [0, 1]")
+        if kind == "trailing-slash":
+            arg, number = f"{path}/", errno.ENOTDIR
+    if number is None:
+        reason = "Expecting ',' delimiter: line 1 column 16 (char 15)"
+    else:
+        reason = f"[Errno {number}] {os.strerror(number)}: {arg!r}"
+    code, out, err = run_cli(capsys, "flow", "--n", "2", "--start", arg)
+    assert (code, out) == (2, "")
+    assert err == f"error: could not read start file {arg!r}: {reason}\n"
 
 
 def test_flow_samples_equal_seeded_haar_descents(capsys):
@@ -449,21 +485,69 @@ def test_exact_commands_validate_the_weights_once(monkeypatch, capsys, command, 
     assert len(calls) == 1
 
 
+# Modules that the exact path runs none of: numpy belongs to the float layer,
+# scipy is no dependency at all, and the rest serve code that no exact
+# command runs.
+NOT_ON_THE_EXACT_PATH = ("numpy", "scipy", "dataclasses", "inspect", "typing", "pathlib", "csv")
+
+
 def test_exact_path_loads_neither_numpy_nor_scipy():
-    # The exact layer and the CLI import numpy only when a float command is
-    # dispatched; scipy is not a dependency at all.
-    src = Path(rotmorse.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # Each step runs in a fresh process without site (-S), which may load
+    # some of these itself, and is charged only with the modules it adds.
+    main_call = "import rotmorse.cli; assert rotmorse.cli.main({}) == 0"
     for step in (
         "import rotmorse.cli",
         "import rotmorse.topology",
-        "import rotmorse.cli; assert rotmorse.cli.main(['polynomials', '--n', '12']) == 0",
+        main_call.format(["polynomials", "--n", "12"]),
+        main_call.format(["polynomials", "--n", "12", "--format", "json"]),
     ):
-        code = f"import sys; {step}; assert 'numpy' not in sys.modules; assert 'scipy' not in sys.modules"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        code = (
+            f"import sys; before = set(sys.modules); {step}; "
+            f"loaded = sorted((set(sys.modules) - before) & set({NOT_ON_THE_EXACT_PATH!r})); "
+            "assert not loaded, loaded"
         )
+        proc = run_python("-S", "-c", code)
         assert proc.returncode == 0, (step, proc.stderr)
+
+
+# What each bad argument writes last to stderr, with exit code 2, before the
+# float layer is needed.
+NUMPY_FREE_ARGUMENT_ERRORS = {
+    ("critical-points", "--n", "0"): "n must be >= 1",
+    ("critical-points", "--n", "3", "--c", "1,1,2"): "cost vector must be strictly increasing",
+    ("flow", "--n", "0"): "n must be >= 1",
+    ("verify", "--n", "3", "--c", "1,x,3"): "could not parse --c '1,x,3' as comma-separated reals",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NUMPY_FREE_ARGUMENT_ERRORS))
+def test_argument_errors_caught_without_the_float_layer_load_no_numpy(argv):
+    code = (
+        "import sys\n"
+        "from rotmorse.cli import main\n"
+        "try:\n"
+        f"    main({list(argv)!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2, exc.code\n"
+        "    assert 'numpy' not in sys.modules\n"
+        "else:\n"
+        "    raise AssertionError('no exit')\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith(f"rotmorse: error: {NUMPY_FREE_ARGUMENT_ERRORS[argv]}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("polynomials", "--n", "6"), ("verify", "--n", "3", "--samples", "2")]
+)
+def test_csv_from_a_fresh_process_equals_csv_in_process(capsys, argv):
+    # a fresh process imports csv only when it writes the table
+    argv = (*argv, "--format", "csv")
+    proc = run_python("-m", "rotmorse", *argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == out
 
 
 # What polynomials writes to stderr, with exit code 2, for each class of bad --c.
