@@ -17,11 +17,10 @@ runs' texts by its codes there.
 
 `import rotmorse.cli` loads only argparse, json and the numpy-free exact
 layer (`patterns`, `topology`, `intpoly`) beyond what the interpreter
-starts with, and `polynomials` runs on them alone. The other commands
-import numpy and the float layer in `_import_float_layer`: `flow` and
-`verify` just before their weights are checked, `critical-points` when it
-is dispatched, so a bad argument that is caught before then loads no
-numpy. `csv` is imported only when CSV is written through it.
+starts with. Every argument is checked with them, and `polynomials` runs
+on them alone. The other commands import numpy and the float layer in
+`_import_float_layer` when `main` dispatches them, so no argument error
+loads numpy. `csv` is imported only when CSV is written through it.
 
 Exit codes: 0 success (and perfect, for `polynomials`), 1 standard output
 was closed before all of it was written (a broken pipe, as in `| head`),
@@ -39,7 +38,7 @@ import sys
 from collections import Counter
 from functools import cache
 
-from .patterns import _index, default_weights, validate_weights
+from .patterns import _check_descent, _index, default_weights, validate_weights
 from .topology import is_perfect
 
 
@@ -47,12 +46,12 @@ from .topology import is_perfect
 def _import_float_layer() -> None:
     """Bind numpy and the float layer's names in this module, once; every
     command but polynomials runs on them."""
-    global np, _pattern_table, _check_flow_args, _check_start, _flows
+    global np, _pattern_table, _check_start, _flows
     global _haar, _pair_arrays, pair_indices, _suites
     import numpy as np
 
     from .critical import _pattern_table
-    from .riemannian import _check_flow_args, _check_start, _flows
+    from .riemannian import _check_start, _flows
     from .rotations import _haar, _pair_arrays, pair_indices
     from .verify import _suites
 
@@ -102,12 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv) -> argparse.Namespace:
     """Parse and validate; args.c becomes the validated weights, a list of
-    floats.
-
-    The weights are checked once: by validate_weights, or for flow and
-    verify by _check_flow_args, which also checks --tol and the scaled
-    weights and is the one check here that needs the float layer.
-    """
+    floats, checked once by validate_weights. flow and verify add the
+    descent's rule on the scaled weights and --tol."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.n < 1:
@@ -120,11 +115,9 @@ def _parse_args(argv) -> argparse.Namespace:
         except ValueError:
             parser.error(f"could not parse --c {args.c!r} as comma-separated reals")
     try:
+        args.c = validate_weights(c, n=args.n)
         if "samples" in args:  # only verify and flow take --samples and --tol
-            _import_float_layer()
-            args.c = _check_flow_args(c, args.tol, n=args.n).tolist()
-        else:
-            args.c = validate_weights(c, n=args.n)
+            _check_descent(args.c, args.tol)
     except ValueError as exc:
         parser.error(str(exc))
     if getattr(args, "start", None) is not None and (args.samples is not None or args.seed is not None):
@@ -248,10 +241,8 @@ def _hessian_items(negative: np.ndarray, hessians: np.ndarray, prefixes: list, f
 
 def cmd_critical_points(args: argparse.Namespace) -> int:
     signs, indices, values, hessians = _pattern_table(args.n, np.array(args.c))
+    order = np.lexsort((values, indices)).tolist()  # stable, by index, then value
     indices, values = indices.tolist(), values.tolist()
-    # the record order is sorted(key=(index, value)) over the patterns
-    sort_keys = list(zip(indices, values))
-    order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
     negative = signs < 0
     d = hessians.shape[1]
     key_items = [((p,), ("+", "-")) for p in range(args.n)]
@@ -462,7 +453,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if args.command != "polynomials":  # flow and verify imported it for their checks
+    if args.command != "polynomials":
         _import_float_layer()
     try:
         code = _COMMANDS[args.command][0](args)

@@ -124,9 +124,11 @@ def index_by_hessian(eps, c) -> int:
 def critical_value(eps, c) -> float:
     """Objective value at the pattern's matrix: sum_i c(i)*eps(i).
 
-    Algebraically equal to 2*(sum of c over +1 positions) - sum(c). Uses
-    the same dot-product expression as the floating objective so the two
-    layers agree bit for bit on embedded patterns wherever it is finite.
+    Algebraically equal to 2*(sum of c over +1 positions) - sum(c). The
+    floating objective at the embedded pattern is the same dot product, but
+    over the strided diagonal, which BLAS may sum in another order: the
+    two agree within rounding, and bit for bit where every partial sum is
+    exact, as at integer weights.
     """
     eps = validate_pattern(eps)
     c = validate_costs(c, n=len(eps))

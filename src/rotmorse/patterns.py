@@ -1,11 +1,14 @@
 """Exact sign-pattern layer, free of numpy: the critical set of the
 weighted trace as sign patterns, their Morse indices as ints, the Morse
-polynomial, and the rule that admissible weights obey.
+polynomial, the rule that admissible weights obey, and the descent's
+further rule on weights and tolerance.
 
-Nothing here imports numpy, so `topology` and the `polynomials` command
-run without it. The float layer (`critical`, `riemannian`, `verify`)
-builds on these functions: `critical.validate_costs` converts its input
-to a float64 array and checks it with `validate_weights`.
+Nothing here imports numpy, so `topology`, the `polynomials` command and
+every argument check of the CLI run without it. The float layer
+(`critical`, `riemannian`, `verify`) builds on these functions:
+`critical.validate_costs` converts its input to a float64 array and
+checks it with `validate_weights`, and `gradient_flow` and
+`run_all_suites` add `_check_descent`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,24 @@ def validate_weights(c, n: int | None = None) -> list:
     if any(b <= a for a, b in zip(c, c[1:])):
         raise ValueError("cost vector must be strictly increasing")
     return c
+
+
+def _scale(c) -> float:
+    """The power of two s that puts max(c*s) in [0.5, 1), or 2**1023 at most."""
+    return math.ldexp(1.0, min(1023, -math.frexp(c[-1])[1]))
+
+
+def _check_descent(c, grad_tol: float) -> None:
+    """The descent's rule beyond validate_weights, for weights that passed
+    it (a list or a 1-d array): ValueError for weights that tie once
+    scaled by _scale, then for a tolerance that is not finite and positive.
+    """
+    s = _scale(c)
+    scaled = [float(x) * s for x in c]
+    if any(b <= a for a, b in zip(scaled, scaled[1:])):
+        raise ValueError("cost vector spans more than the float64 range: scaled to max < 1, it ties")
+    if not (math.isfinite(grad_tol) and grad_tol > 0):
+        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
 
 
 def default_weights(n: int) -> list:

@@ -30,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import _hessian_diagonal, validate_costs
+from .critical import _hessian_diagonal, _value, validate_costs
+from .patterns import _check_descent, _scale
 from .rotations import (
     _cayley,
     _check_square,
@@ -109,8 +110,11 @@ def _gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def objective(A, c) -> float:
-    """Weighted trace sum_i c(i) * A(i,i)."""
-    return float(_objective(*_check_args(A, c)))
+    """Weighted trace sum_i c(i) * A(i,i). A sum that is not finite is taken
+    again as critical_value takes it, so at an embedded pattern the value
+    overflows, if at all, with the sign of the exact sum, and is not NaN."""
+    A, c = _check_args(A, c)
+    return float(_value(A.diagonal(), c))
 
 
 def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
@@ -268,22 +272,6 @@ class FlowResult:
     converged: bool
 
 
-def _scale(c: np.ndarray) -> float:
-    """The power of two s that puts max(c*s) in [0.5, 1), or 2**1023 at most."""
-    return math.ldexp(1.0, min(1023, -math.frexp(c[-1])[1]))
-
-
-def _check_flow_args(c, grad_tol: float, n: int | None = None) -> np.ndarray:
-    """Validated float weights (of length n if given); ValueError for a bad
-    tolerance, or for weights that tie once scaled by _scale."""
-    c = validate_costs(c, n=n)
-    if np.any(np.diff(c * _scale(c)) <= 0):
-        raise ValueError("cost vector spans more than the float64 range: scaled to max < 1, it ties")
-    if not (math.isfinite(grad_tol) and grad_tol > 0):
-        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
-    return c
-
-
 def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int) -> tuple:
     """The descent of gradient_flow on a stack A of S starts at once.
 
@@ -375,7 +363,8 @@ def gradient_flow(
     kernels. The final matrix is classified by classify_rotation (None if
     no sign pattern is near).
     """
-    c = _check_flow_args(c, grad_tol)
+    c = validate_costs(c)
+    _check_descent(c, grad_tol)
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
     A = _check_start(A0, c.size)[None]

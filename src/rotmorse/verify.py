@@ -41,16 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import _pattern_table, default_costs
-from .patterns import sign_patterns
-from .riemannian import (
-    _ZERO_BAND,
-    _blocks,
-    _check_flow_args,
-    _curve_derivatives,
-    _flows,
-    _tangent_hessian,
-)
+from .critical import _pattern_table, default_costs, validate_costs
+from .patterns import _check_descent, sign_patterns
+from .riemannian import _ZERO_BAND, _blocks, _curve_derivatives, _flows, _tangent_hessian
 from .rotations import _haar, givens_curve, pair_count, pair_indices
 
 
@@ -220,7 +213,8 @@ def run_all_suites(n: int, samples: int, seed=0, c=None, grad_tol: float = 1e-8)
     """The four cross-check suites, in fixed order, for the weights c
     (default_costs(n) when None) at `samples` Haar points drawn from
     default_rng(seed)."""
-    c = _check_flow_args(default_costs(n) if c is None else c, grad_tol, n=n)
+    c = validate_costs(default_costs(n) if c is None else c, n=n)
+    _check_descent(c, grad_tol)
     return _suites(_haar(n, samples, seed), c, grad_tol)
 
 

@@ -289,6 +289,48 @@ def test_flow_samples_equal_seeded_haar_descents(capsys):
         assert sample["final_gradient_norm"] == res.final_gradient_norm
 
 
+@pytest.mark.parametrize("weights", [(), ("--c", "1e-9,2e-9,3e-9")], ids=["default", "unclassified"])
+def test_flow_table_and_csv_agree_with_json(capsys, weights):
+    # The bits of a descent depend on the BLAS build, so the three formats
+    # of one run are checked against each other, not against digests.
+    argv = ["flow", "--n", "3", "--samples", "6", "--seed", "5", *weights, "--format"]
+    out = {}
+    for fmt in ("json", "csv", "table"):
+        code, out[fmt], _ = run_cli(capsys, *argv, fmt)
+        assert code == 0
+    data = json.loads(out["json"])
+    samples, summary = data["samples"], data["summary"]
+    if weights:
+        assert summary["unclassified"] == len(samples)
+
+    def key(pattern):
+        return "unclassified" if pattern is None else "".join("+" if e > 0 else "-" for e in pattern)
+
+    rows = list(csv.reader(io.StringIO(out["csv"])))
+    assert rows[0] == ["sample", "iterations", "final_gradient_norm", "converged", "pattern"]
+    assert rows[1:] == [
+        [str(i), str(s["iterations"]), repr(s["final_gradient_norm"]), str(s["converged"]),
+         key(s["classified_pattern"])]
+        for i, s in enumerate(samples)
+    ]
+
+    its = summary["iterations"]
+    limits = [
+        f"  {k}  {count}  index {sum(j for j, e in enumerate(k) if e == '+')}"
+        for k, count in summary["pattern_counts"].items()
+    ]
+    unclassified = [f"  unclassified  {summary['unclassified']}"] if summary["unclassified"] else []
+    assert out["table"].splitlines() == [
+        f"gradient flow on SO(3), c = {data['c']}, seed 5, {len(samples)} start(s)",
+        f"converged: {summary['converged']}/{summary['samples']} "
+        f"(worst final gradient norm {summary['max_final_gradient_norm']:.3e})",
+        f"iterations: min {its['min']}, mean {its['mean']:.1f}, max {its['max']}",
+        "limits per sign pattern:",
+        *limits,
+        *unclassified,
+    ]
+
+
 def test_same_seed_byte_identical_json(capsys):
     argv = ["flow", "--n", "2", "--samples", "10", "--seed", "3", "--format", "json"]
     code1 = main(argv)
@@ -517,10 +559,20 @@ NUMPY_FREE_ARGUMENT_ERRORS = {
     ("critical-points", "--n", "3", "--c", "1,1,2"): "cost vector must be strictly increasing",
     ("flow", "--n", "0"): "n must be >= 1",
     ("verify", "--n", "3", "--c", "1,x,3"): "could not parse --c '1,x,3' as comma-separated reals",
+    ("flow", "--n", "3", "--tol", "0"): "grad_tol must be finite and positive, got 0.0",
+    ("verify", "--n", "3", "--tol", "nan"): "grad_tol must be finite and positive, got nan",
+    ("flow", "--n", "3", "--c", "0,5e-324,1"):
+        "cost vector spans more than the float64 range: scaled to max < 1, it ties",
+    ("verify", "--n", "3", "--c", "0,5e-324,1"):
+        "cost vector spans more than the float64 range: scaled to max < 1, it ties",
+    ("verify", "--n", "3", "--seed", "-1"): "seed must be >= 0",
+    ("flow", "--n", "3", "--samples", "0"): "samples must be >= 1",
+    ("flow", "--n", "3", "--start", "start.json", "--samples", "2"):
+        "--samples and --seed cannot be used with --start",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(NUMPY_FREE_ARGUMENT_ERRORS))
+@pytest.mark.parametrize("argv", list(NUMPY_FREE_ARGUMENT_ERRORS))
 def test_argument_errors_caught_without_the_float_layer_load_no_numpy(argv):
     code = (
         "import sys\n"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rotmorse.critical import validate_costs
-from rotmorse.patterns import default_weights, validate_weights
+from rotmorse.critical import enumerate_critical_points, validate_costs
+from rotmorse.patterns import default_weights, sign_patterns, validate_weights
+from rotmorse.rotations import haar_sample, pair_indices
+from rotmorse.topology import poincare_product
 
 WEIGHTS = [
     [1.0, 2.0, 3.0],
@@ -47,6 +49,13 @@ def test_validate_weights_returns_floats():
     assert validate_weights([0, 1, 2]) == [0.0, 1.0, 2.0]
     assert all(type(x) is float for x in validate_weights(np.arange(1.0, 4.0)))
     assert validate_weights(default_weights(4), n=4) == [1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        default_weights(0)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [default_weights, enumerate_critical_points, sign_patterns, pair_indices, haar_sample, poincare_product],
+)
+def test_n_below_1_is_refused(function):
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        function(0)
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from numpy.testing import assert_array_equal
 from rotmorse import riemannian
 from rotmorse.critical import (
     _hessian_diagonal,
+    _pattern_table,
     critical_value,
     default_costs,
     embed_pattern,
     hessian_diagonal,
     index_by_formula,
+    validate_costs,
 )
-from rotmorse.patterns import sign_patterns
+from rotmorse.patterns import _check_descent, sign_patterns
 from rotmorse.riemannian import (
     DegenerateHessianError,
     _numeric_indices,
@@ -44,6 +47,28 @@ def test_objective_matches_critical_value_bitwise():
         c = default_costs(n)
         for eps in sign_patterns(n):
             assert objective(embed_pattern(eps), c) == critical_value(eps, c)
+
+
+def test_objective_at_huge_weights_is_never_nan():
+    # Near the top of the float64 range a partial sum of the weighted trace
+    # overflows, and two can meet as inf - inf. objective then sums again as
+    # critical_value does: with no warning, never NaN, and any infinity has
+    # critical_value's sign. A value whose first sum is finite keeps its bits.
+    # The table's values carry critical_value's bits (test_critical).
+    c = np.linspace(1e308, 1.7e308, 16)
+    signs, _, values, _ = _pattern_table(16, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps, exact in zip(signs, values.tolist()):
+            A = np.diag(eps)
+            value = objective(A, c)
+            assert not math.isnan(value), eps
+            with np.errstate(all="ignore"):
+                first = float(riemannian._objective(A, c))
+            if math.isfinite(first):
+                assert value.hex() == first.hex(), eps
+            elif math.isinf(value):
+                assert math.copysign(1.0, value) == math.copysign(1.0, exact), eps
 
 
 def test_objective_quarter_turn_vanishes():
@@ -271,7 +296,8 @@ def test_flow_at_the_edge_of_the_float64_range_raises_nothing(c):
     # Still strictly increasing once scaled: every descent ends within a few
     # trials, with no overflow, division by zero or NaN. Underflow of the
     # smallest weight's products stays ignored, as numpy does by default.
-    c = riemannian._check_flow_args(c, 1e-8)
+    c = validate_costs(c)
+    _check_descent(c, 1e-8)
     with np.errstate(all="raise", under="ignore"):
         _, iterations, *_ = riemannian._flows(_haar(3, 20, 0), c, 1e-8)
     assert iterations.max() <= 20
