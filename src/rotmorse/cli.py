@@ -38,7 +38,7 @@ import sys
 from collections import Counter
 from functools import cache
 
-from .patterns import _check_descent, _index, default_weights, validate_weights
+from .patterns import _check_descent, _check_draw, _check_n, _index, default_weights, validate_weights
 from .topology import is_perfect
 
 
@@ -102,33 +102,32 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_args(argv) -> argparse.Namespace:
     """Parse and validate; args.c becomes the validated weights, a list of
     floats, checked once by validate_weights. flow and verify add the
-    descent's rule on the scaled weights and --tol."""
+    descent's rule on the scaled weights and --tol. The checks run in the
+    order n, weights, descent, the --start conflict, seed, samples; every
+    rule but the --start conflict is its owner's in patterns."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n < 1:
-        parser.error("n must be >= 1")
-    if args.c == "default":
-        c = default_weights(args.n)
-    else:
-        try:
-            c = [float(x) for x in args.c.split(",")]
-        except ValueError:
-            parser.error(f"could not parse --c {args.c!r} as comma-separated reals")
     try:
+        _check_n(args.n)
+        if args.c == "default":
+            c = default_weights(args.n)
+        else:
+            try:
+                c = [float(x) for x in args.c.split(",")]
+            except ValueError:
+                parser.error(f"could not parse --c {args.c!r} as comma-separated reals")
         args.c = validate_weights(c, n=args.n)
         if "samples" in args:  # only verify and flow take --samples and --tol
             _check_descent(args.c, args.tol)
+            given = args.samples is not None or args.seed is not None
+            if getattr(args, "start", None) is not None and given:
+                parser.error("--samples and --seed cannot be used with --start")
+            args.samples = 100 if args.samples is None else args.samples
+        args.seed = 0 if args.seed is None else args.seed
+        # critical-points and polynomials draw nothing; only their seed is checked
+        _check_draw(args.seed, getattr(args, "samples", 1))
     except ValueError as exc:
         parser.error(str(exc))
-    if getattr(args, "start", None) is not None and (args.samples is not None or args.seed is not None):
-        parser.error("--samples and --seed cannot be used with --start")
-    args.seed = 0 if args.seed is None else args.seed
-    if args.seed < 0:
-        parser.error("seed must be >= 0")
-    if "samples" in args:
-        args.samples = 100 if args.samples is None else args.samples
-        if args.samples < 1:
-            parser.error("samples must be >= 1")
     return args
 
 
@@ -336,7 +335,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "seed": args.seed,
         "samples": args.samples,
-        "suites": [vars(s) for s in suites],
+        "suites": [s._asdict() for s in suites],
         "passed": all_passed,
     }
 

@@ -21,11 +21,11 @@ Closed forms, for a pattern eps and weights c:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .patterns import default_weights, validate_pattern, validate_weights
+from .patterns import _check_n, default_weights, validate_pattern, validate_weights
 from .rotations import _pair_arrays
 
 
@@ -140,15 +140,9 @@ def embed_pattern(eps) -> np.ndarray:
     return np.diag(np.asarray(validate_pattern(eps), dtype=float))
 
 
-@dataclass(frozen=True)
-class CriticalPointRecord:
-    """One critical point: sign pattern, Morse index, value, and the
-    Hessian diagonal in pair_indices order."""
-
-    pattern: tuple
-    index: int
-    value: float
-    hessian_diagonal: np.ndarray
+CriticalPointRecord = namedtuple("CriticalPointRecord", ("pattern", "index", "value", "hessian_diagonal"))
+CriticalPointRecord.__doc__ = """One critical point: sign pattern, Morse index, value, and the
+Hessian diagonal in pair_indices order."""
 
 
 def _pattern_table(n: int, c: np.ndarray) -> tuple:
@@ -173,8 +167,7 @@ def enumerate_critical_points(n: int, c=None) -> list:
     Order follows sign_patterns(n), so output is deterministic. Weights
     default to c(i) = i. Each record holds one row of _pattern_table.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     c = default_costs(n) if c is None else validate_costs(c, n=n)
     signs, indices, values, hessians = _pattern_table(n, c)
     patterns = map(tuple, signs.astype(int).tolist())

@@ -1,14 +1,15 @@
 """Exact sign-pattern layer, free of numpy: the critical set of the
 weighted trace as sign patterns, their Morse indices as ints, the Morse
-polynomial, the rule that admissible weights obey, and the descent's
-further rule on weights and tolerance.
+polynomial, and the one owner of each rule on counts and weights: n >= 1,
+admissible weights, the descent's weights and tolerance, and the seeded
+draw's seed and samples.
 
 Nothing here imports numpy, so `topology`, the `polynomials` command and
 every argument check of the CLI run without it. The float layer
 (`critical`, `riemannian`, `verify`) builds on these functions:
 `critical.validate_costs` converts its input to a float64 array and
-checks it with `validate_weights`, and `gradient_flow` and
-`run_all_suites` add `_check_descent`.
+checks it with `validate_weights`, `gradient_flow` and `run_all_suites`
+add `_check_descent`, and `run_all_suites` then `_check_draw`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,20 @@ import itertools
 import math
 
 from .intpoly import IntPolynomial
+
+
+def _check_n(n: int) -> None:
+    """The dimension rule: ValueError unless n >= 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
+def _check_draw(seed: int, samples: int) -> None:
+    """The seeded draw's rule: ValueError unless seed >= 0, then unless samples >= 1."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
 
 def validate_weights(c, n: int | None = None) -> list:
@@ -66,8 +81,7 @@ def _check_descent(c, grad_tol: float) -> None:
 def default_weights(n: int) -> list:
     """The integer weights c(i) = i, as floats: the reproducible default
     everywhere."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     return [float(i) for i in range(1, n + 1)]
 
 
@@ -92,8 +106,7 @@ def sign_patterns(n: int) -> list:
     the last sign is their product, which makes the full product +1. This
     is the same order as filtering all 2^n sign vectors lexicographically.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     return [head + (math.prod(head),) for head in itertools.product((1, -1), repeat=n - 1)]
 
 
@@ -117,8 +130,7 @@ def morse_polynomial(n: int, c=None) -> IntPolynomial:
     gain n - 1. The result counts the same multiset as _index over
     sign_patterns(n).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     if c is not None:
         validate_weights(c, n=n)
     even, odd = [0], []

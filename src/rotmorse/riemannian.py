@@ -12,7 +12,7 @@ tolerance (or the gradient's rounding floor) or its cap. It runs a batch of
 starts as one (S, n, n) stack; a single start is a batch of one. Its
 results have one row per start (final points, iteration counts, gradient
 norms, a converged mask and the classified limit patterns); gradient_flow
-turns the one row of a single start into a FlowResult.
+turns the one row of a single start into a FlowResult namedtuple.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -25,7 +25,7 @@ classification, and index counts do not depend on that choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -261,15 +261,11 @@ def classify_rotation(A):
     return tuple(signs[0].tolist()) if found[0] else None
 
 
-@dataclass
-class FlowResult:
-    """Outcome of one descent run."""
-
-    final_point: np.ndarray
-    iterations: int
-    final_gradient_norm: float
-    classified_pattern: tuple | None
-    converged: bool
+FlowResult = namedtuple(
+    "FlowResult", ("final_point", "iterations", "final_gradient_norm", "classified_pattern", "converged")
+)
+FlowResult.__doc__ = """Outcome of one descent run; classified_pattern is None when no
+sign pattern is near the final point."""
 
 
 def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int) -> tuple:

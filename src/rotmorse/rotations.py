@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .patterns import _check_n
+
 #: Default tolerance for "is this matrix on the manifold" checks: two orders
 #: above double-precision noise, far below any flow tolerance.
 MEMBERSHIP_TOL = 1e-10
@@ -32,8 +34,7 @@ def pair_count(n: int) -> int:
 @lru_cache(maxsize=None)
 def pair_indices(n: int) -> tuple:
     """All 1-based pairs (i, j) with i < j, in lexicographic order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
@@ -131,8 +132,7 @@ def haar_sample(n: int, rng=None) -> np.ndarray:
     ``rng`` may be a seed or a numpy Generator; the draw is deterministic
     given the seed.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     return _haar(n, 1, rng)[0]
 
 
@@ -187,8 +187,10 @@ def retract(A, coeffs, step: float) -> np.ndarray:
 
 
 def is_rotation(A, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff ||A A^t - I||_inf <= tol and |det(A) - 1| <= tol."""
+    """True iff A is finite, ||A A^t - I||_inf <= tol and |det(A) - 1| <= tol."""
     A = _check_square(A, nonempty=True)
+    if not np.isfinite(A).all():
+        return False
     n = A.shape[0]
     resid = np.abs(A @ A.T - np.eye(n)).max()
     return bool(resid <= tol and abs(np.linalg.det(A) - 1.0) <= tol)

@@ -20,14 +20,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .intpoly import IntPolynomial
-from .patterns import _index, morse_polynomial, sign_patterns
+from .patterns import _check_n, _index, morse_polynomial, sign_patterns
 
 
 def poincare_product(n: int) -> IntPolynomial:
     """Expanded product (1+t)(1+t^2)...(1+t^(n-1)); the constant 1 for n=1.
     Multiplying by 1 + t^k adds a copy of the coefficients shifted up by k."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     coeffs = [1]
     for k in range(1, n):
         coeffs = [a + b for a, b in zip(coeffs + [0] * k, [0] * k + coeffs)]
@@ -43,8 +42,7 @@ def poincare_from_basis(n: int) -> IntPolynomial:
     earlier ones with m added, so
     degrees(m+1) = degrees(m) + [d + m for d in degrees(m)].
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     degrees = [0]
     for g in range(1, n):
         degrees += [d + g for d in degrees]

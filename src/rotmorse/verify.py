@@ -1,13 +1,13 @@
 """Cross-checking suites: finite-difference oracles against the closed-form
 derivatives, exact index agreement, and flow-based recovery of the critical
 set, all for one admissible weight vector. run_all_suites is the entry
-point and the `verify` CLI subcommand calls it. It validates the weights,
-the one check of the run, and draws one stack of Haar points from one
-default_rng(seed); the gradient, Hessian and flow suites each make one
-pass over that stack through private kernels that check nothing, and the
-index suite depends on the weights alone and runs once. The
-finite-difference kernels use givens_curve() and the linearity of the
-objective in the matrix entries only, so they share nothing with the
+point and the `verify` CLI subcommand calls it. It checks the weights,
+then the seed and the sample count, and draws one stack of Haar points
+from one default_rng(seed); the gradient, Hessian and flow suites each
+make one pass over that stack through private kernels that check
+nothing, and the index suite depends on the weights alone and runs once.
+The finite-difference kernels use givens_curve() and the linearity of
+the objective in the matrix entries only, so they share nothing with the
 closed forms.
 
 Every oracle runs as a few numpy calls on stacked arrays rather than one
@@ -36,13 +36,13 @@ gradient norms with the absolute grad_tol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from .critical import _pattern_table, default_costs, validate_costs
-from .patterns import _check_descent, sign_patterns
+from .patterns import _check_descent, _check_draw, sign_patterns
 from .riemannian import _ZERO_BAND, _blocks, _curve_derivatives, _flows, _tangent_hessian
 from .rotations import _haar, givens_curve, pair_count, pair_indices
 
@@ -106,15 +106,10 @@ def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (((fpp - fpm) - fmp) + fmm) / (4.0 * h * h)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    """One suite's verdict: residual against its threshold."""
-
-    name: str
-    passed: bool
-    max_residual: float
-    threshold: float
-    detail: str = ""
+SuiteResult = namedtuple(
+    "SuiteResult", ("name", "passed", "max_residual", "threshold", "detail"), defaults=("",)
+)
+SuiteResult.__doc__ = """One suite's verdict: residual against its threshold."""
 
 
 def _worst(differences) -> float:
@@ -209,12 +204,14 @@ def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float):
     )
 
 
-def run_all_suites(n: int, samples: int, seed=0, c=None, grad_tol: float = 1e-8) -> list:
+def run_all_suites(n: int, samples: int, seed: int = 0, c=None, grad_tol: float = 1e-8) -> list:
     """The four cross-check suites, in fixed order, for the weights c
     (default_costs(n) when None) at `samples` Haar points drawn from
-    default_rng(seed)."""
+    default_rng(seed). ValueError unless n >= 1, the weights pass the
+    descent's rule, seed >= 0 and samples >= 1."""
     c = validate_costs(default_costs(n) if c is None else c, n=n)
     _check_descent(c, grad_tol)
+    _check_draw(seed, samples)
     return _suites(_haar(n, samples, seed), c, grad_tol)
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import rotmorse
 from rotmorse.cli import build_parser, main
 from rotmorse.critical import default_costs, enumerate_critical_points, validate_costs
 from rotmorse.riemannian import gradient_flow
-from rotmorse.rotations import haar_sample, pair_indices
+from rotmorse.rotations import haar_sample, is_rotation, pair_indices
 
 from helpers import assert_same_text, count_weight_checks
 
@@ -231,6 +232,22 @@ def test_flow_off_manifold_start_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "flow", "--n", "3", "--start", str(path))
     assert code == 2
     assert "not a rotation" in err
+
+
+@pytest.mark.parametrize("entry", ["1e400", "NaN"])
+def test_non_finite_start_is_no_rotation_and_warns_nothing(tmp_path, capsys, entry):
+    # 1e400 reads as inf; neither it nor NaN reaches a matrix product.
+    path = tmp_path / "start.json"
+    path.write_text(f"[[{entry}, 0], [0, 1]]")
+    A = np.array(json.loads(path.read_text()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_rotation(A)
+        with pytest.raises(ValueError, match="not a rotation"):
+            gradient_flow(A, [1, 2])
+        code, _, err = run_cli(capsys, "flow", "--n", "2", "--start", str(path))
+    assert code == 2
+    assert err == "error: start matrix is not a rotation matrix within membership tolerance\n"
 
 
 def test_flow_wrong_shape_start_exit_2(tmp_path, capsys):
@@ -552,12 +569,26 @@ def test_exact_path_loads_neither_numpy_nor_scipy():
         assert proc.returncode == 0, (step, proc.stderr)
 
 
+def test_no_command_loads_dataclasses():
+    # The records are namedtuples, so no module of the package needs it.
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "from rotmorse.cli import main\n"
+        "for argv in (['flow', '--n', '3', '--samples', '2'], ['verify', '--n', '3', '--samples', '2'],\n"
+        "             ['critical-points', '--n', '3']):\n"
+        "    assert main([*argv, '--format', 'json']) == 0\n"
+        "assert 'dataclasses' not in set(sys.modules) - before\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 # What each bad argument writes last to stderr, with exit code 2, before the
 # float layer is needed.
 NUMPY_FREE_ARGUMENT_ERRORS = {
-    ("critical-points", "--n", "0"): "n must be >= 1",
+    ("critical-points", "--n", "0"): "n must be >= 1, got 0",
     ("critical-points", "--n", "3", "--c", "1,1,2"): "cost vector must be strictly increasing",
-    ("flow", "--n", "0"): "n must be >= 1",
+    ("flow", "--n", "0"): "n must be >= 1, got 0",
     ("verify", "--n", "3", "--c", "1,x,3"): "could not parse --c '1,x,3' as comma-separated reals",
     ("flow", "--n", "3", "--tol", "0"): "grad_tol must be finite and positive, got 0.0",
     ("verify", "--n", "3", "--tol", "nan"): "grad_tol must be finite and positive, got nan",
@@ -565,8 +596,8 @@ NUMPY_FREE_ARGUMENT_ERRORS = {
         "cost vector spans more than the float64 range: scaled to max < 1, it ties",
     ("verify", "--n", "3", "--c", "0,5e-324,1"):
         "cost vector spans more than the float64 range: scaled to max < 1, it ties",
-    ("verify", "--n", "3", "--seed", "-1"): "seed must be >= 0",
-    ("flow", "--n", "3", "--samples", "0"): "samples must be >= 1",
+    ("verify", "--n", "3", "--seed", "-1"): "seed must be >= 0, got -1",
+    ("flow", "--n", "3", "--samples", "0"): "samples must be >= 1, got 0",
     ("flow", "--n", "3", "--start", "start.json", "--samples", "2"):
         "--samples and --seed cannot be used with --start",
 }

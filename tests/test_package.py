@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import rotmorse
+from rotmorse.verify import SuiteResult
 
 
 def test_public_names_resolve_once():
@@ -29,3 +33,45 @@ def test_public_names_are_listed_before_they_are_imported():
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+_P4 = "IntPolynomial((1, 1, 1, 2, 1, 1, 1))"
+# record type -> (a record, its fields in order, its repr)
+RECORDS = {
+    "PerfectnessReport": (
+        lambda: rotmorse.is_perfect(4),
+        ("n", "morse", "poincare_basis", "poincare_product", "remainder", "perfect"),
+        f"PerfectnessReport(n=4, morse={_P4}, poincare_basis={_P4}, poincare_product={_P4}, "
+        "remainder=IntPolynomial(()), perfect=True)",
+    ),
+    "FlowResult": (
+        lambda: rotmorse.gradient_flow(np.eye(2), [1, 2]),
+        ("final_point", "iterations", "final_gradient_norm", "classified_pattern", "converged"),
+        "FlowResult(final_point=array([[1., 0.],\n       [0., 1.]]), iterations=0, "
+        "final_gradient_norm=0.0, classified_pattern=(1, 1), converged=True)",
+    ),
+    "SuiteResult": (
+        lambda: SuiteResult("gradient-fd", True, 0.0, 1e-07),
+        ("name", "passed", "max_residual", "threshold", "detail"),
+        "SuiteResult(name='gradient-fd', passed=True, max_residual=0.0, threshold=1e-07, detail='')",
+    ),
+    "CriticalPointRecord": (
+        lambda: rotmorse.enumerate_critical_points(2)[1],
+        ("pattern", "index", "value", "hessian_diagonal"),
+        "CriticalPointRecord(pattern=(-1, -1), index=0, value=-3.0, hessian_diagonal=array([3.]))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_record_api(name):
+    # Every record at the public boundary is an immutable namedtuple.
+    make, fields, text = RECORDS[name]
+    record = make()
+    assert type(record).__name__ == name and type(record)._fields == fields
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+    values = tuple(getattr(record, field) for field in fields)
+    assert record == values
+    assert record._asdict() == dict(zip(fields, values))
+    assert repr(record) == text

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rotmorse.critical import enumerate_critical_points, validate_costs
-from rotmorse.patterns import default_weights, sign_patterns, validate_weights
+from rotmorse.patterns import default_weights, morse_polynomial, sign_patterns, validate_weights
 from rotmorse.rotations import haar_sample, pair_indices
-from rotmorse.topology import poincare_product
+from rotmorse.topology import is_perfect, poincare_from_basis, poincare_product
 
 WEIGHTS = [
     [1.0, 2.0, 3.0],
@@ -53,7 +53,17 @@ def test_validate_weights_returns_floats():
 
 @pytest.mark.parametrize(
     "function",
-    [default_weights, enumerate_critical_points, sign_patterns, pair_indices, haar_sample, poincare_product],
+    [
+        default_weights,
+        enumerate_critical_points,
+        sign_patterns,
+        pair_indices,
+        haar_sample,
+        poincare_product,
+        morse_polynomial,
+        poincare_from_basis,
+        is_perfect,
+    ],
 )
 def test_n_below_1_is_refused(function):
     with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):

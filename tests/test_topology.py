@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rotmorse.intpoly import IntPolynomial
 from rotmorse.patterns import morse_polynomial
 from rotmorse.topology import (
-    PerfectnessReport,
     is_perfect,
     morse_remainder,
     morse_split_by_last_sign,
@@ -130,24 +129,6 @@ def test_is_perfect_n5():
     assert report.morse.to_list() == [1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1]
     assert report.remainder == IntPolynomial.zero()
     assert report.morse == report.poincare_basis == report.poincare_product
-
-
-def test_perfectness_report_api():
-    report = is_perfect(4)
-    assert report.perfect
-    assert PerfectnessReport._fields == (
-        "n", "morse", "poincare_basis", "poincare_product", "remainder", "perfect"
-    )
-    with pytest.raises(AttributeError):
-        report.perfect = False
-    p = "IntPolynomial((1, 1, 1, 2, 1, 1, 1))"
-    assert repr(report) == (
-        f"PerfectnessReport(n=4, morse={p}, poincare_basis={p}, poincare_product={p}, "
-        "remainder=IntPolynomial(()), perfect=True)"
-    )
-    # a tuple of its fields, in that order
-    assert report == (4, report.morse, report.poincare_basis, report.poincare_product,
-                      IntPolynomial.zero(), True)
 
 
 def test_is_perfect_n1():

@@ -286,6 +286,21 @@ def test_run_all_suites_refuses_weights_that_tie_once_scaled(c):
         run_all_suites(3, 3, c=c)
 
 
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (0, 0, "samples must be >= 1, got 0"),
+        (-2, 0, "samples must be >= 1, got -2"),
+        (2, -1, "seed must be >= 0, got -1"),
+    ],
+    ids=["samples=0", "samples=-2", "seed=-1"],
+)
+def test_run_all_suites_refuses_a_draw_of_nothing(samples, seed, message):
+    # Zero samples would pass the flow suite after checking no descent.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_all_suites(3, samples, seed=seed)
+
+
 def test_run_all_suites_validates_the_weights_once(monkeypatch):
     # The weights are checked at the public boundary; the suites then run
     # private kernels that do not check them again.
