@@ -5,7 +5,8 @@ JSON is the machine format and is byte-stable for fixed flags and seed on a
 fixed platform; tables are for humans and carry no stability promise. The
 library returns plain records and arrays; this module alone builds the JSON
 objects, CSV rows and table lines from them, and writes JSON with
-`json.dumps(..., indent=2)`.
+`json.dumps(..., indent=2)`. A CSV row is its fields joined by commas: no
+field that any command writes holds a comma, a quote or a line break.
 
 `critical-points` writes the bytes of that JSON without building a record
 object or dict per pattern: it renders each record straight from the
@@ -20,7 +21,7 @@ layer (`patterns`, `topology`, `intpoly`) beyond what the interpreter
 starts with. Every argument is checked with them, and `polynomials` runs
 on them alone. The other commands import numpy and the float layer in
 `_import_float_layer` when `main` dispatches them, so no argument error
-loads numpy. `csv` is imported only when CSV is written through it.
+loads numpy.
 
 Exit codes: 0 success (and perfect, for `polynomials`), 1 standard output
 was closed before all of it was written (a broken pipe, as in `| head`),
@@ -46,12 +47,12 @@ from .topology import is_perfect
 def _import_float_layer() -> None:
     """Bind numpy and the float layer's names in this module, once; every
     command but polynomials runs on them."""
-    global np, _pattern_table, _check_start, _flows
+    global np, _pattern_table, FlowResult, _check_start, _flows
     global _haar, _pair_arrays, pair_indices, _suites
     import numpy as np
 
     from .critical import _pattern_table
-    from .riemannian import _check_start, _flows
+    from .riemannian import FlowResult, _check_start, _flows
     from .rotations import _haar, _pair_arrays, pair_indices
     from .verify import _suites
 
@@ -161,12 +162,7 @@ def _render(args: argparse.Namespace, payload: dict, csv_rows, table_lines) -> N
     if args.format == "json":
         text = json.dumps({"n": args.n, "c": args.c, **payload}, indent=2)
     elif args.format == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows())
-        text = buf.getvalue().rstrip("\n")
+        text = "\n".join(",".join(map(str, row)) for row in csv_rows())
     else:
         text = "\n".join(table_lines())
     _write(args, (text, "\n"))
@@ -314,7 +310,7 @@ def cmd_polynomials(args: argparse.Namespace) -> int:
     def csv_rows():
         return [
             ("quantity", "value"),
-            *((key, str(value)) for key, _, value in rows),
+            *((key, value) for key, _, value in rows),
             ("verdict", verdict),
         ]
 
@@ -342,7 +338,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def csv_rows():
         yield ("suite", "status", "max_residual", "threshold")
         for s in suites:
-            yield (s.name, "pass" if s.passed else "fail", repr(s.max_residual), repr(s.threshold))
+            yield (s.name, "pass" if s.passed else "fail", s.max_residual, s.threshold)
 
     def table_lines():
         for s in suites:
@@ -399,14 +395,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "tol": args.tol,
         "samples": [
-            {
-                "final_point": point,
-                "iterations": count,
-                "final_gradient_norm": norm,
-                "classified_pattern": pattern,
-                "converged": ok,
-            }
-            for point, count, norm, pattern, ok in zip(points, iterations, norms, patterns, converged)
+            FlowResult(*row)._asdict() for row in zip(points, iterations, norms, patterns, converged)
         ],
         "summary": summary,
     }
@@ -416,7 +405,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         rows = zip(iterations, norms, converged, patterns)
         for i, (count, norm, ok, pattern) in enumerate(rows):
             key = "unclassified" if pattern is None else _pattern_key(pattern)
-            yield (i, count, repr(norm), ok, key)
+            yield (i, count, norm, ok, key)
 
     def table_lines():
         yield (

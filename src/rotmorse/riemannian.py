@@ -54,13 +54,14 @@ _BACKTRACK = 0.5
 # descent stops once its gradient norm is at most n * _EPS^2 * max(c).
 _EPS = 2.0**-52  # the float64 machine epsilon
 # _blocks keeps every stacked temporary here and in verify at most this many
-# bytes, below glibc's 128 KiB mmap threshold: freeing a mapped block raises
-# the threshold, after which freed blocks stay resident and peak RSS grows.
+# bytes (verify's index suite holds one (2^(n-1), n) sign table besides),
+# below glibc's 128 KiB mmap threshold: freeing a mapped block raises the
+# threshold, after which freed blocks stay resident and peak RSS grows.
 _STACK_BYTES = 1 << 17
 # The default iteration cap of every descent.
 _MAX_ITERATIONS = 100_000
 
-# numeric_index treats |λ| <= _ZERO_BAND * max |λ| as zero.
+# _banded_indices treats |λ| <= _ZERO_BAND * max |λ| as zero.
 _ZERO_BAND = 1e-9
 _CLASSIFY_TOL = 1e-6
 
@@ -208,18 +209,22 @@ class DegenerateHessianError(ValueError):
 
 
 def _numeric_indices(H: np.ndarray) -> np.ndarray:
-    """numeric_index of every matrix in a (..., d, d) stack, as an int array.
-
-    A matrix with an eigenvalue of |λ| <= _ZERO_BAND * max |λ|, an all-zero
-    matrix included, has no index and gets -1. Entries are not checked for
+    """numeric_index of every matrix in a (..., d, d) stack, as an int array:
+    _banded_indices of its eigenvalues. Entries are not checked for
     finiteness.
     """
     S = H + H.mT
     S *= 0.5  # in place: one block-sized temporary fewer, same bits
-    eigs = np.linalg.eigvalsh(S)
-    size = np.abs(eigs)
+    return _banded_indices(np.linalg.eigvalsh(S))
+
+
+def _banded_indices(spectra: np.ndarray) -> np.ndarray:
+    """The count of negative entries of each row of a (..., k) stack, or -1
+    (no index) for a row with an entry |λ| <= _ZERO_BAND * max |λ|, an
+    all-zero row included."""
+    size = np.abs(spectra)
     degenerate = size.min(axis=-1, initial=np.inf) <= _ZERO_BAND * size.max(axis=-1, initial=0.0)
-    return np.where(degenerate, -1, np.count_nonzero(eigs < 0.0, axis=-1))
+    return np.where(degenerate, -1, np.count_nonzero(spectra < 0.0, axis=-1))
 
 
 def numeric_index(H) -> int:

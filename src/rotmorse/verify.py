@@ -17,9 +17,9 @@ objective at a rotated point as one vecdot against a per-call table of
 the 2d curves at +-h, without forming that point: _fd_gradient makes 2d
 dots per point, and _fd_tangent_hessian forms the 2d points A @ B_p(+-h)
 of each point by stacked matrix products and makes (2d)^2 dots. The index
-suite takes every pattern's signs, formula index and Hessian diagonal from
-one _pattern_table call, and reads every pattern's tangent Hessian off one
-_tangent_hessian call at the n unit diagonal matrices. Stacked matmul and
+suite reads every pattern's tangent Hessian off one _tangent_hessian call
+at the n unit diagonal matrices, and takes the closed forms of the rows of
+_sign_table(n) in _blocks. Stacked matmul and
 vecdot treat each matrix or row as they would alone (vecdot makes one
 BLAS dot per entry, as np.dot does), so every value has the bits of the
 one-matrix-at-a-time loops.
@@ -36,14 +36,15 @@ gradient norms with the absolute grad_tol.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
-from .critical import _pattern_table, default_costs, validate_costs
-from .patterns import _check_descent, _check_draw, sign_patterns
-from .riemannian import _ZERO_BAND, _blocks, _curve_derivatives, _flows, _tangent_hessian
+from .critical import _hessian_diagonal, _index, _sign_table, default_costs, validate_costs
+from .patterns import _check_descent, _check_draw
+from .riemannian import _banded_indices, _blocks, _curve_derivatives, _flows, _tangent_hessian
 from .rotations import _haar, givens_curve, pair_count, pair_indices
 
 
@@ -161,21 +162,24 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     unit diagonal matrices E_kk. If every off-diagonal entry of T is 0.0,
     every H(eps) is diagonal, with diagonal signs @ diag(T): two nonzero
     terms per entry, rounded once in any order. A pattern has a Hessian
-    index only then, and only if that diagonal is finite and has no entry
-    inside the _ZERO_BAND that numeric_index applies to eigenvalues; else
-    it counts as a mismatch.
+    index only then, and only if that diagonal is finite; its index is
+    then the count that numeric_index makes of eigenvalues, zero band
+    included. A pattern without one counts as a mismatch.
     """
     n = c.size
-    signs, by_formula, _, diagonals = _pattern_table(n, c)
-    by_count = np.count_nonzero(diagonals < 0, axis=-1)
     T = _tangent_hessian(np.eye(n)[:, :, None] * np.eye(n), c)
     t = T.diagonal(0, -2, -1)
-    h = signs @ t
-    size = np.abs(h)
-    defined = (np.count_nonzero(T) == np.count_nonzero(t)) & np.isfinite(h).all(axis=-1)
-    defined &= size.min(axis=-1, initial=np.inf) > _ZERO_BAND * size.max(axis=-1, initial=0.0)
-    by_hessian = np.where(defined, np.count_nonzero(h < 0, axis=-1), -1)
-    mismatches = int(np.count_nonzero((by_formula != by_count) | (by_count != by_hessian)))
+    diagonal = np.count_nonzero(T) == np.count_nonzero(t)
+    signs = _sign_table(n)
+    mismatches = 0
+    # As in critical._pattern_table, an entry near 1e308 overflows to +-inf.
+    with np.errstate(over="ignore"):
+        for block in _blocks(len(signs), 8 * pair_count(n)):
+            eps = signs[block]
+            by_count = np.count_nonzero(_hessian_diagonal(eps, c) < 0, axis=-1)
+            h = eps @ t
+            by_hessian = np.where(diagonal & np.isfinite(h).all(axis=-1), _banded_indices(h), -1)
+            mismatches += int(np.count_nonzero((_index(eps) != by_count) | (by_count != by_hessian)))
     return SuiteResult(
         "index-equivalence",
         mismatches == 0,
@@ -186,14 +190,14 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
 
 
 def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float):
-    """Every descent from the starts must converge and land on an
-    enumerated sign pattern. Residual reported is the worst final gradient
-    norm."""
-    admissible = set(sign_patterns(c.size))
+    """Every descent from the starts must converge and land on a sign
+    pattern of product +1, checked here apart from _classify's own test.
+    Residual reported is the worst final gradient norm."""
     _, _, norms, converged, patterns = _flows(starts, c, grad_tol)
     norms = norms.tolist()
     failures = sum(
-        not (ok and pattern in admissible) for ok, pattern in zip(converged.tolist(), patterns)
+        not (ok and pattern is not None and math.prod(pattern) == 1)
+        for ok, pattern in zip(converged.tolist(), patterns)
     )
     return SuiteResult(
         "flow-classification",

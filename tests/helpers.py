@@ -3,13 +3,14 @@ kernels are checked against, and checks shared by several test modules."""
 
 import hashlib
 import importlib
-import itertools
 import pkgutil
 import sys
 
 import numpy as np
 
 import rotmorse
+
+from argv_grid import first_difference
 
 
 def random_costs(n: int, rng) -> np.ndarray:
@@ -87,8 +88,7 @@ def assert_same_text(got: str, expected: str) -> None:
     """
     if len(got) == len(expected) and _sha256(got) == _sha256(expected):
         return
-    pairs = itertools.zip_longest(got.splitlines(keepends=True), expected.splitlines(keepends=True))
-    number, (line, wanted) = next((k, p) for k, p in enumerate(pairs, 1) if p[0] != p[1])
+    number, line, wanted = first_difference(got, expected)
     raise AssertionError(
         f"texts differ (lengths {len(got)} and {len(expected)}); first at line {number}: "
         f"got {line!r:.300}, expected {wanted!r:.300}"

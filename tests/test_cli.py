@@ -625,7 +625,7 @@ def test_argument_errors_caught_without_the_float_layer_load_no_numpy(argv):
     "argv", [("polynomials", "--n", "6"), ("verify", "--n", "3", "--samples", "2")]
 )
 def test_csv_from_a_fresh_process_equals_csv_in_process(capsys, argv):
-    # a fresh process imports csv only when it writes the table
+    # main in process, as the argv grid runs it, writes what a fresh process writes
     argv = (*argv, "--format", "csv")
     proc = run_python("-m", "rotmorse", *argv)
     code, out, _ = run_cli(capsys, *argv)

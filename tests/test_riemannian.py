@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from rotmorse import riemannian
+from rotmorse.cli import main
 from rotmorse.critical import (
     _hessian_diagonal,
     _pattern_table,
@@ -526,20 +527,25 @@ def test_descent_makes_at_most_max_iterations_trials(n, max_iterations, seed):
             assert iterations[0] <= max_iterations
 
 
-def test_flow_result_json_round_trip():
+def _json_round_trip(res):
+    """A FlowResult through json, its final point as nested lists."""
+    return json.loads(json.dumps(res._replace(final_point=res.final_point.tolist())._asdict()))
+
+
+def test_flow_result_json_round_trip(tmp_path, capsys):
     # The fields the CLI emits per sample are JSON-native: numpy scalars
     # (np.bool_, np.int64) would make json.dumps raise.
-    res = gradient_flow(np.eye(2), default_costs(2))
-    d = json.loads(json.dumps({
-        "final_point": res.final_point.tolist(),
-        "iterations": res.iterations,
-        "final_gradient_norm": res.final_gradient_norm,
-        "classified_pattern": res.classified_pattern,
-        "converged": res.converged,
-    }))
+    d = _json_round_trip(gradient_flow(np.eye(2), default_costs(2)))
     assert d["final_point"] == [[1.0, 0.0], [0.0, 1.0]]
     assert d["classified_pattern"] == [1, 1]
     assert d["converged"] is True
+    # flow --start writes its one sample as gradient_flow's FlowResult
+    start = haar_sample(3, np.random.default_rng(8))
+    path = tmp_path / "start.json"
+    path.write_text(json.dumps(start.tolist()))
+    assert main(["flow", "--n", "3", "--start", str(path), "--format", "json"]) == 0
+    (sample,) = json.loads(capsys.readouterr().out)["samples"]
+    assert sample == _json_round_trip(gradient_flow(start, default_costs(3)))
 
 
 def _reference_flow(A0, c, grad_tol=1e-8, max_iterations=100_000):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotmorse
-from rotmorse import riemannian
+from rotmorse import riemannian, verify
 from rotmorse.critical import (
     _hessian_diagonal,
     _index,
@@ -20,6 +20,7 @@ from rotmorse.critical import (
 )
 from rotmorse.patterns import sign_patterns
 from rotmorse.riemannian import (
+    _ZERO_BAND,
     _numeric_indices,
     _tangent_hessian,
     curve_derivatives,
@@ -136,9 +137,104 @@ def test_index_suite_agrees_with_the_eigenvalue_route(c):
     assert result.passed == (mismatches == 0)
 
 
+# Weights (0, x, 1) with x on the edge of the relative zero band: at the
+# two patterns whose pair (1, 2) entry is -(x + 1) or x + 1, the entry of
+# size x is exactly _ZERO_BAND times the largest, and the next float above
+# x is outside the band.
+_BAND_EDGE = 1.0000000010000002e-09
+
+
+@pytest.mark.parametrize(
+    "c, mismatches",
+    [
+        ([0.0, _BAND_EDGE, 1.0], 2),
+        ([0.0, float(np.nextafter(_BAND_EDGE, 1.0)), 1.0], 0),
+        ([0.0], 0),
+        ([5.0], 0),
+        ([1e308, 1.5e308], 2),
+        ([1e308, 1.2e308, 1.5e308], 4),
+    ],
+    ids=["band-edge", "above-the-edge", "n1-zero", "n1", "overflowed-diagonal", "non-finite-entries"],
+)
+def test_index_suite_and_numeric_indices_agree_at_the_edges(c, mismatches):
+    assert _BAND_EDGE == _ZERO_BAND * (1.0 + _BAND_EDGE)
+    c = np.array(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _eigenvalue_route_mismatches(c) == mismatches
+        assert _index_suite(c).max_residual == mismatches
+
+
+_TINY_BLOCK_WEIGHTS = [
+    *(default_costs(n) for n in range(3, 11)),
+    *(random_costs(n, np.random.default_rng(n)) for n in (3, 6, 10)),
+    np.array([0.0, 1e-12, 1.0]),
+    np.array([1e308, 1.5e308]),
+    np.array([1e308, 1.2e308, 1.5e308]),
+]
+
+
+@pytest.mark.parametrize("c", _TINY_BLOCK_WEIGHTS, ids=lambda c: ",".join(f"{x:g}" for x in c))
+def test_index_suite_is_the_same_in_tiny_blocks(monkeypatch, c):
+    # The suite reads the sign table in _blocks of rows; blocks of one row
+    # and of three (the last one short) give the same verdict as the budget.
+    expected = _index_suite(c)
+    for rows in (1, 3):
+        monkeypatch.setattr(riemannian, "_STACK_BYTES", rows * 8 * pair_count(c.size))
+        assert _index_suite(c) == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_verify_at_n16_peaks_under_100_mb():
+    # The index suite used to build whole (2^(n-1), d) arrays: 141 MB here
+    # at n = 16, 558 MB at n = 18. VmHWM is the peak of the fresh process
+    # alone; ru_maxrss would keep the peak of the pytest process it was
+    # spawned from.
+    code = (
+        "from rotmorse.cli import main\n"
+        "assert main(['verify', '--n', '16', '--samples', '1']) == 0\n"
+        "print(*(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+    )
+    src = Path(rotmorse.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    label, kib, unit = proc.stdout.split()[-3:]
+    assert (label, unit) == ("VmHWM:", "kB")
+    assert int(kib) < 100 * 1024
+
+
 def test_flow_suite_passes():
     result = _flow_suite(_haar(3, 25, 4), default_costs(3), 1e-8)
     assert result.passed and result.max_residual <= result.threshold
+
+
+def test_flow_suite_enumerates_no_patterns(monkeypatch):
+    # The suite checks each limit's product of signs; it does not build the
+    # 2^(n-1) patterns to look the limit up.
+    def refuse(n):
+        raise AssertionError(f"sign_patterns({n}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rotmorse" and hasattr(module, "sign_patterns"):
+            monkeypatch.setattr(module, "sign_patterns", refuse)
+    result = _flow_suite(_haar(16, 2, 16), default_costs(16), 1e-8)
+    assert result.passed and result.detail == "2 descents, 0 failures"
+
+
+def test_flow_suite_fails_a_limit_of_product_minus_one(monkeypatch):
+    # At n = 3 flipping every sign of a limit flips its product to -1.
+    starts, c = _haar(3, 4, 4), default_costs(3)
+    assert _flow_suite(starts, c, 1e-8).passed
+    flows = verify._flows
+
+    def flipped(*args):
+        *rows, patterns = flows(*args)
+        return (*rows, [tuple(-e for e in eps) for eps in patterns])
+
+    monkeypatch.setattr(verify, "_flows", flipped)
+    result = _flow_suite(starts, c, 1e-8)
+    assert not result.passed
+    assert result.detail == "4 descents, 4 failures"
 
 
 def test_flow_suite_unreachable_tolerance_fails():
