@@ -1,8 +1,8 @@
 """Exact sign-pattern layer, free of numpy: the critical set of the
 weighted trace as sign patterns, their Morse indices as ints, the Morse
 polynomial, and the one owner of each rule on counts and weights: n >= 1,
-admissible weights, the descent's weights and tolerance, and the seeded
-draw's seed and samples.
+admissible weights, the descent's weights and tolerance, the seeded
+draw's seed and samples, and what an integral number as given is.
 
 Nothing here imports numpy, so `topology`, the `polynomials` command and
 every argument check of the CLI run without it. The float layer
@@ -24,6 +24,15 @@ def _check_n(n: int) -> None:
     """The dimension rule: ValueError unless n >= 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+
+
+def _integral(x) -> bool:
+    """Whether x is an integral number as given: 2.0 is, while 2.5, nan,
+    inf, None and "2" are not."""
+    try:
+        return x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _check_draw(seed: int, samples: int) -> None:

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .critical import _hessian_diagonal, _value, validate_costs
-from .patterns import _check_descent, _scale
+from .patterns import _check_descent, _integral, _scale
 from .rotations import (
     _cayley,
     _check_square,
@@ -54,9 +54,8 @@ _BACKTRACK = 0.5
 # descent stops once its gradient norm is at most n * _EPS^2 * max(c).
 _EPS = 2.0**-52  # the float64 machine epsilon
 # _blocks keeps every stacked temporary here and in verify at most this many
-# bytes (verify's index suite holds one (2^(n-1), n) sign table besides),
-# below glibc's 128 KiB mmap threshold: freeing a mapped block raises the
-# threshold, after which freed blocks stay resident and peak RSS grows.
+# bytes, below glibc's 128 KiB mmap threshold: freeing a mapped block raises
+# the threshold, after which freed blocks stay resident and peak RSS grows.
 _STACK_BYTES = 1 << 17
 # The default iteration cap of every descent.
 _MAX_ITERATIONS = 100_000
@@ -212,7 +211,13 @@ def _numeric_indices(H: np.ndarray) -> np.ndarray:
     """numeric_index of every matrix in a (..., d, d) stack, as an int array:
     _banded_indices of its eigenvalues. Entries are not checked for
     finiteness.
+
+    Each matrix is first scaled by the power of two that puts max|H| in
+    [0.5, 1), which is exact in the normal range: its index does not
+    depend on its scale, and neither H + H^T nor an eigenvalue overflows.
     """
+    _, e = np.frexp(np.abs(H).max(axis=(-2, -1), initial=0.0))
+    H = np.ldexp(H, -e[..., None, None])
     S = H + H.mT
     S *= 0.5  # in place: one block-sized temporary fewer, same bits
     return _banded_indices(np.linalg.eigvalsh(S))
@@ -357,8 +362,9 @@ def gradient_flow(
     gradient near a limit: a grad_tol below that floor ends promptly, with
     converged=False unless the norm has rounded to exactly 0. Or it has
     made max_iterations trials, and returns with converged=False. A
-    grad_tol that is not a finite positive number, a negative
-    max_iterations, a start of the wrong shape or off the manifold, and
+    grad_tol that is not a finite positive number, a max_iterations that
+    is not a nonnegative integer as given (3.0 is; 2.5, nan and inf are
+    not), a start of the wrong shape or off the manifold, and
     weights that tie once scaled to max(c) < 1, such as (0, 5e-324, 1),
     raise ValueError; past these checks the loop runs on unchecked
     kernels. The final matrix is classified by classify_rotation (None if
@@ -366,10 +372,10 @@ def gradient_flow(
     """
     c = validate_costs(c)
     _check_descent(c, grad_tol)
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
+    if not (_integral(max_iterations) and max_iterations >= 0):
+        raise ValueError(f"max_iterations must be an integer >= 0, got {max_iterations!r}")
     A = _check_start(A0, c.size)[None]
-    points, iterations, norms, converged, patterns = _flows(A, c, grad_tol, max_iterations)
+    points, iterations, norms, converged, patterns = _flows(A, c, grad_tol, int(max_iterations))
     return FlowResult(
         final_point=points[0],
         iterations=int(iterations[0]),

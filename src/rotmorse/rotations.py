@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .patterns import _check_n
+from .patterns import _check_n, _integral
 
 #: Default tolerance for "is this matrix on the manifold" checks: two orders
 #: above double-precision noise, far below any flow tolerance.
@@ -69,12 +69,8 @@ def _check_square(A, nonempty: bool = False) -> np.ndarray:
 
 def _validate_pair(pair, n: int) -> tuple:
     # Each index must be an integral number as given: 2.0 is 2, 2.5 is refused.
-    try:
-        integral = all(k == int(k) for k in pair)
-    except (TypeError, ValueError, OverflowError):
-        integral = False
     i, j = pair
-    if not (integral and 1 <= i < j <= n):
+    if not (_integral(i) and _integral(j) and 1 <= i < j <= n):
         raise ValueError(f"pair index {pair!r} invalid for dimension {n}: need integers 1 <= i < j <= n")
     return int(i), int(j)
 

@@ -18,11 +18,12 @@ the 2d curves at +-h, without forming that point: _fd_gradient makes 2d
 dots per point, and _fd_tangent_hessian forms the 2d points A @ B_p(+-h)
 of each point by stacked matrix products and makes (2d)^2 dots. The index
 suite reads every pattern's tangent Hessian off one _tangent_hessian call
-at the n unit diagonal matrices, and takes the closed forms of the rows of
-_sign_table(n) in _blocks. Stacked matmul and
-vecdot treat each matrix or row as they would alone (vecdot makes one
-BLAS dot per entry, as np.dot does), so every value has the bits of the
-one-matrix-at-a-time loops.
+at the n unit diagonal matrices, and takes the signs and closed forms of
+the critical set from _pattern_table one block of rows at a time, so no
+stack spans all 2^(n-1) patterns. Stacked matmul and vecdot treat each
+matrix or row as they would alone (vecdot makes one BLAS dot per entry,
+as np.dot does), so every value has the bits of the one-matrix-at-a-time
+loops.
 
 Oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import _hessian_diagonal, _index, _sign_table, default_costs, validate_costs
+from .critical import _pattern_table, default_costs, validate_costs
 from .patterns import _check_descent, _check_draw
 from .riemannian import _banded_indices, _blocks, _curve_derivatives, _flows, _tangent_hessian
 from .rotations import _haar, givens_curve, pair_count, pair_indices
@@ -170,22 +171,18 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     T = _tangent_hessian(np.eye(n)[:, :, None] * np.eye(n), c)
     t = T.diagonal(0, -2, -1)
     diagonal = np.count_nonzero(T) == np.count_nonzero(t)
-    signs = _sign_table(n)
+    count = 2 ** (n - 1)
     mismatches = 0
-    # As in critical._pattern_table, an entry near 1e308 overflows to +-inf.
-    with np.errstate(over="ignore"):
-        for block in _blocks(len(signs), 8 * pair_count(n)):
-            eps = signs[block]
-            by_count = np.count_nonzero(_hessian_diagonal(eps, c) < 0, axis=-1)
+    for block in _blocks(count, 8 * pair_count(n)):
+        eps, index, _, hessian = _pattern_table(n, c, block)
+        by_count = np.count_nonzero(hessian < 0, axis=-1)
+        # As in _pattern_table, an entry near 1e308 overflows to +-inf.
+        with np.errstate(over="ignore"):
             h = eps @ t
-            by_hessian = np.where(diagonal & np.isfinite(h).all(axis=-1), _banded_indices(h), -1)
-            mismatches += int(np.count_nonzero((_index(eps) != by_count) | (by_count != by_hessian)))
+        by_hessian = np.where(diagonal & np.isfinite(h).all(axis=-1), _banded_indices(h), -1)
+        mismatches += int(np.count_nonzero((index != by_count) | (by_count != by_hessian)))
     return SuiteResult(
-        "index-equivalence",
-        mismatches == 0,
-        float(mismatches),
-        0.0,
-        detail=f"{len(signs)} patterns",
+        "index-equivalence", mismatches == 0, float(mismatches), 0.0, detail=f"{count} patterns"
     )
 
 

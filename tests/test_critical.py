@@ -26,6 +26,8 @@ from rotmorse.critical import (
 )
 from rotmorse.intpoly import IntPolynomial
 from rotmorse.patterns import morse_polynomial, sign_patterns, validate_pattern
+from rotmorse.riemannian import _STACK_BYTES, _blocks
+from rotmorse.rotations import pair_count
 
 from helpers import evaluate, random_costs
 
@@ -90,6 +92,34 @@ def test_sign_table_is_the_stacked_sign_patterns_bitwise(n):
     assert table.dtype == expected.dtype and table.tobytes() == expected.tobytes()
     if n == 1:
         assert table.tolist() == [[1.0]]
+
+
+_BLOCK_WEIGHTS = {
+    "default": default_costs,
+    "random": lambda n: random_costs(n, np.random.default_rng(7)),
+    "near-1e308": lambda n: np.linspace(1e308, 1.7e308, 11)[:n],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
+@pytest.mark.parametrize("weights", list(_BLOCK_WEIGHTS))
+def test_pattern_table_in_blocks_is_the_rows_of_the_whole_table_bitwise(n, weights):
+    # The index suite reads the critical set one block of rows at a time;
+    # every block of _blocks(P, k) must carry the bits of those rows of the
+    # whole table, the short last block included.
+    c = _BLOCK_WEIGHTS[weights](n)
+    P = 2 ** (n - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = _pattern_table(n, c)
+        for k in (_STACK_BYTES, _STACK_BYTES // 3, _STACK_BYTES // 7, 8 * pair_count(n)):
+            blocks = list(_blocks(P, k))
+            assert [p for block in blocks for p in range(P)[block]] == list(range(P))
+            for block in blocks:
+                for part, rows in zip(_pattern_table(n, c, block), whole):
+                    expected = rows[block]
+                    assert part.dtype == expected.dtype and part.shape == expected.shape
+                    assert part.tobytes() == expected.tobytes()
 
 
 def test_enumeration_order_plus_first():

@@ -180,7 +180,7 @@ def test_numeric_index_degenerate_raises():
 
 
 def test_numeric_index_zero_band_is_relative():
-    for scale in (1e-300, 1e-9, 1.0, 1e300):
+    for scale in (1e-300, 1e-9, 1.0, 1e300, 4e307):
         assert numeric_index(scale * np.diag([-1.0, 4.0, 1.0])) == 1
     for H in (np.zeros((3, 3)), 1e-300 * np.diag([1.0, 1e-12])):
         with pytest.raises(DegenerateHessianError):
@@ -188,6 +188,19 @@ def test_numeric_index_zero_band_is_relative():
     # a degenerate matrix of a stack is marked -1 and leaves the others alone
     stack = np.stack([np.diag([-1.0, 4.0]), np.diag([1.0, 1e-12])])
     assert _numeric_indices(stack).tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("c", [[0.1e308, 0.2e308, 0.3e308, 0.6e308], [0.2e308, 0.5e308, 0.8e308]])
+def test_numeric_index_of_a_huge_finite_hessian_is_the_formula(c):
+    # Every Hessian here is finite, but H + H^T is not: unscaled, patterns of
+    # index 6, 1 and 5 read 0 at the first weights, and the second weights
+    # made eigvalsh raise LinAlgError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in sign_patterns(len(c)):
+            H = tangent_hessian(embed_pattern(eps), c)
+            assert np.isfinite(H).all()
+            assert numeric_index(H) == index_by_formula(eps), eps
 
 
 def test_stacked_hessian_kernels_equal_single_matrix_calls():
@@ -275,12 +288,19 @@ def test_flow_rejects_bad_tolerance(grad_tol):
 
 
 def test_flow_rejects_negative_iteration_cap():
-    with pytest.raises(ValueError, match="max_iterations"):
-        gradient_flow(np.eye(3), default_costs(3), max_iterations=-5)
+    # The cap must be a nonnegative integer as given: 2.5 made 3 trials, nan
+    # none and inf left the descent unbounded.
+    for cap in (-5, 2.5, math.nan, math.inf, -math.inf, None, "3"):
+        with pytest.raises(ValueError, match="max_iterations"):
+            gradient_flow(np.eye(3), default_costs(3), max_iterations=cap)
     A0 = haar_sample(3, 12)
     res = gradient_flow(A0, default_costs(3), max_iterations=0)  # a cap of 0 is allowed
     assert res.iterations == 0 and not res.converged
     assert_array_equal(res.final_point, A0)
+    # an integral float is that integer
+    capped, exact = (gradient_flow(A0, default_costs(3), max_iterations=cap) for cap in (3.0, 3))
+    assert capped.iterations == exact.iterations == 3 and not capped.converged
+    assert_array_equal(capped.final_point, exact.final_point)
 
 
 @pytest.mark.parametrize("c", [[0.0, 5e-324, 1.0], [0.0, 1e-200, 1e200]])
