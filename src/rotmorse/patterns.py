@@ -16,14 +16,24 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .intpoly import IntPolynomial
 
 
+def _check_count(name: str, x, least: int) -> None:
+    """ValueError unless operator.index takes x (3.0 it refuses), then unless x >= least."""
+    try:
+        operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if x < least:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
+
+
 def _check_n(n: int) -> None:
-    """The dimension rule: ValueError unless n >= 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """The dimension rule: _check_count of n >= 1."""
+    _check_count("n", n, 1)
 
 
 def _integral(x) -> bool:
@@ -36,11 +46,9 @@ def _integral(x) -> bool:
 
 
 def _check_draw(seed: int, samples: int) -> None:
-    """The seeded draw's rule: ValueError unless seed >= 0, then unless samples >= 1."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    """The seeded draw's rule: _check_count of seed >= 0, then of samples >= 1."""
+    _check_count("seed", seed, 0)
+    _check_count("samples", samples, 1)
 
 
 def validate_weights(c, n: int | None = None) -> list:

@@ -26,20 +26,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 import numpy as np
 
 from .critical import _hessian_diagonal, _value, validate_costs
 from .patterns import _check_descent, _integral, _scale
-from .rotations import (
-    _cayley,
-    _check_square,
-    _pair_arrays,
-    _pair_flat,
-    is_rotation,
-    pair_count,
-)
+from .rotations import _cayley, _check_square, _generators, is_rotation, pair_count
 
 # Line-search constants of gradient_flow. Every trial, accepted or refused,
 # counts toward max_iterations. A refused trial is a null step: the next
@@ -93,7 +85,9 @@ def _blocks(count: int, item_bytes: int):
 # The closed forms, each written once. Callers pass validated float weights
 # and a float (..., n, n) stack of matrices; the kernels check nothing.
 # np.vecdot computes each entry with the same BLAS dot that np.dot uses on
-# one vector, so a matrix gets the same bits alone as in any stack.
+# one vector, and each entry of a product with the 0/+-1 table of
+# rotations._generators is rounded once, so a matrix gets the same bits
+# alone as in any stack.
 
 
 def _objective(A: np.ndarray, c: np.ndarray):
@@ -101,12 +95,10 @@ def _objective(A: np.ndarray, c: np.ndarray):
 
 
 def _gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Entry (i, j) of M - M^T with M = diag(c) A is c(i)*A(i,j) - c(j)*A(j,i).
-    # np.take keeps each row contiguous (fancy indexing of a stack would
-    # not), so np.vecdot of a row takes the same unit-stride BLAS path as
-    # for one matrix.
-    M = c[:, None] * A
-    return np.take((M - M.mT).reshape(A.shape[:-2] + (-1,)), _pair_flat(c.size), axis=-1)
+    # g_p = f(A @ E_p) = <-diag(c) A, E_p>_F over the rows E_p of
+    # _generators: c(i)*A(i,j) - c(j)*A(j,i) for p = (i, j), rounded once.
+    n = c.size
+    return (-c[:, None] * A).reshape(A.shape[:-2] + (n * n,)) @ _generators(n)[0].T
 
 
 def objective(A, c) -> float:
@@ -123,8 +115,10 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
     In pair_indices order. side="right" differentiates the curves
     A @ B_ij(theta): component (i, j) is c(i)*A(i,j) - c(j)*A(j,i).
     side="left" differentiates B_ij(theta) @ A: component (i, j) is
-    -c(i)*A(j,i) + c(j)*A(i,j). Both vanish identically (exact zeros) on
-    embedded sign-pattern matrices.
+    -c(i)*A(j,i) + c(j)*A(i,j). Each component is read off the table of
+    rotations._generators and rounded once. Both vanish identically (exact
+    zeros, of either sign) on embedded sign-pattern matrices; a matrix
+    whose c*A overflows gives NaN in every component.
     """
     A, c = _check_args(A, c)
     if side not in ("right", "left"):
@@ -138,44 +132,12 @@ def _curve_derivatives(A: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
     return -_gradient(A.mT, c) if left else _gradient(A, c)
 
 
-@lru_cache(maxsize=None)
-def _hessian_scatter(n: int) -> tuple:
-    """Where the four terms of the tangent_hessian closed form land.
-
-    One read-only (sign, dst, src) per term, in the docstring's order:
-    the term adds sign * M.flat[src] to H.flat[dst], H being d x d with
-    d = pair_count(n) and M being n x n. Within a term every dst occurs at
-    most once; only the second and third terms share positions, the
-    diagonal, so H[p, p] = (0 - M_bb) - M_aa for p = (a, b).
-    """
-    iu, ju = _pair_arrays(n)
-    a, b = iu[:, None], ju[:, None]  # row pair p = (a, b)
-    g, d = iu[None, :], ju[None, :]  # column pair q = (g, d)
-    dst = np.arange(iu.size * iu.size).reshape(iu.size, iu.size)
-    terms = []
-    for sign, hit, src in (
-        (1.0, a == d, g * n + b),
-        (-1.0, a == g, d * n + b),
-        (-1.0, b == d, g * n + a),
-        (1.0, b == g, d * n + a),
-    ):
-        term = (dst[hit], src[hit])
-        for column in term:
-            column.flags.writeable = False
-        terms.append((sign, *term))
-    return tuple(terms)
-
-
 def _tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     """tangent_hessian of every matrix in a (..., n, n) stack: (..., d, d)."""
     n = c.size
-    d = pair_count(n)
-    lead = A.shape[:-2]
-    M = (c[:, None] * A).reshape(lead + (n * n,))
-    H = np.zeros(lead + (d * d,))
-    for sign, dst, src in _hessian_scatter(n):
-        H[..., dst] += sign * M[..., src]
-    return H.reshape(lead + (d, d))
+    B = _generators(n)[0]
+    X = (-c[:, None] * A)[..., None, :, :] @ B.reshape(-1, n, n)
+    return X.reshape(X.shape[:-2] + (n * n,)) @ B.T
 
 
 def tangent_hessian(A, c) -> np.ndarray:
@@ -189,15 +151,18 @@ def tangent_hessian(A, c) -> np.ndarray:
     away from critical points it is generally not symmetric (the defect is
     a combination of first derivatives).
 
-    Expanding E_ab @ E_gd with M = diag(c) @ A gives the closed form
+    With M = diag(c) @ A and E_p the rows of rotations._generators, that
+    is H[p, q] = tr(M @ E_p @ E_q) = <-M @ E_p, E_q>_F: the d products
+    -M @ E_p are formed, a temporary of 8 d n^2 bytes per matrix, and read
+    against the same table. Every entry of E_p is 0 or +-1, so each entry
+    of -M @ E_p is one entry of -M, exactly, and each entry of H sums at most
+    two nonzero products: it is rounded once, as the closed form
 
-        H[(a,b),(g,d)] = δ_ad M_gb - δ_ag M_db - δ_bd M_ga + δ_bg M_da.
+        H[(a,b),(g,d)] = δ_ad M_gb - δ_ag M_db - δ_bd M_ga + δ_bg M_da
 
-    Each δ term is nonzero at O(n^3) of the d^2 entries, so H is built by
-    scattering the four terms from a per-n table of positions into a zero
-    matrix; the n^4 tensor of all δ products is never formed. The same
-    kernel runs on a whole stack of matrices, and each matrix of a stack
-    gets the bits it gets alone.
+    is, and each matrix of a stack gets the bits it gets alone. An entry
+    of M that is not finite (c*A overflowing, off the manifold) meets the
+    zeros of the table, so every entry of that matrix's H is NaN.
     """
     return _tangent_hessian(*_check_args(A, c))
 

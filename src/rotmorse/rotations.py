@@ -9,7 +9,9 @@ Conventions shared by the whole package:
   (tangent coefficients, gradients, Hessian rows) follows this order.
 * Tangent directions at ``A`` are spanned by the raw generator basis
   ``{A @ E_ij}`` where ``E_ij`` holds -1 at ``(i, j)`` and +1 at ``(j, i)``,
-  with no Frobenius rescaling.
+  with no Frobenius rescaling. ``_generators(n)`` stacks the flattened
+  ``E_ij`` once per n; it is the one tangent basis, read by ``_cayley``
+  here and by ``riemannian._gradient`` and ``riemannian._tangent_hessian``.
 """
 
 from __future__ import annotations
@@ -47,16 +49,6 @@ def _pair_arrays(n: int) -> tuple:
     return iu, ju
 
 
-@lru_cache(maxsize=None)
-def _pair_flat(n: int) -> np.ndarray:
-    """pair_indices(n) as read-only positions i*n + j in a row-major n*n
-    matrix (0-based)."""
-    iu, ju = _pair_arrays(n)
-    flat = iu * n + ju
-    flat.flags.writeable = False
-    return flat
-
-
 def _check_square(A, nonempty: bool = False) -> np.ndarray:
     """A as a float array; ValueError unless square (and, if nonempty, n >= 1)."""
     A = np.asarray(A, dtype=float)
@@ -68,8 +60,12 @@ def _check_square(A, nonempty: bool = False) -> np.ndarray:
 
 
 def _validate_pair(pair, n: int) -> tuple:
-    # Each index must be an integral number as given: 2.0 is 2, 2.5 is refused.
-    i, j = pair
+    # Each index must be an integral number as given: 2.0 is 2, 2.5 is
+    # refused, and so is anything that does not unpack into two indices.
+    try:
+        i, j = pair
+    except (TypeError, ValueError):
+        i = j = None
     if not (_integral(i) and _integral(j) and 1 <= i < j <= n):
         raise ValueError(f"pair index {pair!r} invalid for dimension {n}: need integers 1 <= i < j <= n")
     return int(i), int(j)
@@ -142,9 +138,10 @@ def _check_coeffs(coeffs, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cayley_basis(n: int) -> tuple:
-    """Read-only (B, e): coeffs @ B is K = sum_p coeffs[p] * generator(p)
-    flattened row-major, and e is the flattened identity."""
+def _generators(n: int) -> tuple:
+    """Read-only (B, e): row p of the (d, n*n) table B is generator(p)
+    flattened row-major, in pair_indices order, so coeffs @ B is
+    K = sum_p coeffs[p] * generator(p); e is the flattened identity."""
     B = np.array([generator(p, n).ravel() for p in pair_indices(n)]).reshape(-1, n * n)
     e = np.eye(n).ravel()
     B.flags.writeable = False
@@ -163,7 +160,7 @@ def _cayley(A: np.ndarray, coeffs: np.ndarray, step) -> np.ndarray:
     stack. Nothing is checked.
     """
     n = A.shape[-1]
-    B, e = _cayley_basis(n)
+    B, e = _generators(n)
     half = 0.5 * np.asarray(step)[..., None] * coeffs
     P = (half @ B + e).reshape(half.shape[:-1] + (n, n))
     return A @ np.linalg.solve(P.mT, P)

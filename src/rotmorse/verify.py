@@ -17,13 +17,13 @@ objective at a rotated point as one vecdot against a per-call table of
 the 2d curves at +-h, without forming that point: _fd_gradient makes 2d
 dots per point, and _fd_tangent_hessian forms the 2d points A @ B_p(+-h)
 of each point by stacked matrix products and makes (2d)^2 dots. The index
-suite reads every pattern's tangent Hessian off one _tangent_hessian call
-at the n unit diagonal matrices, and takes the signs and closed forms of
-the critical set from _pattern_table one block of rows at a time, so no
-stack spans all 2^(n-1) patterns. Stacked matmul and vecdot treat each
-matrix or row as they would alone (vecdot makes one BLAS dot per entry,
-as np.dot does), so every value has the bits of the one-matrix-at-a-time
-loops.
+suite reads every pattern's tangent Hessian off the _tangent_hessian of
+the n unit diagonal matrices, taken in blocks, and the signs and closed
+forms of the critical set from _pattern_table one block of rows at a
+time, so no stack spans all 2^(n-1) patterns. Stacked matmul and vecdot
+treat each matrix or row as they would alone (vecdot makes one BLAS dot
+per entry, as np.dot does), so every value has the bits of the
+one-matrix-at-a-time loops.
 
 Oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of
@@ -167,13 +167,16 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     then the count that numeric_index makes of eigenvalues, zero band
     included. A pattern without one counts as a mismatch.
     """
-    n = c.size
-    T = _tangent_hessian(np.eye(n)[:, :, None] * np.eye(n), c)
+    n, d = c.size, pair_count(c.size)
+    E = np.eye(n)[:, :, None] * np.eye(n)
+    T = np.empty((n, d, d))
+    for block in _blocks(n, 8 * d * n * n):
+        T[block] = _tangent_hessian(E[block], c)
     t = T.diagonal(0, -2, -1)
     diagonal = np.count_nonzero(T) == np.count_nonzero(t)
     count = 2 ** (n - 1)
     mismatches = 0
-    for block in _blocks(count, 8 * pair_count(n)):
+    for block in _blocks(count, 8 * d):
         eps, index, _, hessian = _pattern_table(n, c, block)
         by_count = np.count_nonzero(hessian < 0, axis=-1)
         # As in _pattern_table, an entry near 1e308 overflows to +-inf.

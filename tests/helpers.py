@@ -35,6 +35,43 @@ def reference_haar_sample(n: int, rng) -> np.ndarray:
     return Q
 
 
+def reference_gradient(A, c, left: bool = False) -> list:
+    """curve_derivatives(A, c) entry by entry in Python floats, in pair
+    order: c_a A_ab - c_b A_ba for the right curves, and -c_a A_ba + c_b A_ab
+    for the left curves, at the 0-based pair (a, b)."""
+    c = [float(x) for x in c]
+    A = [[float(x) for x in row] for row in A]
+    pairs = [(a, b) for a in range(len(c)) for b in range(a + 1, len(c))]
+    if left:
+        return [-(c[a] * A[b][a]) + c[b] * A[a][b] for a, b in pairs]
+    return [c[a] * A[a][b] - c[b] * A[b][a] for a, b in pairs]
+
+
+def reference_tangent_hessian(A, c) -> list:
+    """tangent_hessian(A, c) entry by entry in Python floats, as a list of
+    rows: with M = diag(c) A, entry ((a,b), (g,d)) is
+    δ_ad M_gb - δ_ag M_db - δ_bd M_ga + δ_bg M_da."""
+    n = len(c)
+    M = [[float(c[i]) * float(A[i][j]) for j in range(n)] for i in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    H = []
+    for a, b in pairs:
+        row = []
+        for g, d in pairs:
+            h = 0.0
+            if a == d:
+                h += M[g][b]
+            if a == g:
+                h -= M[d][b]
+            if b == d:
+                h -= M[g][a]
+            if b == g:
+                h += M[d][a]
+            row.append(h)
+        H.append(row)
+    return H
+
+
 def reference_classify(A):
     """The sign pattern A is entrywise within 1e-6 of, if it has det +1;
     otherwise None (also for NaN entries). One matrix at a time."""

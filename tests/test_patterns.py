@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,4 +69,9 @@ def test_validate_weights_returns_floats():
 def test_n_below_1_is_refused(function):
     with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         function(0)
+    # A count must be an integer as operator.index takes it: 3.0 is refused
+    # by the rule's owner too, not by range() or numpy with a TypeError.
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(n))}$"):
+            function(n)
 

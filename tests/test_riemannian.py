@@ -36,7 +36,7 @@ from rotmorse.riemannian import (
 from rotmorse.rotations import _haar, generator, givens_curve, haar_sample, pair_indices, retract
 from rotmorse.verify import _fd_gradient, _fd_tangent_hessian
 
-from helpers import random_costs, reference_classify
+from helpers import random_costs, reference_classify, reference_gradient, reference_tangent_hessian
 
 
 def test_objective_at_identity():
@@ -121,6 +121,25 @@ def test_hessian_diagonal_at_pattern():
 
 def test_hessian_at_identity_n2():
     assert_array_equal(tangent_hessian(np.eye(2), [1, 2]), [[-3.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8, 1e300, 1.7e308])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_forms_equal_the_entrywise_reference_bitwise(n, scale):
+    # Each gradient and tangent Hessian entry sums at most two nonzero
+    # products of an entry of diag(c) A with +-1, so it is rounded once, as
+    # the formula written out entry by entry in Python floats is. Near
+    # 1.7e308 a Hessian entry overflows to inf on both sides.
+    c = scale * (default_costs(n) / n)
+    d = n * (n - 1) // 2
+    points = list(_haar(n, 4, n)) + [embed_pattern(eps) for eps in sign_patterns(n)[-4:]]
+    with np.errstate(over="ignore"):
+        for A in points:
+            for side in ("right", "left"):
+                expected = reference_gradient(A, c, left=side == "left")
+                assert np.array_equal(curve_derivatives(A, c, side=side), expected)
+            expected = np.array(reference_tangent_hessian(A, c)).reshape(d, d)
+            assert np.array_equal(tangent_hessian(A, c), expected)
 
 
 def test_hessian_matches_definition():

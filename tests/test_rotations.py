@@ -53,12 +53,15 @@ def test_givens_block_structure_n3():
     "pair",
     [(2, 1), (1, 1), (0, 2), (1, 4)]
     # Not integral as given: truncating (1.9, 2.5) or (1.2, 3.99) would give a valid pair.
-    + [(1.9, 2.5), (1.2, 3.99), (1, math.inf), (None, 2), ("1", 2), (1, math.nan)],
+    + [(1.9, 2.5), (1.2, 3.99), (1, math.inf), (None, 2), ("1", 2), (1, math.nan)]
+    # Not two indices: refused by the same rule, not by unpacking.
+    + [5, None, (1,), (1, 2, 3)],
 )
 def test_givens_invalid_pair(pair):
-    with pytest.raises(ValueError):
+    message = r"^pair index .* need integers 1 <= i < j <= n$"
+    with pytest.raises(ValueError, match=message):
         givens_curve(pair, 0.1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         generator(pair, 3)
 
 

@@ -80,25 +80,38 @@ def test_index_suite_passes():
 
 @pytest.mark.parametrize("n,patterns", [(3, 4), (4, 8), (8, 128)])
 def test_an_off_diagonal_scatter_fails_every_pattern(monkeypatch, n, patterns):
-    # Move one diagonal destination of the scatter table's second term off
-    # the diagonal. Every pattern's Hessian then has a nonzero off-diagonal
-    # entry, which eigenvalues would fold into the spectrum.
-    original = riemannian._hessian_scatter
-    d = pair_count(n)
+    # Move each Hessian's (0, 0) entry to (0, 1). Every pattern's Hessian
+    # then has a nonzero off-diagonal entry, which eigenvalues would fold
+    # into the spectrum.
+    original = verify._tangent_hessian
 
-    def moved_scatter(m):
-        terms = list(original(m))
-        sign, dst, src = terms[1]
-        dst = dst.copy()
-        free = np.setdiff1d(np.arange(d * d), dst)
-        dst[np.flatnonzero(dst // d == dst % d)[0]] = free[free // d != free % d][0]
-        terms[1] = (sign, dst, src)
-        return tuple(terms)
+    def moved(A, c):
+        H = original(A, c)
+        H[..., 0, 1], H[..., 0, 0] = H[..., 0, 0], 0.0
+        return H
 
-    monkeypatch.setattr(riemannian, "_hessian_scatter", moved_scatter)
+    monkeypatch.setattr(verify, "_tangent_hessian", moved)
     result = _index_suite(default_costs(n))
     assert not result.passed
     assert result.max_residual == patterns
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_every_tangent_hessian_stack_of_verify_fits_the_budget(monkeypatch, n):
+    # _tangent_hessian forms a temporary of 8 d n^2 bytes per matrix, so the
+    # index and Hessian suites pass it blocks of at most _STACK_BYTES, or
+    # one matrix where one matrix alone is larger.
+    original, sizes = verify._tangent_hessian, []
+
+    def recorded(A, c):
+        sizes.append(len(A))
+        return original(A, c)
+
+    monkeypatch.setattr(verify, "_tangent_hessian", recorded)
+    c, d = default_costs(n), pair_count(n)
+    assert _index_suite(c).passed and _hessian_suite(_haar(n, 3, n), c).passed
+    assert sizes
+    assert all(8 * k * d * n * n <= riemannian._STACK_BYTES or k == 1 for k in sizes), sizes
 
 
 def _eigenvalue_route_mismatches(c):
@@ -390,13 +403,21 @@ def test_run_all_suites_refuses_weights_that_tie_once_scaled(c):
         (0, 0, "samples must be >= 1, got 0"),
         (-2, 0, "samples must be >= 1, got -2"),
         (2, -1, "seed must be >= 0, got -1"),
+        (1.5, 0, r"samples must be an integer, got 1\.5"),
+        (2, 1.5, r"seed must be an integer, got 1\.5"),
     ],
-    ids=["samples=0", "samples=-2", "seed=-1"],
+    ids=["samples=0", "samples=-2", "seed=-1", "samples=1.5", "seed=1.5"],
 )
 def test_run_all_suites_refuses_a_draw_of_nothing(samples, seed, message):
     # Zero samples would pass the flow suite after checking no descent.
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_all_suites(3, samples, seed=seed)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0])
+def test_run_all_suites_refuses_an_n_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+        run_all_suites(n, 2)
 
 
 def test_run_all_suites_validates_the_weights_once(monkeypatch):
