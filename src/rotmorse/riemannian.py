@@ -3,12 +3,13 @@
 Evaluates the objective, its directional derivatives and second derivatives
 in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
 gradient descent whose limits empirically recover the analytic critical
-set. The descent steps along the Cayley retraction (``rotations.retract``)
-in the direction of the gradient over the Hessian diagonal at the point,
-whose sizes are floored at the smallest gap between weights. It makes one
-trial per iteration, a unit step or half a refused one, under an Armijo
-test that allows for the objective's rounding, and stops at its
-tolerance (or the gradient's rounding floor) or its cap. It runs a batch of
+set. The descent steps along the Cayley retraction (``rotations._cayley``,
+retract's kernel) in the direction of the gradient over the Hessian
+diagonal floored at the smallest gap between weights. Each pass takes the
+gradient once per live point, stops the points at their tolerance (or the
+gradient's rounding floor) or cap, and makes one trial for the rest, a
+unit step or half a refused one, under an Armijo test that allows for the
+objective's rounding. It runs a batch of
 starts as one (S, n, n) stack; a single start is a batch of one. Its
 results have one row per start (final points, iteration counts, gradient
 norms, a converged mask and the classified limit patterns); gradient_flow
@@ -217,23 +218,20 @@ def numeric_index(H) -> int:
     return index
 
 
-def _classify(A: np.ndarray) -> tuple:
-    """classify_rotation of every matrix in an (S, n, n) stack, n >= 1.
-
-    Returns (signs, found): the (S, n) int signs of the diagonals, and an
-    (S,) mask that holds where the matrix is that sign pattern's embedding
-    within _CLASSIFY_TOL.
-    """
+def _classify(A: np.ndarray) -> list:
+    """classify_rotation of every matrix in an (S, n, n) stack, n >= 1, as
+    a list: the sign pattern of a matrix's diagonal where the matrix is its
+    embedding within _CLASSIFY_TOL with product +1, None elsewhere."""
     signs = np.where(A.diagonal(0, -2, -1) >= 0.0, 1, -1)
     offset = np.abs(A - signs[:, :, None] * np.eye(A.shape[-1])).max(axis=(-2, -1))
-    return signs, (np.prod(signs, axis=-1) == 1) & (offset <= _CLASSIFY_TOL)
+    found = (np.prod(signs, axis=-1) == 1) & (offset <= _CLASSIFY_TOL)
+    return [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
 
 
 def classify_rotation(A):
     """Round A to a sign pattern when it is entrywise within 1e-6 of an
     embedded pattern with det +1; otherwise None (also for NaN entries)."""
-    signs, found = _classify(_check_square(A, nonempty=True)[None])
-    return tuple(signs[0].tolist()) if found[0] else None
+    return _classify(_check_square(A, nonempty=True)[None])[0]
 
 
 FlowResult = namedtuple(
@@ -247,36 +245,45 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     """The descent of gradient_flow on a stack A of S starts at once.
 
     A is (S, n, n), and each start is overwritten by its final point. Each
-    pass makes one trial per live sample along p = g / w, w being the sizes
-    of the Hessian diagonal at the point floored at gap = min(diff(c)). The
-    trial step is 1 after an accepted step and half the refused step after
-    a null step; p is dimensionless, and so is the trial. A trial is kept
-    if f(trial) <= f + n*eps*max(c) - _ARMIJO*step*<g, p>; a null step
-    keeps the point and its value f. Each sample keeps its own f, gradient
-    and next trial step, and stays live until its gradient norm is at most
-    grad_tol or the rounding floor n*eps^2*max(c), or it reaches
-    max_iterations. Every live sample has made the same number of trials,
-    one integer. The live state is kept in compact arrays; a sample that
-    stops is written back once and never touched again. Every kernel
-    computes a sample as it would alone, so no result depends on the batch.
-    Returns the (S,) iteration counts and final gradient norms.
+    pass takes the gradients g and norms of the live samples. A sample
+    stops once its norm is at most grad_tol or the rounding floor
+    n*eps^2*max(c), or it has made max_iterations trials; it is then
+    written back (a start that stops at once, unchanged), and the descent
+    returns once none is live. The others make one trial along p = g / w,
+    w the sizes of the Hessian diagonal at the point floored at
+    gap = min(diff(c)), with step 1 after an accepted step and half the
+    refused step after a null step; p is dimensionless, and so is the
+    trial. A trial is kept if f(trial) <= f + n*eps*max(c) -
+    _ARMIJO*step*<g, p>; a null step keeps the point and its value f. The
+    live state is kept in compact arrays, with one trial count for all.
+    Every kernel computes a sample as it would alone, so no result depends
+    on the batch. Returns the (S,) iteration counts and final gradient norms.
     """
-    g = _gradient(A, c)
-    gnorm = np.sqrt(np.vecdot(g, g))
-    iterations = np.zeros(A.shape[0], dtype=int)
     stop = max(grad_tol, c.size * _EPS * _EPS * float(c[-1]))
     slack = c.size * _EPS * float(c[-1])
-
-    t = 0
-    idx = np.flatnonzero((gnorm > stop) & (t < max_iterations))
     # Under validate_costs |c_a eps_a + c_b eps_b| >= c_b - c_a >= gap at
     # every critical point, so the floor never clips the diagonal at a limit.
     # At n = 1 there is no pair, and gap is inf.
     gap = np.diff(c).min(initial=np.inf)
-    Al, gl = A[idx], g[idx]
+    iterations = np.empty(len(A), dtype=int)
+    gnorm = np.empty(len(A))
+    idx = np.arange(len(A))
+    Al = A.copy()
     fl = _objective(Al, c)
-    hl = np.ones(idx.size)
-    while idx.size:
+    hl = np.ones(len(A))
+    t = 0
+    while True:
+        gl = _gradient(Al, c)
+        gn = np.sqrt(np.vecdot(gl, gl))
+        stay = (gn > stop) & (t < max_iterations)
+        if np.count_nonzero(stay) < stay.size:
+            done = ~stay
+            rows = idx[done]
+            A[rows], gnorm[rows] = Al[done], gn[done]
+            iterations[rows] = t
+            idx, Al, fl, gl, hl = idx[stay], Al[stay], fl[stay], gl[stay], hl[stay]
+        if not idx.size:
+            return iterations, gnorm
         pl = gl / np.maximum(np.abs(_hessian_diagonal(Al.diagonal(0, -2, -1), c)), gap)
         step = np.minimum(hl, math.sqrt(2.0) / np.sqrt(np.vecdot(pl, pl)))
         trial = _cayley(Al, -pl, step)
@@ -290,17 +297,7 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
             trial[no], ft[no] = Al[no], fl[no]
             hl[no] = _BACKTRACK * step[no]
         t += 1
-        Al, fl, gl = trial, ft, _gradient(trial, c)
-        gn = np.sqrt(np.vecdot(gl, gl))
-        stay = (gn > stop) & (t < max_iterations)
-        if np.count_nonzero(stay) < stay.size:
-            done = ~stay
-            rows = idx[done]
-            A[rows], gnorm[rows] = Al[done], gn[done]
-            iterations[rows] = t
-            idx, Al, fl, gl, hl = idx[stay], Al[stay], fl[stay], gl[stay], hl[stay]
-
-    return iterations, gnorm
+        Al, fl = trial, ft
 
 
 def gradient_flow(
@@ -373,6 +370,4 @@ def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_M
     for block in _blocks(len(points), 8 * c.size * c.size):
         iterations[block], norms[block] = _descend(points[block], c_s, tol_s, max_iterations)
     norms /= s
-    signs, found = _classify(points)
-    patterns = [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
-    return points, iterations, norms, norms <= grad_tol, patterns
+    return points, iterations, norms, norms <= grad_tol, _classify(points)

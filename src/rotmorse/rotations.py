@@ -60,6 +60,7 @@ def _check_square(A, nonempty: bool = False) -> np.ndarray:
 
 
 def _validate_pair(pair, n: int) -> tuple:
+    _check_n(n)
     # Each index must be an integral number as given: 2.0 is 2, 2.5 is
     # refused, and so is anything that does not unpack into two indices.
     try:

@@ -169,11 +169,13 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     """
     n, d = c.size, pair_count(c.size)
     E = np.eye(n)[:, :, None] * np.eye(n)
-    T = np.empty((n, d, d))
+    t = np.empty((n, d))
+    off = 0
     for block in _blocks(n, 8 * d * n * n):
-        T[block] = _tangent_hessian(E[block], c)
-    t = T.diagonal(0, -2, -1)
-    diagonal = np.count_nonzero(T) == np.count_nonzero(t)
+        T = _tangent_hessian(E[block], c)
+        t[block] = T.diagonal(0, -2, -1)
+        off += np.count_nonzero(T) - np.count_nonzero(t[block])
+    diagonal = off == 0
     count = 2 ** (n - 1)
     mismatches = 0
     for block in _blocks(count, 8 * d):

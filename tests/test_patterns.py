@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -6,7 +7,7 @@ import pytest
 
 from rotmorse.critical import enumerate_critical_points, validate_costs
 from rotmorse.patterns import default_weights, morse_polynomial, sign_patterns, validate_weights
-from rotmorse.rotations import haar_sample, pair_indices
+from rotmorse.rotations import generator, givens_curve, haar_sample, pair_indices
 from rotmorse.topology import is_perfect, poincare_from_basis, poincare_product
 
 WEIGHTS = [
@@ -64,6 +65,8 @@ def test_validate_weights_returns_floats():
         morse_polynomial,
         poincare_from_basis,
         is_perfect,
+        pytest.param(functools.partial(givens_curve, (1, 2), 0.1), id="givens_curve"),
+        pytest.param(functools.partial(generator, (1, 2)), id="generator"),
     ],
 )
 def test_n_below_1_is_refused(function):

@@ -293,11 +293,10 @@ def test_stacked_classify_equals_per_matrix_classify(n):
     nan_entry[0, n - 1] = np.nan
     cases += [(nan_entry, False), (np.full((n, n), np.nan), False)]
     stack = np.concatenate([np.stack([A for A, _ in cases]), _haar(n, 5, 40 + n)])
-    signs, found = riemannian._classify(stack)
-    rows = _patterns((signs, found))
+    rows = riemannian._classify(stack)
     assert rows == [classify_rotation(A) for A in stack]
     assert rows == [reference_classify(A) for A in stack]
-    assert found[: len(cases)].tolist() == [expected for _, expected in cases]
+    assert [row is not None for row in rows[: len(cases)]] == [expected for _, expected in cases]
 
 
 @pytest.mark.parametrize("grad_tol", [float("nan"), float("inf"), 0.0, -1.0])
@@ -735,13 +734,6 @@ def test_fd_oracles_give_each_point_of_a_stack_its_own_bits(n, S, seed):
         for left, G in zip((False, True), gradients):
             assert G[k].tobytes() == _fd_gradient(stack[k : k + 1], c, left)[0].tobytes()
         assert H[k].tobytes() == _fd_tangent_hessian(stack[k : k + 1], c)[0].tobytes()
-
-
-def _patterns(classified):
-    """The classified pattern, or None, of every row of _classify's
-    (signs, found)."""
-    signs, found = classified
-    return [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
 
 
 def _assert_same_flows(batched, single, grad_tol=1e-8):

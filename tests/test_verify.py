@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,21 @@ def test_index_suite_is_the_same_in_tiny_blocks(monkeypatch, c):
     for rows in (1, 3):
         monkeypatch.setattr(riemannian, "_STACK_BYTES", rows * 8 * pair_count(c.size))
         assert _index_suite(c) == expected
+
+
+def test_index_suite_keeps_only_the_diagonals_of_the_unit_hessians():
+    # The suite reads the diagonals of the n tangent Hessians at the unit
+    # diagonal matrices and whether any other entry is nonzero. Its peak
+    # stays below the whole (n, d, d) table of them, 1.8 MB at n = 16.
+    n = 16
+    c, d = default_costs(n), pair_count(n)
+    tracemalloc.start()
+    try:
+        assert _index_suite(c).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * d * d
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
