@@ -33,8 +33,6 @@ def validate_costs(c, n: int | None = None) -> np.ndarray:
     """The weights as a 1-d float64 array, checked by the weight rule of
     patterns.validate_weights (of length n if given)."""
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1:
-        raise ValueError("cost vector must be a nonempty 1-d sequence")
     validate_weights(c.tolist(), n=n)
     return c
 

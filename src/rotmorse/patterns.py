@@ -1,8 +1,9 @@
 """Exact sign-pattern layer, free of numpy: the critical set of the
 weighted trace as sign patterns, their Morse indices as ints, the Morse
-polynomial, and the one owner of each rule on counts and weights: n >= 1,
-admissible weights, the descent's weights and tolerance, the seeded
-draw's seed and samples, and what an integral number as given is.
+polynomial, and the one owner of each rule on counts and weights: what
+an integer is (operator.index's rule), n >= 1, admissible weights, their
+top and gap, the descent's weights and tolerance, and the seeded draw's
+seed and samples.
 
 Nothing here imports numpy, so `topology`, the `polynomials` command and
 every argument check of the CLI run without it. The float layer
@@ -36,15 +37,6 @@ def _check_n(n: int) -> None:
     _check_count("n", n, 1)
 
 
-def _integral(x) -> bool:
-    """Whether x is an integral number as given: 2.0 is, while 2.5, nan,
-    inf, None and "2" are not."""
-    try:
-        return x == int(x)
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def _check_draw(seed: int, samples: int) -> None:
     """The seeded draw's rule: _check_count of seed >= 0, then of samples >= 1."""
     _check_count("seed", seed, 0)
@@ -72,14 +64,26 @@ def validate_weights(c, n: int | None = None) -> list:
         raise ValueError("cost vector entries must be finite")
     if c[0] < 0:
         raise ValueError("cost vector must satisfy 0 <= c_1")
-    if any(b <= a for a, b in zip(c, c[1:])):
+    if _gap(c) <= 0:
         raise ValueError("cost vector must be strictly increasing")
     return c
 
 
+def _top(c) -> float:
+    """The largest of admissible weights (a list or a 1-d array), c[-1]."""
+    return float(c[-1])
+
+
+def _gap(c) -> float:
+    """The smallest step between consecutive finite weights (a list or a 1-d
+    array), inf for one weight: positive exactly when they strictly increase,
+    as b - a of finite doubles is 0 only when b == a."""
+    return min((float(b) - float(a) for a, b in zip(c, c[1:])), default=math.inf)
+
+
 def _scale(c) -> float:
-    """The power of two s that puts max(c*s) in [0.5, 1), or 2**1023 at most."""
-    return math.ldexp(1.0, min(1023, -math.frexp(c[-1])[1]))
+    """The power of two s that puts _top(c*s) in [0.5, 1), or 2**1023 at most."""
+    return math.ldexp(1.0, min(1023, -math.frexp(_top(c))[1]))
 
 
 def _check_descent(c, grad_tol: float) -> None:
@@ -88,8 +92,7 @@ def _check_descent(c, grad_tol: float) -> None:
     scaled by _scale, then for a tolerance that is not finite and positive.
     """
     s = _scale(c)
-    scaled = [float(x) * s for x in c]
-    if any(b <= a for a, b in zip(scaled, scaled[1:])):
+    if _gap([x * s for x in c]) <= 0:
         raise ValueError("cost vector spans more than the float64 range: scaled to max < 1, it ties")
     if not (math.isfinite(grad_tol) and grad_tol > 0):
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")

@@ -31,7 +31,7 @@ from collections import namedtuple
 import numpy as np
 
 from .critical import _hessian_diagonal, _value, validate_costs
-from .patterns import _check_descent, _integral, _scale
+from .patterns import _check_count, _check_descent, _gap, _scale, _top
 from .rotations import _cayley, _check_square, _generators, is_rotation, pair_count
 
 # Line-search constants of gradient_flow. Every trial, accepted or refused,
@@ -39,12 +39,12 @@ from .rotations import _cayley, _check_square, _generators, is_rotation, pair_co
 # trial is _BACKTRACK times its step, and a trial after an accepted step is 1.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
-# The objective rounds by about n * _EPS * max(c), and the Armijo test
-# allows that much: a trial is kept if f(trial) <= f + n * _EPS * max(c) -
-# _ARMIJO * step * <g, p>, f the current value. Near a limit the
-# off-diagonal entries are about _EPS, so each gradient component
-# c_i A_ij - c_j A_ji carries a rounding error of about _EPS^2 * max(c); a
-# descent stops once its gradient norm is at most n * _EPS^2 * max(c).
+# The objective rounds by about n * _EPS * top, top = patterns._top(c), and
+# the Armijo test allows that much: a trial is kept if f(trial) <= f +
+# n * _EPS * top - _ARMIJO * step * <g, p>, f the current value. Near a
+# limit the off-diagonal entries are about _EPS, so each gradient component
+# c_i A_ij - c_j A_ji carries a rounding error of about _EPS^2 * top; a
+# descent stops once its gradient norm is at most n * _EPS^2 * top.
 _EPS = 2.0**-52  # the float64 machine epsilon
 # _blocks keeps every stacked temporary here and in verify at most this many
 # bytes, below glibc's 128 KiB mmap threshold: freeing a mapped block raises
@@ -247,24 +247,23 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     A is (S, n, n), and each start is overwritten by its final point. Each
     pass takes the gradients g and norms of the live samples. A sample
     stops once its norm is at most grad_tol or the rounding floor
-    n*eps^2*max(c), or it has made max_iterations trials; it is then
-    written back (a start that stops at once, unchanged), and the descent
-    returns once none is live. The others make one trial along p = g / w,
-    w the sizes of the Hessian diagonal at the point floored at
-    gap = min(diff(c)), with step 1 after an accepted step and half the
-    refused step after a null step; p is dimensionless, and so is the
-    trial. A trial is kept if f(trial) <= f + n*eps*max(c) -
+    n*eps^2*top, top = patterns._top(c), or it has made max_iterations
+    trials; it is then written back (a start that stops at once,
+    unchanged), and the descent returns once none is live. The others make
+    one trial along p = g / w, w the sizes of the Hessian diagonal at the
+    point floored at gap = patterns._gap(c), with step 1 after an accepted
+    step and half the refused step after a null step; p is dimensionless,
+    and so is the trial. A trial is kept if f(trial) <= f + n*eps*top -
     _ARMIJO*step*<g, p>; a null step keeps the point and its value f. The
     live state is kept in compact arrays, with one trial count for all.
     Every kernel computes a sample as it would alone, so no result depends
     on the batch. Returns the (S,) iteration counts and final gradient norms.
     """
-    stop = max(grad_tol, c.size * _EPS * _EPS * float(c[-1]))
-    slack = c.size * _EPS * float(c[-1])
-    # Under validate_costs |c_a eps_a + c_b eps_b| >= c_b - c_a >= gap at
-    # every critical point, so the floor never clips the diagonal at a limit.
-    # At n = 1 there is no pair, and gap is inf.
-    gap = np.diff(c).min(initial=np.inf)
+    stop = max(grad_tol, c.size * _EPS * _EPS * _top(c))
+    slack = c.size * _EPS * _top(c)
+    # At weights _check_descent takes, |c_a eps_a + c_b eps_b| >= gap at every
+    # critical point, so the floor never clips the diagonal at a limit.
+    gap = _gap(c)
     iterations = np.empty(len(A), dtype=int)
     gnorm = np.empty(len(A))
     idx = np.arange(len(A))
@@ -309,35 +308,34 @@ def gradient_flow(
     Each iteration tries A <- retract(A, -p, step) with p = g / w, g the
     gradient in the pair basis and w the entrywise sizes of the Hessian
     diagonal at A, -(c(a)*A(a,a) + c(b)*A(b,b)) for the pair (a, b),
-    floored at gap = min(diff(c)). At a sign pattern that diagonal is the
-    whole Hessian and no entry is below gap, so near a limit the step is
-    Newton's. A trial is kept if f(trial) <= f(A) + n*eps*max(c) - 1e-4 *
-    step * <g, p>, n*eps*max(c) being the objective's rounding error, so
-    no accepted step raises the objective by more. A refused trial is a
+    floored at gap = patterns._gap(c). At a sign pattern that diagonal is
+    the whole Hessian and no entry is below gap, so near a limit the step
+    is Newton's. A trial is kept if f(trial) <= f(A) + n*eps*top - 1e-4 *
+    step * <g, p>, n*eps*top (top = patterns._top(c)) being the objective's
+    rounding error, so no accepted step raises the objective by more. A refused trial is a
     null step, and the next trial halves its step. iterations counts
     trials, accepted or null. The first trial, and every trial after an
     accepted step, is 1; trial steps are capped so step * ||K||_F <= 2,
     K being the skew matrix of p, which bounds how far one step moves.
 
     The descent stops for one of two reasons. Its gradient 2-norm is at
-    most grad_tol, or at most n*eps^2*max(c), the rounding error of the
+    most grad_tol, or at most n*eps^2*top, the rounding error of the
     gradient near a limit: a grad_tol below that floor ends promptly, with
     converged=False unless the norm has rounded to exactly 0. Or it has
     made max_iterations trials, and returns with converged=False. A
     grad_tol that is not a finite positive number, a max_iterations that
-    is not a nonnegative integer as given (3.0 is; 2.5, nan and inf are
+    is not a nonnegative integer (as operator.index takes it: 3.0 is
     not), a start of the wrong shape or off the manifold, and
-    weights that tie once scaled to max(c) < 1, such as (0, 5e-324, 1),
+    weights that tie once scaled to top < 1, such as (0, 5e-324, 1),
     raise ValueError; past these checks the loop runs on unchecked
     kernels. The final matrix is classified by classify_rotation (None if
     no sign pattern is near).
     """
     c = validate_costs(c)
     _check_descent(c, grad_tol)
-    if not (_integral(max_iterations) and max_iterations >= 0):
-        raise ValueError(f"max_iterations must be an integer >= 0, got {max_iterations!r}")
+    _check_count("max_iterations", max_iterations, 0)
     A = _check_start(A0, c.size)[None]
-    points, iterations, norms, converged, patterns = _flows(A, c, grad_tol, int(max_iterations))
+    points, iterations, norms, converged, patterns = _flows(A, c, grad_tol, max_iterations)
     return FlowResult(
         final_point=points[0],
         iterations=int(iterations[0]),

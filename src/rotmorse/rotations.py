@@ -17,11 +17,12 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .patterns import _check_n, _integral
+from .patterns import _check_n
 
 #: Default tolerance for "is this matrix on the manifold" checks: two orders
 #: above double-precision noise, far below any flow tolerance.
@@ -61,15 +62,15 @@ def _check_square(A, nonempty: bool = False) -> np.ndarray:
 
 def _validate_pair(pair, n: int) -> tuple:
     _check_n(n)
-    # Each index must be an integral number as given: 2.0 is 2, 2.5 is
-    # refused, and so is anything that does not unpack into two indices.
+    # Each index must be an integer as operator.index takes it, as n must:
+    # 2.0 is refused, and so is anything that does not unpack into two indices.
     try:
-        i, j = pair
+        i, j = map(operator.index, pair)
     except (TypeError, ValueError):
-        i = j = None
-    if not (_integral(i) and _integral(j) and 1 <= i < j <= n):
+        i = j = 0
+    if not 1 <= i < j <= n:
         raise ValueError(f"pair index {pair!r} invalid for dimension {n}: need integers 1 <= i < j <= n")
-    return int(i), int(j)
+    return i, j
 
 
 def givens_curve(pair, theta: float, n: int) -> np.ndarray:

@@ -27,12 +27,12 @@ one-matrix-at-a-time loops.
 
 Oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of
-1e-7 * max(c) / n, the Hessian suite with _HESSIAN_STEP = 1e-4 at
-1e-4 * max(c) / n. The finite-difference errors grow with max(c), so the
-thresholds are relative to it, and they are exactly 1e-7 and 1e-4 at the
-default weights 1..n. The flow suite caps each descent at
-riemannian._MAX_ITERATIONS = 100_000 trials and compares the final
-gradient norms with the absolute grad_tol.
+1e-7 * _weight_scale(c), the Hessian suite with _HESSIAN_STEP = 1e-4 at
+1e-4 * _weight_scale(c). The finite-difference errors grow with the
+weights' top, so the thresholds are relative to it, and they are exactly
+1e-7 and 1e-4 at the default weights 1..n. The flow suite caps each
+descent at riemannian._MAX_ITERATIONS = 100_000 trials and compares the
+final gradient norms with the absolute grad_tol.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .critical import _pattern_table, default_costs, validate_costs
-from .patterns import _check_descent, _check_draw
+from .patterns import _check_descent, _check_draw, _top
 from .riemannian import _banded_indices, _blocks, _curve_derivatives, _flows, _tangent_hessian
 from .rotations import _haar, givens_curve, pair_count, pair_indices
 
@@ -124,10 +124,10 @@ def _worst(differences) -> float:
 
 
 def _weight_scale(c: np.ndarray) -> float:
-    """max(c) / n: exactly 1.0 at the default weights 1..n. The finite
-    differences' truncation and rounding errors both grow with max(c), so
-    the oracle thresholds are the fixed constants times this."""
-    return float(c[-1] / c.size)
+    """patterns._top(c) / n: exactly 1.0 at the default weights 1..n. The
+    finite differences' truncation and rounding errors both grow with the
+    top, so the oracle thresholds are the fixed constants times this."""
+    return _top(c) / c.size
 
 
 def _gradient_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:

@@ -306,8 +306,8 @@ def test_flow_rejects_bad_tolerance(grad_tol):
 
 
 def test_flow_rejects_negative_iteration_cap():
-    # The cap must be a nonnegative integer as given: 2.5 made 3 trials, nan
-    # none and inf left the descent unbounded.
+    # The cap must be a nonnegative integer as operator.index takes it, as n
+    # must: 2.5 made 3 trials, nan none and inf left the descent unbounded.
     for cap in (-5, 2.5, math.nan, math.inf, -math.inf, None, "3"):
         with pytest.raises(ValueError, match="max_iterations"):
             gradient_flow(np.eye(3), default_costs(3), max_iterations=cap)
@@ -315,8 +315,11 @@ def test_flow_rejects_negative_iteration_cap():
     res = gradient_flow(A0, default_costs(3), max_iterations=0)  # a cap of 0 is allowed
     assert res.iterations == 0 and not res.converged
     assert_array_equal(res.final_point, A0)
-    # an integral float is that integer
-    capped, exact = (gradient_flow(A0, default_costs(3), max_iterations=cap) for cap in (3.0, 3))
+    # an integral float is refused too, and a numpy integer is that integer
+    for cap in (3.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match=r"^max_iterations must be an integer, got "):
+            gradient_flow(A0, default_costs(3), max_iterations=cap)
+    capped, exact = (gradient_flow(A0, default_costs(3), max_iterations=cap) for cap in (np.int64(3), 3))
     assert capped.iterations == exact.iterations == 3 and not capped.converged
     assert_array_equal(capped.final_point, exact.final_point)
 

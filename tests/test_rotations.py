@@ -52,10 +52,12 @@ def test_givens_block_structure_n3():
 @pytest.mark.parametrize(
     "pair",
     [(2, 1), (1, 1), (0, 2), (1, 4)]
-    # Not integral as given: truncating (1.9, 2.5) or (1.2, 3.99) would give a valid pair.
+    # Not integers as operator.index takes them: truncating (1.9, 2.5) or (1.2, 3.99) would give a valid pair.
     + [(1.9, 2.5), (1.2, 3.99), (1, math.inf), (None, 2), ("1", 2), (1, math.nan)]
     # Not two indices: refused by the same rule, not by unpacking.
-    + [5, None, (1,), (1, 2, 3)],
+    + [5, None, (1,), (1, 2, 3)]
+    # Integral floats are refused as a float n is.
+    + [(1.0, 2.0), (1, np.float64(2.0))],
 )
 def test_givens_invalid_pair(pair):
     message = r"^pair index .* need integers 1 <= i < j <= n$"
