@@ -32,7 +32,7 @@ import numpy as np
 
 from .critical import _hessian_diagonal, _value, validate_costs
 from .patterns import _check_count, _check_descent, _gap, _scale, _top
-from .rotations import _cayley, _check_square, _generators, is_rotation, pair_count
+from .rotations import _cayley, _chart, _check_square, _generators, is_rotation, pair_count
 
 # Line-search constants of gradient_flow. Every trial, accepted or refused,
 # counts toward max_iterations. A refused trial is a null step: the next
@@ -55,7 +55,8 @@ _MAX_ITERATIONS = 100_000
 
 # _banded_indices treats |λ| <= _ZERO_BAND * max |λ| as zero.
 _ZERO_BAND = 1e-9
-_CLASSIFY_TOL = 1e-6
+# _classify's radius, in radians, on rotations._chart's distance.
+_CHART_RADIUS = 5e-7
 
 
 def _check_args(A, c) -> tuple:
@@ -220,25 +221,26 @@ def numeric_index(H) -> int:
 
 def _classify(A: np.ndarray) -> list:
     """classify_rotation of every matrix in an (S, n, n) stack, n >= 1, as
-    a list: the sign pattern of a matrix's diagonal where the matrix is its
-    embedding within _CLASSIFY_TOL with product +1, None elsewhere."""
-    signs = np.where(A.diagonal(0, -2, -1) >= 0.0, 1, -1)
-    offset = np.abs(A - signs[:, :, None] * np.eye(A.shape[-1])).max(axis=(-2, -1))
-    found = (np.prod(signs, axis=-1) == 1) & (offset <= _CLASSIFY_TOL)
-    return [tuple(eps) if ok else None for eps, ok in zip(signs.tolist(), found.tolist())]
+    a list: the sign pattern of a matrix's diagonal where rotations._chart
+    puts the matrix within _CHART_RADIUS radians of it, None elsewhere."""
+    signs, dist = _chart(A)
+    return [tuple(eps) if d <= _CHART_RADIUS else None for eps, d in zip(signs.tolist(), dist.tolist())]
 
 
 def classify_rotation(A):
-    """Round A to a sign pattern when it is entrywise within 1e-6 of an
-    embedded pattern with det +1; otherwise None (also for NaN entries)."""
+    """Round A to the sign pattern D of its diagonal when its Cayley chart
+    W = (I - D A)(I + D A)^-1 has max |W_ij| <= 5e-7 radians: D is then
+    the only critical point in that chart. Otherwise None, also for signs
+    of product -1 (det D = -1), a singular I + D A and NaN entries."""
     return _classify(_check_square(A, nonempty=True)[None])[0]
 
 
 FlowResult = namedtuple(
     "FlowResult", ("final_point", "iterations", "final_gradient_norm", "classified_pattern", "converged")
 )
-FlowResult.__doc__ = """Outcome of one descent run; classified_pattern is None when no
-sign pattern is near the final point."""
+FlowResult.__doc__ = """Outcome of one descent run; classified_pattern is the sign pattern
+whose Cayley chart puts the final point within 5e-7 radians of it (see
+classify_rotation), or None when there is none."""
 
 
 def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int) -> tuple:
@@ -328,8 +330,8 @@ def gradient_flow(
     not), a start of the wrong shape or off the manifold, and
     weights that tie once scaled to top < 1, such as (0, 5e-324, 1),
     raise ValueError; past these checks the loop runs on unchecked
-    kernels. The final matrix is classified by classify_rotation (None if
-    no sign pattern is near).
+    kernels. The final matrix is classified by classify_rotation: its sign
+    pattern if its Cayley chart puts it within 5e-7 radians, else None.
     """
     c = validate_costs(c)
     _check_descent(c, grad_tol)

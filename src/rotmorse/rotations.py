@@ -1,5 +1,5 @@
 """Rotation-group substrate: Givens curves, tangent generators, Haar sampling,
-the Cayley retraction, and membership checks.
+the Cayley retraction and its inverse chart, and membership checks.
 
 Conventions shared by the whole package:
 
@@ -12,10 +12,16 @@ Conventions shared by the whole package:
   with no Frobenius rescaling. ``_generators(n)`` stacks the flattened
   ``E_ij`` once per n; it is the one tangent basis, read by ``_cayley``
   here and by ``riemannian._gradient`` and ``riemannian._tangent_hessian``.
+* ``_chart`` is ``_cayley``'s inverse at a sign pattern D: the skew
+  W = (I - D A)(I + D A)^-1 gives back A = D (I + W)^-1 (I - W), the
+  Cayley step from D along -W. Its max entry is a distance in radians
+  from A to D, the one critical point in the chart, and
+  ``riemannian._classify`` reads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from functools import lru_cache
@@ -168,6 +174,36 @@ def _cayley(A: np.ndarray, coeffs: np.ndarray, step) -> np.ndarray:
     return A @ np.linalg.solve(P.mT, P)
 
 
+def _chart(A: np.ndarray) -> tuple:
+    """(signs, dist) of every matrix of an (S, n, n) stack: the signs of its
+    diagonal, and max |W_ij| over the Cayley chart W = (I - D A)(I + D A)^-1
+    of its own pattern D = diag(signs), or inf where the signs have product
+    -1, I + D A is singular or W is not finite.
+
+    W is skew on SO(n), and _cayley is its inverse: a Givens turn by theta
+    reads tan(theta/2), so dist is in radians and does not depend on the
+    weights. I + D D' is singular for every other pattern D', so the chart
+    holds one critical point, D itself. A stacked solve raises if any
+    matrix is singular; the stack is then solved one matrix at a time,
+    and every matrix gets the bits it gets alone. Nothing is checked.
+    """
+    signs = np.where(A.diagonal(0, -2, -1) >= 0.0, 1, -1)
+    dist = np.full(len(A), np.inf)
+    live = np.prod(signs, axis=-1) == 1
+    X = signs[live][:, :, None] * A[live]
+    M, N = np.eye(A.shape[-1]) + X, np.eye(A.shape[-1]) - X
+    try:
+        W = np.linalg.solve(M, N)
+    except np.linalg.LinAlgError:
+        W = np.full(N.shape, np.nan)
+        for k in range(len(N)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                W[k] = np.linalg.solve(M[k], N[k])
+    size = np.abs(W).max(axis=(-2, -1), initial=0.0)
+    dist[live] = np.where(np.isfinite(size), size, np.inf)
+    return signs, dist
+
+
 def retract(A, coeffs, step: float) -> np.ndarray:
     """Move from A along tangent coefficients by the Cayley transform:
     A @ (I - X)^-1 (I + X) with X = (step/2) * K.
@@ -182,10 +218,12 @@ def retract(A, coeffs, step: float) -> np.ndarray:
 
 
 def is_rotation(A, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff A is finite, ||A A^t - I||_inf <= tol and |det(A) - 1| <= tol."""
+    """True iff A is finite, ||A A^t - I||_inf <= tol and |det(A) - 1| <= tol.
+    Entries near 1e308 overflow A A^t to a residual that fails, not a warning."""
     A = _check_square(A, nonempty=True)
     if not np.isfinite(A).all():
         return False
     n = A.shape[0]
-    resid = np.abs(A @ A.T - np.eye(n)).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(A @ A.T - np.eye(n)).max()
     return bool(resid <= tol and abs(np.linalg.det(A) - 1.0) <= tol)

@@ -193,7 +193,8 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
 
 def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float):
     """Every descent from the starts must converge and land on a sign
-    pattern of product +1, checked here apart from _classify's own test.
+    pattern of product +1. The product is checked here, apart from
+    _classify: it is the oracle for rotations._chart's det -1 guard.
     Residual reported is the worst final gradient norm."""
     _, _, norms, converged, patterns = _flows(starts, c, grad_tol)
     norms = norms.tolist()

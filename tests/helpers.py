@@ -74,7 +74,11 @@ def reference_tangent_hessian(A, c) -> list:
 
 def reference_classify(A):
     """The sign pattern A is entrywise within 1e-6 of, if it has det +1;
-    otherwise None (also for NaN entries). One matrix at a time."""
+    otherwise None (also for NaN entries). One matrix at a time.
+
+    An oracle independent of the Cayley chart that _classify reads: to
+    first order the chart's max entry is half the entrywise offset, so
+    1e-6 here is twice the chart radius 5e-7."""
     eps = np.where(np.diagonal(A) >= 0.0, 1, -1)
     if np.prod(eps) == 1 and np.abs(A - np.diag(eps)).max() <= 1e-6:
         return tuple(int(e) for e in eps)

@@ -33,7 +33,7 @@ from rotmorse.riemannian import (
     objective,
     tangent_hessian,
 )
-from rotmorse.rotations import _haar, generator, givens_curve, haar_sample, pair_indices, retract
+from rotmorse.rotations import _haar, generator, givens_curve, haar_sample, is_rotation, pair_indices, retract
 from rotmorse.verify import _fd_gradient, _fd_tangent_hessian
 
 from helpers import random_costs, reference_classify, reference_gradient, reference_tangent_hessian
@@ -276,12 +276,24 @@ def test_classify_rotation():
         classify_rotation(np.zeros((0, 0)))
 
 
+# Matrices with det +1 signs that no chart certifies: a rotation with a zero
+# diagonal, on which I + D A is exactly singular, and two with entries at
+# the top of the float64 range or beyond it.
+UNCHARTED = [
+    np.array([[0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, 0.0]]),
+    np.array([[1.0, 1e308], [-1e308, 1.0]]),
+    np.diag([np.inf, 1.0]),
+]
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stacked_classify_equals_per_matrix_classify(n):
     # A mixed stack: every embedded pattern, a det -1 diagonal, an entry
-    # moved just inside and just outside the 1e-6 band, NaN entries and
-    # Haar points. Each row must classify as its matrix does alone, and the
-    # rows built for it must land on the stated side of the band.
+    # moved just inside and just outside the 1e-6 band (a chart distance of
+    # about half the offset, on either side of 5e-7), NaN entries, the
+    # UNCHARTED blocks and Haar points. Each row must classify as its
+    # matrix does alone, and the rows built for it must land on the stated
+    # side of the band.
     cases = [(embed_pattern(eps), True) for eps in sign_patterns(n)]
     cases.append((np.diag([-1.0] + [1.0] * (n - 1)), False))
     for delta in (0.999e-6, -0.999e-6, 1.001e-6, -1.001e-6):
@@ -292,11 +304,32 @@ def test_stacked_classify_equals_per_matrix_classify(n):
     nan_entry = np.eye(n)
     nan_entry[0, n - 1] = np.nan
     cases += [(nan_entry, False), (np.full((n, n), np.nan), False)]
+    # Blocks on which the chart's solve must neither raise nor warn.
+    for block in UNCHARTED:
+        if len(block) <= n:
+            A = np.eye(n)
+            A[: len(block), : len(block)] = block
+            cases.append((A, False))
     stack = np.concatenate([np.stack([A for A, _ in cases]), _haar(n, 5, 40 + n)])
     rows = riemannian._classify(stack)
     assert rows == [classify_rotation(A) for A in stack]
     assert rows == [reference_classify(A) for A in stack]
     assert [row is not None for row in rows[: len(cases)]] == [expected for _, expected in cases]
+
+
+@pytest.mark.parametrize("A", UNCHARTED, ids=["singular", "1e308", "inf"])
+def test_uncharted_matrices_classify_as_none_without_warning(A):
+    c = default_costs(len(A))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_rotation(A) is None
+        assert riemannian._classify(np.stack([A, np.eye(len(A))])) == [None, (1,) * len(A)]
+        if is_rotation(A):
+            res = gradient_flow(A, c, max_iterations=0)
+            assert res.classified_pattern is None and res.iterations == 0
+        else:  # not a rotation: the start is refused, with no overflow warning
+            with pytest.raises(ValueError, match="not a rotation"):
+                gradient_flow(A, c, max_iterations=0)
 
 
 @pytest.mark.parametrize("grad_tol", [float("nan"), float("inf"), 0.0, -1.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from rotmorse.critical import embed_pattern
+from rotmorse.patterns import sign_patterns
 from rotmorse.rotations import (
+    _chart,
     _haar,
     _pair_arrays,
     generator,
@@ -189,9 +193,65 @@ def test_retract_stays_on_manifold(seed, step):
     assert is_rotation(retract(A, coeffs, step), 1e-10)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chart_is_exactly_zero_at_every_embedded_pattern(n):
+    patterns = list(sign_patterns(n))
+    signs, dist = _chart(np.stack([embed_pattern(eps) for eps in patterns]))
+    assert [tuple(row) for row in signs.tolist()] == patterns
+    assert dist.tolist() == [0.0] * len(patterns)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_chart_reads_a_givens_turn_as_tan_of_half_its_angle(n):
+    # At D_eps B_ab(theta), |theta| < pi/2, the diagonal keeps eps's signs,
+    # D A = B_ab(theta), and the chart's one nonzero pair is tan(theta/2).
+    thetas = [1e-12, 1e-8, 1e-4, 0.01, 0.3, 0.7, 1.0, 1.3, 1.5, 1.57, math.pi / 2 * (1 - 1e-12)]
+    for eps in sign_patterns(n):
+        for pair in pair_indices(n):
+            for theta in thetas + [-t for t in thetas]:
+                A = embed_pattern(eps) @ givens_curve(pair, theta, n)
+                signs, dist = _chart(A[None])
+                assert tuple(signs[0].tolist()) == eps
+                expected = abs(math.tan(theta / 2))
+                assert abs(dist[0] - expected) <= 1e-15 * expected
+
+
+def test_chart_is_infinite_off_a_det_one_pattern_and_at_nan():
+    for n in range(1, 5):
+        flipped = np.diag([-1.0] + [1.0] * (n - 1))  # det -1 signs
+        turned = flipped @ givens_curve((1, 2), 0.1, n) if n > 1 else flipped
+        nan_row = np.eye(n)
+        nan_row[n - 1] = np.nan
+        _, dist = _chart(np.stack([flipped, turned, nan_row, np.full((n, n), np.nan)]))
+        assert dist.tolist() == [math.inf] * 4
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_chart_gives_each_row_its_own_bits(n):
+    # The zero-diagonal block makes I + D A singular (n >= 2), so the
+    # stacked solve raises and the stack is solved one matrix at a time;
+    # the inf entry gives a W that is not finite.
+    singular = np.eye(n)
+    if n >= 2:
+        singular[:2, :2] = [[0.0, -1.0], [-1.0, 0.0]]
+    infinite = np.diag([math.inf] + [1.0] * (n - 1))
+    nan_entry = np.eye(n)
+    nan_entry[0, n - 1] = np.nan
+    rows = [embed_pattern(eps) for eps in sign_patterns(n)]
+    rows += [singular, infinite, nan_entry, np.diag([-1.0] + [1.0] * (n - 1))]
+    for stack in (_haar(n, 7, n), np.concatenate([_haar(n, 7, n), np.stack(rows)])):
+        signs, dist = _chart(stack)
+        alone = [_chart(A[None]) for A in stack]
+        assert signs.tobytes() == np.concatenate([s for s, _ in alone]).tobytes()
+        assert dist.tobytes() == np.concatenate([d for _, d in alone]).tobytes()
+
+
 def test_is_rotation_cases():
     assert is_rotation(np.eye(3), 1e-12)
     assert not is_rotation(np.diag([1.0, -1.0]), 1e-12)  # det -1: in O(2), not SO(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # A A^t overflows: a failed residual, no warning
+        assert not is_rotation(np.array([[1.0, 1e308], [-1e308, 1.0]]))
     with pytest.raises(ValueError):
         is_rotation(np.ones((2, 3)))
     with pytest.raises(ValueError, match="n >= 1"):
