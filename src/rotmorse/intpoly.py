@@ -1,7 +1,10 @@
 """Dense polynomials with nonnegative integer coefficients, used as exact
 count vectors (critical points per Morse index, Z2 Betti numbers): built by
-counting degrees or from coefficients, then compared and printed. There is
-no arithmetic.
+counting degrees or from coefficients, then compared and printed.
+
+`IntPolynomial` has no arithmetic. The one operation the exact layer needs,
+a + t^k * b, is `_shift_add` on plain coefficient lists: the Morse count in
+`patterns` and the product in `topology` are both built from it.
 """
 
 from __future__ import annotations
@@ -9,6 +12,16 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from collections.abc import Iterable
+
+
+def _shift_add(a: list, b: list, k: int) -> list:
+    """The coefficient list of a + t^k * b, as a new list of length
+    max(len(a), len(b) + k). Neither a nor b is written, so a and b may be
+    the same list."""
+    out = a + [0] * (len(b) + k - len(a))
+    for i, x in enumerate(b, k):
+        out[i] += x
+    return out
 
 
 class IntPolynomial:

@@ -1,9 +1,9 @@
 """Exact sign-pattern layer, free of numpy: the critical set of the
 weighted trace as sign patterns, their Morse indices as ints, the Morse
-polynomial, and the one owner of each rule on counts and weights: what
-an integer is (operator.index's rule), n >= 1, admissible weights, their
-top and gap, the descent's weights and tolerance, and the seeded draw's
-seed and samples.
+polynomial counted by index, and the one owner of each rule on counts and
+weights: what an integer is (operator.index's rule), n >= 1, admissible
+weights, their top and gap, the descent's weights and tolerance, and the
+seeded draw's seed and samples.
 
 Nothing here imports numpy, so `topology`, the `polynomials` command and
 every argument check of the CLI run without it. The float layer
@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, _shift_add
 
 
 def _check_count(name: str, x, least: int) -> None:
@@ -142,18 +142,20 @@ def morse_polynomial(n: int, c=None) -> IntPolynomial:
     (1+t)(1+t^2)...(1+t^(n-1)) for any admissible weights, which are
     validated but do not enter the count.
 
-    Every pattern is still enumerated, as one int index rather than a
-    tuple, by doubling over the free head eps(1..n-1): the heads are kept
-    in two lists by the parity of their -1 count, and at 0-based position
-    j a +1 adds j to the index while a -1 flips the parity. The last sign
-    is the head's product, +1 exactly for the even heads, which therefore
-    gain n - 1. The result counts the same multiset as _index over
-    sign_patterns(n).
+    The patterns are counted by index, not listed: over the free head
+    eps(1..n-1), two coefficient lists count the heads by index, split by
+    the parity of their -1 count. At 0-based position j a +1 adds j to the
+    index (a shift by j) and a -1 flips the parity, so each position is one
+    _shift_add per list. The lists have at most n(n-1)/2 + 1 entries, so
+    the count takes O(n^3) integer additions where the patterns number
+    2^(n-1). The last sign is the head's product, +1 exactly for the even
+    heads, which therefore gain n - 1. The result counts the same multiset
+    as _index over sign_patterns(n).
     """
     _check_n(n)
     if c is not None:
         validate_weights(c, n=n)
-    even, odd = [0], []
+    even, odd = [1], []
     for j in range(n - 1):
-        even, odd = [i + j for i in even] + odd, [i + j for i in odd] + even
-    return IntPolynomial.counting([i + n - 1 for i in even] + odd)
+        even, odd = _shift_add(odd, even, j), _shift_add(even, odd, j)
+    return IntPolynomial(_shift_add(odd, even, n - 1))

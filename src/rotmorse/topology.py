@@ -4,8 +4,17 @@ the Morse-inequality remainder, and the perfectness verdict.
 The Z2 homology of SO(n) is the exterior algebra on generators
 e_1, ..., e_(n-1) with deg(e_i) = i, so the k-th Z2 Betti number counts
 subsets of {1, ..., n-1} with element sum k. That gives two routes to the
-Poincaré polynomial — expand the product (1+t)(1+t^2)...(1+t^(n-1)), or
-enumerate the monomial basis and bin by degree — which must agree.
+Poincaré polynomial, which must agree:
+
+- poincare_product expands (1+t)(1+t^2)...(1+t^(n-1)), one _shift_add per
+  factor, in O(n^3) integer additions;
+- poincare_from_basis enumerates all 2^(n-1) monomial basis elements and
+  bins them by degree. It stays an enumeration on purpose: counting the
+  basis by degree instead would be poincare_product again, and the route
+  would no longer be independent.
+
+The Morse side, patterns.morse_polynomial, counts sign patterns by index
+and parity; it does not read the product formula.
 
 Floating point is absent from this module: the Morse inequality
 P_f = P_M + (1+t) R is an exact integer statement and is decided by
@@ -19,8 +28,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .intpoly import IntPolynomial
-from .patterns import _check_n, _index, morse_polynomial, sign_patterns
+from .intpoly import IntPolynomial, _shift_add
+from .patterns import _check_count, _check_n, _index, morse_polynomial, sign_patterns
 
 
 def poincare_product(n: int) -> IntPolynomial:
@@ -29,7 +38,7 @@ def poincare_product(n: int) -> IntPolynomial:
     _check_n(n)
     coeffs = [1]
     for k in range(1, n):
-        coeffs = [a + b for a, b in zip(coeffs + [0] * k, [0] * k + coeffs)]
+        coeffs = _shift_add(coeffs, coeffs, k)
     return IntPolynomial(coeffs)
 
 
@@ -113,8 +122,7 @@ def morse_split_by_last_sign(m: int):
     and their sum is morse_polynomial(m) — the induction step behind the
     product formula.
     """
-    if m < 2:
-        raise ValueError("the last-sign split needs dimension >= 2")
+    _check_count("m", m, 2)
     patterns = sign_patterns(m)
     minus = IntPolynomial.counting(_index(eps) for eps in patterns if eps[-1] == -1)
     plus = IntPolynomial.counting(_index(eps) for eps in patterns if eps[-1] == 1)

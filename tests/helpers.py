@@ -100,6 +100,22 @@ def enumerate_basis(n: int) -> list:
     return basis
 
 
+def enumerate_morse_indices(n: int) -> list:
+    """The Morse index of every sign pattern of size n, one int each: the
+    multiset of _index over sign_patterns(n), in another order.
+
+    Built by doubling over the free head eps(1..n-1): the heads are kept in
+    two lists by the parity of their -1 count, and at 0-based position j a
+    +1 adds j to the index while a -1 flips the parity. The last sign is
+    the head's product, +1 exactly for the even heads, which therefore gain
+    n - 1. Time and memory double with every n.
+    """
+    even, odd = [0], []
+    for j in range(n - 1):
+        even, odd = [i + j for i in even] + odd, [i + j for i in odd] + even
+    return [i + n - 1 for i in even] + odd
+
+
 def evaluate(p, x: int) -> int:
     """The IntPolynomial p at the integer x, by Horner's rule."""
     acc = 0

@@ -28,8 +28,9 @@ from rotmorse.intpoly import IntPolynomial
 from rotmorse.patterns import morse_polynomial, sign_patterns, validate_pattern
 from rotmorse.riemannian import _STACK_BYTES, _blocks
 from rotmorse.rotations import pair_count
+from rotmorse.topology import poincare_product
 
-from helpers import evaluate, random_costs
+from helpers import enumerate_morse_indices, evaluate, random_costs
 
 
 def brute_force_records(n, c):
@@ -224,6 +225,21 @@ def test_morse_polynomial_equals_pattern_histogram():
         expected = IntPolynomial.counting(_index(eps) for eps in sign_patterns(n))
         assert morse_polynomial(n) == expected
         assert morse_polynomial(n, random_costs(n, rng)) == expected
+
+
+def test_morse_polynomial_equals_the_enumerated_indices():
+    # the count by index and parity against the int-list enumeration
+    rng = np.random.default_rng(13)
+    for n in range(1, 21):
+        expected = IntPolynomial.counting(enumerate_morse_indices(n))
+        assert morse_polynomial(n) == expected
+        assert morse_polynomial(n, random_costs(n, rng)) == expected
+
+
+def test_morse_polynomial_equals_the_poincare_product_far_beyond_enumeration():
+    # the paper's theorem through the count, at n no enumeration reaches
+    for n in range(1, 81):
+        assert morse_polynomial(n) == poincare_product(n)
 
 
 def test_morse_polynomial_rejects_bad_input():

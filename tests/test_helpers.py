@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rotmorse.intpoly import IntPolynomial
+from rotmorse.patterns import _index, sign_patterns
 
-from helpers import add_coeffs, assert_same_text, evaluate, random_costs, shift_coeffs
+from helpers import add_coeffs, assert_same_text, enumerate_morse_indices, evaluate, random_costs, shift_coeffs
 
 
 def test_random_costs_strictly_increasing():
@@ -22,6 +23,11 @@ def test_coefficient_shift_add_and_evaluate():
     assert add_coeffs() == ()
     assert evaluate(IntPolynomial([1, 2]), 3) == 7
     assert evaluate(IntPolynomial.zero(), 5) == 0
+
+
+def test_enumerate_morse_indices_is_the_index_of_every_pattern():
+    for n in range(1, 12):
+        assert sorted(enumerate_morse_indices(n)) == sorted(_index(eps) for eps in sign_patterns(n))
 
 
 def test_assert_same_text_names_the_first_differing_line():

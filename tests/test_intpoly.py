@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rotmorse.intpoly import IntPolynomial
+from rotmorse.intpoly import IntPolynomial, _shift_add
 
-from helpers import evaluate
+from helpers import add_coeffs, evaluate, shift_coeffs
 
 
 def test_trailing_zeros_trimmed():
@@ -47,3 +47,27 @@ def test_counting_histogram():
 @given(st.lists(st.integers(0, 30), max_size=40))
 def test_counting_total_is_length(degrees):
     assert evaluate(IntPolynomial.counting(degrees), 1) == len(degrees)
+
+
+COEFFS = st.lists(st.integers(0, 50), max_size=12)
+
+
+@given(COEFFS, COEFFS, st.integers(0, 15))
+@example([], [], 0)
+@example([], [1, 2], 3)
+@example([4, 5], [], 3)
+@example([1, 2], [3], 0)
+@example([1, 2, 3, 4, 5, 6], [7], 2)  # len(b) + k < len(a)
+def test_shift_add_is_a_plus_t_to_the_k_times_b(a, b, k):
+    a_before, b_before = list(a), list(b)
+    out = _shift_add(a, b, k)
+    assert tuple(out) == add_coeffs(a, shift_coeffs(b, k))
+    assert out is not a and out is not b
+    assert (a, b) == (a_before, b_before)
+
+
+@given(COEFFS, st.integers(0, 15))
+def test_shift_add_of_a_list_with_itself_leaves_it_unchanged(x, k):
+    before = list(x)
+    assert tuple(_shift_add(x, x, k)) == add_coeffs(before, shift_coeffs(before, k))
+    assert x == before

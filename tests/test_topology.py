@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -151,5 +152,12 @@ def test_split_by_last_sign():
 
 
 def test_split_needs_dimension_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be >= 2, got 1$"):
         morse_split_by_last_sign(1)
+
+
+@pytest.mark.parametrize("m", ["3", None, 2.5], ids=repr)
+def test_split_refuses_a_dimension_that_is_not_an_integer(m):
+    # the one integer rule, before any comparison: no TypeError from m < 2
+    with pytest.raises(ValueError, match=rf"^m must be an integer, got {re.escape(repr(m))}$"):
+        morse_split_by_last_sign(m)
