@@ -2,9 +2,11 @@
 count vectors (critical points per Morse index, Z2 Betti numbers): built by
 counting degrees or from coefficients, then compared and printed.
 
-`IntPolynomial` has no arithmetic. The one operation the exact layer needs,
-a + t^k * b, is `_shift_add` on plain coefficient lists: the Morse count in
-`patterns` and the product in `topology` are both built from it.
+`IntPolynomial` has no arithmetic. The exact layer's arithmetic is two
+private operations on plain coefficient lists: `_shift_add`, a + t^k * b,
+from which the Morse count in `patterns` and the product in `topology` are
+built, and `_exact_quotient`, a / (1 - t^s), which `topology` uses to count
+the exterior-algebra basis by Gaussian binomials.
 """
 
 from __future__ import annotations
@@ -22,6 +24,23 @@ def _shift_add(a: list, b: list, k: int) -> list:
     for i, x in enumerate(b, k):
         out[i] += x
     return out
+
+
+def _exact_quotient(a: list, s: int) -> list:
+    """The coefficient list of a / (1 - t^s), s >= 1, where 1 - t^s divides a.
+
+    Divides from the lowest degree up: q_i = a_i + q_(i-s). The division is
+    exact if and only if the top s entries of that running quotient are 0;
+    they are then dropped. Anything else raises ArithmeticError, so an
+    inexact quotient is never truncated silently. a is not written.
+    """
+    q = list(a)
+    for i in range(s, len(q)):
+        q[i] += q[i - s]
+    cut = max(len(q) - s, 0)
+    if any(q[cut:]):
+        raise ArithmeticError(f"1 - t^{s} does not divide {a!r}")
+    return q[:cut]
 
 
 class IntPolynomial:

@@ -3,18 +3,22 @@ the Morse-inequality remainder, and the perfectness verdict.
 
 The Z2 homology of SO(n) is the exterior algebra on generators
 e_1, ..., e_(n-1) with deg(e_i) = i, so the k-th Z2 Betti number counts
-subsets of {1, ..., n-1} with element sum k. That gives two routes to the
-Poincaré polynomial, which must agree:
+subsets of {1, ..., n-1} with element sum k. is_perfect compares three
+routes to that polynomial, and no two of them share a count:
 
+- patterns.morse_polynomial counts the sign patterns by index and parity;
 - poincare_product expands (1+t)(1+t^2)...(1+t^(n-1)), one _shift_add per
-  factor, in O(n^3) integer additions;
-- poincare_from_basis enumerates all 2^(n-1) monomial basis elements and
-  bins them by degree. It stays an enumeration on purpose: counting the
-  basis by degree instead would be poincare_product again, and the route
-  would no longer be independent.
+  factor;
+- poincare_from_basis counts the basis by exterior power: the products of
+  s distinct generators have the degrees of t^(s(s+1)/2) [n-1 choose s]_t
+  (Hatcher, Algebraic Topology, §3.D), and each Gaussian binomial is the
+  previous one times 1 - t^(n-s), divided exactly by 1 - t^s.
 
-The Morse side, patterns.morse_polynomial, counts sign patterns by index
-and parity; it does not read the product formula.
+Each route takes O(n^3) integer additions and lists no pattern or basis
+element. What ties the last two is the q-binomial theorem,
+prod_(i=1..m) (1 + t^i) = sum_(s=0..m) t^(s(s+1)/2) [m choose s]_t
+(Andrews, The Theory of Partitions, 1976, ch. 3), which neither route
+computes.
 
 Floating point is absent from this module: the Morse inequality
 P_f = P_M + (1+t) R is an exact integer statement and is decided by
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .intpoly import IntPolynomial, _shift_add
+from .intpoly import IntPolynomial, _exact_quotient, _shift_add
 from .patterns import _check_count, _check_n, _index, morse_polynomial, sign_patterns
 
 
@@ -42,20 +46,41 @@ def poincare_product(n: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def poincare_from_basis(n: int) -> IntPolynomial:
-    """Poincaré polynomial by binning basis elements by degree.
+def _gaussian_binomials(m: int):
+    """Yield the coefficient lists of the Gaussian binomials [m choose s]_t
+    for s = 0..m: the coefficient of t^k in [m choose s]_t counts the
+    s-subsets of {1, ..., m} whose element sum exceeds the least one,
+    s(s+1)/2, by k.
 
-    The coefficient of t^k is the k-th Z2 Betti number of SO(n). Every
-    basis element is enumerated, as its degree (one int), by the doubling
-    recursion over generators: the elements that contain e_m are the
-    earlier ones with m added, so
-    degrees(m+1) = degrees(m) + [d + m for d in degrees(m)].
+    Each comes from the previous one by the q-Pascal step
+    [m, s] = [m, s-1] (1 - t^(m-s+1)) / (1 - t^s): one subtraction pass,
+    then one exact division, which raises rather than truncate.
+    """
+    g = [1]
+    yield g
+    for s in range(1, m + 1):
+        k = m - s + 1
+        q = g + [0] * k
+        for i, x in enumerate(g, k):
+            q[i] -= x
+        g = _exact_quotient(q, s)
+        yield g
+
+
+def poincare_from_basis(n: int) -> IntPolynomial:
+    """Poincaré polynomial by counting the basis by exterior power.
+
+    The coefficient of t^k is the k-th Z2 Betti number of SO(n): the number
+    of basis elements e_(i_1)...e_(i_s) of degree i_1 + ... + i_s = k. The
+    elements of length s have the degrees of t^(s(s+1)/2) [n-1 choose s]_t,
+    so the sum of those shifted Gaussian binomials over s = 0..n-1 counts
+    the whole basis without listing its 2^(n-1) elements.
     """
     _check_n(n)
-    degrees = [0]
-    for g in range(1, n):
-        degrees += [d + g for d in degrees]
-    return IntPolynomial.counting(degrees)
+    total = [0]
+    for s, g in enumerate(_gaussian_binomials(n - 1)):
+        total = _shift_add(total, g, s * (s + 1) // 2)
+    return IntPolynomial(total)
 
 
 def morse_remainder(p_f: IntPolynomial, p_m: IntPolynomial):

@@ -100,6 +100,21 @@ def enumerate_basis(n: int) -> list:
     return basis
 
 
+def enumerate_basis_degrees(n: int) -> list:
+    """The degree of every basis element of enumerate_basis(n), one int
+    each and in the same order.
+
+    Built by the doubling recursion over generators: the elements that
+    contain e_m are the earlier ones with m added, so
+    degrees(m+1) = degrees(m) + [d + m for d in degrees(m)]. Time and
+    memory double with every n.
+    """
+    degrees = [0]
+    for g in range(1, n):
+        degrees += [d + g for d in degrees]
+    return degrees
+
+
 def enumerate_morse_indices(n: int) -> list:
     """The Morse index of every sign pattern of size n, one int each: the
     multiset of _index over sign_patterns(n), in another order.

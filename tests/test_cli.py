@@ -119,6 +119,18 @@ def test_polynomials_n12_under_ten_seconds(capsys):
     assert sum(json.loads(out)["morse"]) == 2048
 
 
+def test_polynomials_n60_runs(capsys):
+    # the basis used to be listed, 2^59 ints at n = 60; now it is counted
+    code, out, _ = run_cli(capsys, "polynomials", "--n", "60", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "PERFECT" and payload["perfect"] is True
+    assert payload["morse"] == payload["poincare_basis"] == payload["poincare_product"]
+    coeffs = payload["poincare_basis"]
+    assert sum(coeffs) == 2**59
+    assert len(coeffs) == 1771 and coeffs == coeffs[::-1]
+
+
 def test_verify_small_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "3", "--samples", "10", "--seed", "7")
     assert code == 0

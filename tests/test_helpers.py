@@ -4,7 +4,16 @@ import pytest
 from rotmorse.intpoly import IntPolynomial
 from rotmorse.patterns import _index, sign_patterns
 
-from helpers import add_coeffs, assert_same_text, enumerate_morse_indices, evaluate, random_costs, shift_coeffs
+from helpers import (
+    add_coeffs,
+    assert_same_text,
+    enumerate_basis,
+    enumerate_basis_degrees,
+    enumerate_morse_indices,
+    evaluate,
+    random_costs,
+    shift_coeffs,
+)
 
 
 def test_random_costs_strictly_increasing():
@@ -28,6 +37,11 @@ def test_coefficient_shift_add_and_evaluate():
 def test_enumerate_morse_indices_is_the_index_of_every_pattern():
     for n in range(1, 12):
         assert sorted(enumerate_morse_indices(n)) == sorted(_index(eps) for eps in sign_patterns(n))
+
+
+def test_enumerate_basis_degrees_is_the_degree_of_every_basis_element():
+    for n in range(1, 12):
+        assert enumerate_basis_degrees(n) == [sum(b) for b in enumerate_basis(n)]
 
 
 def test_assert_same_text_names_the_first_differing_line():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rotmorse.intpoly import IntPolynomial, _shift_add
+from rotmorse.intpoly import IntPolynomial, _exact_quotient, _shift_add
 
 from helpers import add_coeffs, evaluate, shift_coeffs
 
@@ -71,3 +71,38 @@ def test_shift_add_of_a_list_with_itself_leaves_it_unchanged(x, k):
     before = list(x)
     assert tuple(_shift_add(x, x, k)) == add_coeffs(before, shift_coeffs(before, k))
     assert x == before
+
+
+def _times_one_minus(a, s):
+    """The coefficient list of a * (1 - t^s), of length len(a) + s."""
+    out = list(a) + [0] * s
+    for i, x in enumerate(a, s):
+        out[i] -= x
+    return out
+
+
+@given(st.lists(st.integers(-50, 50), max_size=12), st.integers(1, 8))
+@example([], 1)
+@example([1, 2, 3], 5)
+def test_exact_quotient_undoes_one_minus_t_to_the_s(a, s):
+    b = _times_one_minus(a, s)
+    before = list(b)
+    assert _exact_quotient(b, s) == a
+    assert b == before
+
+
+@given(st.lists(st.integers(-50, 50), max_size=12), st.integers(1, 8), st.data())
+def test_exact_quotient_refuses_a_perturbed_multiple(a, s, data):
+    # t^j is not a multiple of 1 - t^s, so neither is b + t^j
+    b = _times_one_minus(a, s)
+    b[data.draw(st.integers(0, len(b) - 1))] += 1
+    with pytest.raises(ArithmeticError, match=rf"^1 - t\^{s} does not divide "):
+        _exact_quotient(b, s)
+
+
+def test_exact_quotient_frozen_values():
+    assert _exact_quotient([1, 0, -1], 2) == [1]
+    assert _exact_quotient([1, 1, -1, -1], 2) == [1, 1]
+    assert _exact_quotient([], 3) == []
+    with pytest.raises(ArithmeticError):
+        _exact_quotient([1], 3)

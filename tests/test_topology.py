@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from rotmorse.intpoly import IntPolynomial
 from rotmorse.patterns import morse_polynomial
 from rotmorse.topology import (
+    _gaussian_binomials,
     is_perfect,
     morse_remainder,
     morse_split_by_last_sign,
@@ -16,7 +18,7 @@ from rotmorse.topology import (
     poincare_product,
 )
 
-from helpers import add_coeffs, enumerate_basis, evaluate, shift_coeffs
+from helpers import add_coeffs, enumerate_basis, enumerate_basis_degrees, evaluate, shift_coeffs
 
 
 def expand_product_naive(n):
@@ -67,13 +69,41 @@ def test_poincare_from_basis_equals_basis_histogram():
         assert poincare_from_basis(n) == expected
 
 
+def test_poincare_from_basis_equals_the_enumerated_degrees():
+    # the count by exterior power against the int-list doubling
+    for n in range(1, 21):
+        assert poincare_from_basis(n) == IntPolynomial.counting(enumerate_basis_degrees(n))
+
+
+def test_each_exterior_power_is_its_subset_sums():
+    # Lambda^s has the degrees of t^(s(s+1)/2) [n-1 choose s]_t
+    for n in range(1, 13):
+        powers = list(_gaussian_binomials(n - 1))
+        assert len(powers) == n
+        for s, g in enumerate(powers):
+            expected = IntPolynomial.counting(sum(b) for b in combinations(range(1, n), s))
+            assert IntPolynomial(shift_coeffs(g, s * (s + 1) // 2)) == expected
+
+
+def test_poincare_from_basis_lists_no_basis_element():
+    # the enumeration held 2^21 ints at n = 22, a 25 MB tracemalloc peak
+    poincare_from_basis(22)
+    tracemalloc.start()
+    try:
+        poincare_from_basis(22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_poincare_from_basis_rejects_n_below_one():
     with pytest.raises(ValueError):
         poincare_from_basis(0)
 
 
 def test_two_routes_agree():
-    for n in range(1, 13):
+    for n in range(1, 81):
         assert poincare_from_basis(n) == poincare_product(n)
 
 
