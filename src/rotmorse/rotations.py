@@ -21,7 +21,6 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 from functools import lru_cache
@@ -37,6 +36,7 @@ MEMBERSHIP_TOL = 1e-10
 
 def pair_count(n: int) -> int:
     """Dimension of SO(n): the number of coordinate pairs (i, j), i < j."""
+    _check_n(n)
     return n * (n - 1) // 2
 
 
@@ -177,29 +177,25 @@ def _cayley(A: np.ndarray, coeffs: np.ndarray, step) -> np.ndarray:
 def _chart(A: np.ndarray) -> tuple:
     """(signs, dist) of every matrix of an (S, n, n) stack: the signs of its
     diagonal, and max |W_ij| over the Cayley chart W = (I - D A)(I + D A)^-1
-    of its own pattern D = diag(signs), or inf where the signs have product
-    -1, I + D A is singular or W is not finite.
+    of its own pattern D = diag(signs), or inf where A is not finite, the
+    signs have product -1, I + D A is singular or W is not finite.
 
     W is skew on SO(n), and _cayley is its inverse: a Givens turn by theta
     reads tan(theta/2), so dist is in radians and does not depend on the
     weights. I + D D' is singular for every other pattern D', so the chart
-    holds one critical point, D itself. A stacked solve raises if any
-    matrix is singular; the stack is then solved one matrix at a time,
-    and every matrix gets the bits it gets alone. Nothing is checked.
+    holds one critical point, D itself. slogdet runs solve's LU, silenced
+    as solve's is, and its sign is 0 exactly where solve would raise; the
+    rest is one stacked solve, which gives each matrix the bits it gets
+    alone. Nothing is checked.
     """
     signs = np.where(A.diagonal(0, -2, -1) >= 0.0, 1, -1)
     dist = np.full(len(A), np.inf)
-    live = np.prod(signs, axis=-1) == 1
-    X = signs[live][:, :, None] * A[live]
+    X = signs[:, :, None] * A
     M, N = np.eye(A.shape[-1]) + X, np.eye(A.shape[-1]) - X
-    try:
-        W = np.linalg.solve(M, N)
-    except np.linalg.LinAlgError:
-        W = np.full(N.shape, np.nan)
-        for k in range(len(N)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                W[k] = np.linalg.solve(M[k], N[k])
-    size = np.abs(W).max(axis=(-2, -1), initial=0.0)
+    live = (np.prod(signs, axis=-1) == 1) & np.isfinite(A).all(axis=(-2, -1))
+    with np.errstate(all="ignore"):
+        live[live] = np.linalg.slogdet(M[live]).sign != 0
+    size = np.abs(np.linalg.solve(M[live], N[live])).max(axis=(-2, -1), initial=0.0)
     dist[live] = np.where(np.isfinite(size), size, np.inf)
     return signs, dist
 

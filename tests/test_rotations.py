@@ -36,6 +36,11 @@ def test_pair_indices_order_and_count():
         for arr in (iu, ju):
             with pytest.raises(ValueError):
                 arr[...] = 0
+    # pair_count refuses the n that pair_indices refuses
+    for n, message in ((2.5, "n must be an integer"), (-3, "n must be >= 1")):
+        for f in (pair_count, pair_indices):
+            with pytest.raises(ValueError, match=message):
+                f(n)
 
 
 def test_givens_identity_at_zero():
