@@ -5,13 +5,15 @@ in the tangent-pair basis, counts negative Hessian eigenvalues, and runs a
 gradient descent whose limits empirically recover the analytic critical
 set. The descent steps along the Cayley retraction (``rotations._cayley``,
 retract's kernel) in the direction of the gradient over the Hessian
-diagonal floored at the smallest gap between weights, under an Armijo test
-that allows for the objective's rounding; one loop, _descend, runs it with
-its step rule as an argument. It runs a batch of starts as one (S, n, n)
-stack; a single start is a batch of one. Its results have one row per
-start (final points, iteration counts, gradient norms, a converged mask
-and the classified limit patterns); gradient_flow turns the one row of a
-single start into a FlowResult namedtuple.
+diagonal floored at the smallest gap between weights. Each pass takes the
+gradient once per live point, stops the points at their tolerance (or the
+gradient's rounding floor) or cap, and makes one trial for the rest, a
+unit step or half a refused one, under an Armijo test that allows for the
+objective's rounding. It runs a batch of
+starts as one (S, n, n) stack; a single start is a batch of one. Its
+results have one row per start (final points, iteration counts, gradient
+norms, a converged mask and the classified limit patterns); gradient_flow
+turns the one row of a single start into a FlowResult namedtuple.
 
 All derivatives are taken along the rotation-plane curves of
 ``rotations.givens_curve``. The right family A @ B_ij(theta) is the
@@ -38,8 +40,9 @@ from .rotations import _cayley, _chart, _check_square, _generators, is_rotation
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 # The objective rounds by about n * _EPS * top, top = patterns._top(c), and
-# the Armijo test allows that much: _descend's slack. Near a limit the
-# off-diagonal entries are about _EPS, so each gradient component
+# the Armijo test allows that much: a trial is kept if f(trial) <= f +
+# n * _EPS * top - _ARMIJO * step * <g, p>, f the current value. Near a
+# limit the off-diagonal entries are about _EPS, so each gradient component
 # c_i A_ij - c_j A_ji carries a rounding error of about _EPS^2 * top; a
 # descent stops once its gradient norm is at most n * _EPS^2 * top.
 _EPS = 2.0**-52  # the float64 machine epsilon
@@ -240,33 +243,26 @@ whose Cayley chart puts the final point within 5e-7 radians of it (see
 classify_rotation), or None when there is none."""
 
 
-def _preconditioned(A: np.ndarray, g: np.ndarray, c: np.ndarray, gap: float) -> np.ndarray:
-    return g / np.maximum(np.abs(_hessian_diagonal(A.diagonal(0, -2, -1), c)), gap)
-
-
-_DESCENT = (_preconditioned, True)
-
-
-def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int, rule=_DESCENT) -> tuple:
-    """The descent of gradient_flow on a stack A of S starts at once, under
-    the step rule rule = (direction, armijo), _DESCENT by default.
+def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int) -> tuple:
+    """The descent of gradient_flow on a stack A of S starts at once.
 
     A is (S, n, n), and each start is overwritten by its final point. Each
     pass takes the gradients g and norms of the live samples. A sample
     stops once its norm is at most grad_tol or the rounding floor
     n*eps^2*top, top = patterns._top(c), or it has made max_iterations
-    trials, whatever the rule, and is then written back. The others make
-    one trial along p = direction(A, g, c, gap), gap = patterns._gap(c),
-    with gradient_flow's steps, kept if f(trial) <= f + slack -
-    _ARMIJO*step*<g, p>: slack = n*eps*top, or inf (no Armijo test) if not
-    armijo. The live state is kept in compact arrays, with one trial count
-    for all. Every kernel computes a sample as it would alone, so no result
-    depends on the batch. Returns the (S,) iteration counts and final
-    gradient norms once no sample is live.
+    trials; it is then written back (a start that stops at once,
+    unchanged), and the descent returns once none is live. The others make
+    one trial along p = g / w, w the sizes of the Hessian diagonal at the
+    point floored at gap = patterns._gap(c), with step 1 after an accepted
+    step and half the refused step after a null step; p is dimensionless,
+    and so is the trial. A trial is kept if f(trial) <= f + n*eps*top -
+    _ARMIJO*step*<g, p>; a null step keeps the point and its value f. The
+    live state is kept in compact arrays, with one trial count for all.
+    Every kernel computes a sample as it would alone, so no result depends
+    on the batch. Returns the (S,) iteration counts and final gradient norms.
     """
-    direction, armijo = rule
     stop = max(grad_tol, c.size * _EPS * _EPS * _top(c))
-    slack = c.size * _EPS * _top(c) if armijo else math.inf
+    slack = c.size * _EPS * _top(c)
     # At weights _check_descent takes, |c_a eps_a + c_b eps_b| >= gap at every
     # critical point, so the floor never clips the diagonal at a limit.
     gap = _gap(c)
@@ -289,7 +285,7 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int,
             idx, Al, fl, gl, hl = idx[stay], Al[stay], fl[stay], gl[stay], hl[stay]
         if not idx.size:
             return iterations, gnorm
-        pl = direction(Al, gl, c, gap)
+        pl = gl / np.maximum(np.abs(_hessian_diagonal(Al.diagonal(0, -2, -1), c)), gap)
         step = np.minimum(hl, math.sqrt(2.0) / np.sqrt(np.vecdot(pl, pl)))
         trial = _cayley(Al, -pl, step)
         ft = _objective(trial, c)
@@ -351,9 +347,9 @@ def gradient_flow(
     )
 
 
-def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_MAX_ITERATIONS, rule=_DESCENT):
+def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_MAX_ITERATIONS):
     """The descent of gradient_flow from every start of an (S, n, n) stack,
-    run through _descend under the step rule rule in _blocks of starts.
+    run through _descend in _blocks of starts.
 
     Returns (points, iterations, norms, converged, patterns), one row per
     start: a new stack of final points (starts is left unchanged), the
@@ -372,6 +368,6 @@ def _flows(starts: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations=_M
     iterations = np.empty(len(points), dtype=int)
     norms = np.empty(len(points))
     for block in _blocks(len(points), 8 * c.size * c.size):
-        iterations[block], norms[block] = _descend(points[block], c_s, tol_s, max_iterations, rule)
+        iterations[block], norms[block] = _descend(points[block], c_s, tol_s, max_iterations)
     norms /= s
     return points, iterations, norms, norms <= grad_tol, _classify(points)

@@ -177,25 +177,29 @@ def _cayley(A: np.ndarray, coeffs: np.ndarray, step) -> np.ndarray:
 def _chart(A: np.ndarray) -> tuple:
     """(signs, dist) of every matrix of an (S, n, n) stack: the signs of its
     diagonal, and max |W_ij| over the Cayley chart W = (I - D A)(I + D A)^-1
-    of its own pattern D = diag(signs), or inf where A is not finite, the
-    signs have product -1, I + D A is singular or W is not finite.
+    of its own pattern D = diag(signs), or inf where the signs have product
+    -1, I + D A is singular or W is not finite.
 
     W is skew on SO(n), and _cayley is its inverse: a Givens turn by theta
     reads tan(theta/2), so dist is in radians and does not depend on the
     weights. I + D D' is singular for every other pattern D', so the chart
-    holds one critical point, D itself. slogdet runs solve's LU, silenced
-    as solve's is, and its sign is 0 exactly where solve would raise; the
-    rest is one stacked solve, which gives each matrix the bits it gets
-    alone. Nothing is checked.
+    holds one critical point, D itself. If a singular matrix makes the
+    stacked solve raise, the rows where slogdet (solve's LU) has sign != 0
+    are solved again as one stack, each to its own bits. Nothing is checked.
     """
     signs = np.where(A.diagonal(0, -2, -1) >= 0.0, 1, -1)
     dist = np.full(len(A), np.inf)
-    X = signs[:, :, None] * A
+    live = np.prod(signs, axis=-1) == 1
+    X = signs[live][:, :, None] * A[live]
     M, N = np.eye(A.shape[-1]) + X, np.eye(A.shape[-1]) - X
-    live = (np.prod(signs, axis=-1) == 1) & np.isfinite(A).all(axis=(-2, -1))
-    with np.errstate(all="ignore"):
-        live[live] = np.linalg.slogdet(M[live]).sign != 0
-    size = np.abs(np.linalg.solve(M[live], N[live])).max(axis=(-2, -1), initial=0.0)
+    try:
+        W = np.linalg.solve(M, N)
+    except np.linalg.LinAlgError:
+        with np.errstate(all="ignore"):
+            solvable = np.linalg.slogdet(M).sign != 0
+        live[live] = solvable
+        W = np.linalg.solve(M[solvable], N[solvable])
+    size = np.abs(W).max(axis=(-2, -1), initial=0.0)
     dist[live] = np.where(np.isfinite(size), size, np.inf)
     return signs, dist
 
@@ -209,7 +213,7 @@ def retract(A, coeffs, step: float) -> np.ndarray:
     agrees with A @ expm(step * K) to second order in step: along a single
     pair it turns by 2*atan(step/2) instead of step.
     """
-    A = _check_square(A)
+    A = _check_square(A, nonempty=True)
     return _cayley(A, _check_coeffs(coeffs, A.shape[0]), float(step))
 
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -34,6 +35,27 @@ def test_public_names_are_listed_before_they_are_imported():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
+
+
+def _syntax(module):
+    return ast.parse((Path(rotmorse.__file__).parent / f"{module}.py").read_text())
+
+
+def _count(tree, kind):
+    return sum(isinstance(node, kind) for node in ast.walk(tree))
+
+
+def test_every_descent_runs_one_loop():
+    # riemannian has one while loop, _descend's, and _flows calls it. A new
+    # step direction goes through that loop; verify, cli and critical have
+    # no while loop of their own.
+    tree = _syntax("riemannian")
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert _count(tree, ast.While) == _count(functions["_descend"], ast.While) == 1
+    calls = ast.walk(functions["_flows"])
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_descend" for node in calls)
+    for module in ("verify", "cli", "critical"):
+        assert _count(_syntax(module), ast.While) == 0, module
 
 _P4 = "IntPolynomial((1, 1, 1, 2, 1, 1, 1))"
 # record type -> (a record, its fields in order, its repr)

@@ -21,8 +21,7 @@ from rotmorse.critical import (
     index_by_formula,
     validate_costs,
 )
-from rotmorse.intpoly import IntPolynomial
-from rotmorse.patterns import _check_descent, _index, _top, sign_patterns
+from rotmorse.patterns import _check_descent, sign_patterns
 from rotmorse.riemannian import (
     DegenerateHessianError,
     _numeric_indices,
@@ -35,7 +34,6 @@ from rotmorse.riemannian import (
     tangent_hessian,
 )
 from rotmorse.rotations import _haar, generator, givens_curve, haar_sample, is_rotation, pair_indices, retract
-from rotmorse.topology import poincare_product
 from rotmorse.verify import _fd_gradient, _fd_tangent_hessian
 
 from helpers import random_costs, reference_classify, reference_gradient, reference_tangent_hessian
@@ -772,34 +770,6 @@ def test_fd_oracles_give_each_point_of_a_stack_its_own_bits(n, S, seed):
         for left, G in zip((False, True), gradients):
             assert G[k].tobytes() == _fd_gradient(stack[k : k + 1], c, left)[0].tobytes()
         assert H[k].tobytes() == _fd_tangent_hessian(stack[k : k + 1], c)[0].tobytes()
-
-
-def _signed(A, g, c, gap):
-    """The Newton step with the sign of the Hessian diagonal h kept: g over
-    sign(h) * max(|h|, gap). It steps toward critical points of every
-    index, not only downhill. A zero h counts as positive, so the step
-    never divides by zero."""
-    h = _hessian_diagonal(A.diagonal(0, -2, -1), c)
-    return g / (np.where(h < 0, -1.0, 1.0) * np.maximum(np.abs(h), gap))
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_the_signed_step_through_the_descent_loop_finds_every_critical_point(n):
-    # A second step rule needs no loop of its own: _flows runs it with a
-    # unit step and no Armijo test, stopping at 1e-10 * top or 200 trials.
-    # From 256 Haar starts every limit is classified, every one of the
-    # 2^(n-1) sign patterns is reached, each limit's eigenvalue index is
-    # the formula's, and the patterns found, counted by index, are the
-    # Poincaré polynomial.
-    c = default_costs(n)
-    points, iterations, _, converged, limits = riemannian._flows(
-        _haar(n, 256, n), c, 1e-10 * _top(c), 200, (_signed, False)
-    )
-    assert converged.all() and iterations.max() < 200
-    assert None not in limits
-    assert set(limits) == set(sign_patterns(n))
-    assert _numeric_indices(_tangent_hessian(points, c)).tolist() == [_index(eps) for eps in limits]
-    assert IntPolynomial.counting(_index(eps) for eps in set(limits)) == poincare_product(n)
 
 
 def _assert_same_flows(batched, single, grad_tol=1e-8):

@@ -186,6 +186,10 @@ def test_retract_single_pair_matches_givens():
 def test_retract_wrong_length():
     with pytest.raises(ValueError, match="pair coefficients"):
         retract(np.eye(3), [1.0, 2.0], 0.1)
+    # retract refuses the 0 x 0 matrix, as is_rotation does
+    for f in (lambda A: retract(A, [], 1.0), is_rotation):
+        with pytest.raises(ValueError, match="n >= 1"):
+            f(np.zeros((0, 0)))
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-1, 1))
