@@ -42,9 +42,8 @@ def default_costs(n: int) -> np.ndarray:
     return np.array(default_weights(n))
 
 
-def _sign_table(n: int, rows: slice = slice(None)) -> np.ndarray:
-    """The rows of sign_patterns(n) in `rows` (all 2^(n-1) by default) as
-    a (P, n) float array, built from bits for those rows alone.
+def _sign_table(n: int) -> np.ndarray:
+    """sign_patterns(n) as a (2^(n-1), n) float array, built from bits.
 
     Row p carries the n bits of 2p + (the parity of p), most significant
     first, 1 standing for a -1: the first n-1 signs are the bits of p, and
@@ -52,7 +51,7 @@ def _sign_table(n: int, rows: slice = slice(None)) -> np.ndarray:
     makes the product +1. That is the order of sign_patterns, whose body
     stays numpy-free.
     """
-    p = np.arange(*rows.indices(2 ** (n - 1)))
+    p = np.arange(2 ** (n - 1))
     negative = (2 * p + (np.bitwise_count(p) & 1))[:, None] >> np.arange(n - 1, -1, -1) & 1
     return 1.0 - 2.0 * negative
 
@@ -146,11 +145,10 @@ CriticalPointRecord.__doc__ = """One critical point: sign pattern, Morse index, 
 Hessian diagonal in pair_indices order."""
 
 
-def _pattern_table(n: int, c: np.ndarray, rows: slice = slice(None)) -> tuple:
+def _pattern_table(n: int, c: np.ndarray) -> tuple:
     """The critical set as stacked arrays, one row per pattern in
     sign_patterns(n) order: the (P, n) float sign table, the (P,) int
-    indices, the (P,) values and the (P, d) Hessian diagonals, of the rows
-    in `rows` (all by default, or one block of a caller's _blocks).
+    indices, the (P,) values and the (P, d) Hessian diagonals.
 
     One stacked call each of the closed forms, so the floats carry the bits
     of critical_value and hessian_diagonal. Callers pass validated weights.
@@ -158,7 +156,7 @@ def _pattern_table(n: int, c: np.ndarray, rows: slice = slice(None)) -> tuple:
     +-inf, with the sign of its exact sum; that is its float result, so
     numpy is not asked to warn about it.
     """
-    signs = _sign_table(n, rows)
+    signs = _sign_table(n)
     with np.errstate(over="ignore"):
         return signs, _index(signs), _value(signs, c), _hessian_diagonal(signs, c)
 

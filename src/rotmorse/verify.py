@@ -18,12 +18,13 @@ the 2d curves at +-h, without forming that point: _fd_gradient makes 2d
 dots per point, and _fd_tangent_hessian forms the 2d points A @ B_p(+-h)
 of each point by stacked matrix products and makes (2d)^2 dots. The index
 suite reads every pattern's tangent Hessian off the _tangent_hessian of
-the n unit diagonal matrices, taken in blocks, and the signs and closed
-forms of the critical set from _pattern_table one block of rows at a
-time, so no stack spans all 2^(n-1) patterns. Stacked matmul and vecdot
-treat each matrix or row as they would alone (vecdot makes one BLAS dot
-per entry, as np.dot does), so every value has the bits of the
-one-matrix-at-a-time loops.
+the n unit diagonal matrices, taken in blocks, and proves the three
+indices equal at all 2^(n-1) patterns from the four sign cases of each
+pair; its residual counts the pairs with a failing case. _pattern_maxima
+bounds the zero band, with parity exceptions at n = 2 and n = 4.
+Stacked matmul and vecdot treat each matrix or row as they would alone
+(vecdot makes one BLAS dot per entry, as np.dot does), so every value has
+the bits of the one-matrix-at-a-time loops.
 
 Oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of
@@ -43,10 +44,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import _pattern_table, default_costs, validate_costs
+from .critical import _hessian_diagonal, default_costs, validate_costs
 from .patterns import _check_descent, _check_draw, _top
 from .riemannian import _banded_indices, _blocks, _curve_derivatives, _flows, _tangent_hessian
-from .rotations import _haar, givens_curve, pair_count, pair_indices
+from .rotations import _haar, _pair_arrays, givens_curve, pair_count, pair_indices
 
 
 _GRADIENT_STEP = 1e-5
@@ -156,16 +157,25 @@ def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
 
 def _index_suite(c: np.ndarray) -> SuiteResult:
     """Formula index == Hessian-diagonal index == tangent-Hessian index, for
-    every admissible pattern. The residual is the number of mismatches.
+    every admissible pattern, proved pair by pair. The residual is the
+    number of pairs with a failing sign case, out of d.
 
     _tangent_hessian is linear in M = diag(c) @ A, and M is diagonal at a
     pattern eps, so H(eps) = sum_k eps_k T_k, T being the Hessians at the
     unit diagonal matrices E_kk. If every off-diagonal entry of T is 0.0,
-    every H(eps) is diagonal, with diagonal signs @ diag(T): two nonzero
-    terms per entry, rounded once in any order. A pattern has a Hessian
-    index only then, and only if that diagonal is finite; its index is
-    then the count that numeric_index makes of eigenvalues, zero band
-    included. A pattern without one counts as a mismatch.
+    every H(eps) is diagonal, with diagonal eps @ t for t = diag(T); if
+    moreover column p of t is 0.0 outside pair p's two rows, entry p is
+    eps_a t[a, p] + eps_b t[b, p], rounded once. All three routes are then
+    sums over pairs of a function of (eps_a, eps_b): [eps_b = +1], the sign
+    of _hessian_diagonal's entry and the sign of that entry of eps @ t. The
+    suite evaluates them on the rows of _covering_signs, which give every
+    pair all four sign cases; a case passes when the three agree and its
+    entry is finite and outside numeric_index's relative zero band. The
+    band compares a pattern's smallest entry with its largest, so each
+    entry goes through _banded_indices beside _pattern_maxima's bound, the
+    largest entry a pattern with that pair's sign product can carry. Every
+    case passing is then every pattern passing. The cases of product -1 at
+    n = 2, where no pattern has them, pass at every admissible weights.
     """
     n, d = c.size, pair_count(c.size)
     E = np.eye(n)[:, :, None] * np.eye(n)
@@ -175,20 +185,62 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
         T = _tangent_hessian(E[block], c)
         t[block] = T.diagonal(0, -2, -1)
         off += np.count_nonzero(T) - np.count_nonzero(t[block])
-    diagonal = off == 0
-    count = 2 ** (n - 1)
-    mismatches = 0
-    for block in _blocks(count, 8 * d):
-        eps, index, _, hessian = _pattern_table(n, c, block)
-        by_count = np.count_nonzero(hessian < 0, axis=-1)
-        # As in _pattern_table, an entry near 1e308 overflows to +-inf.
-        with np.errstate(over="ignore"):
-            h = eps @ t
-        by_hessian = np.where(diagonal & np.isfinite(h).all(axis=-1), _banded_indices(h), -1)
-        mismatches += int(np.count_nonzero((index != by_count) | (by_count != by_hessian)))
+    iu, ju = _pair_arrays(n)
+    pairs = np.arange(d)
+    stray = t.copy()
+    stray[iu, pairs] = stray[ju, pairs] = 0.0
+    signs = _covering_signs(n)
+    last = signs[:, ju]
+    product = (signs[:, iu] != last).astype(int)  # 0 for +1, 1 for -1
+    # As in _pattern_table, an entry near 1e308 overflows to +-inf.
+    with np.errstate(over="ignore"):
+        by_count = _hessian_diagonal(signs, c) < 0
+        h = signs @ t
+    size = np.empty((d, 2))
+    size[pairs, product] = np.abs(h)
+    band = np.stack([h, _pattern_maxima(size, n)[pairs, product]], axis=-1)
+    usable = (off == 0) & ~stray.any(axis=0) & np.isfinite(h)
+    by_hessian = np.where(usable, _banded_indices(band), -1)
+    fails = ((last == 1) != by_count) | (by_count != by_hessian)
+    failing = int(np.count_nonzero(fails.any(axis=0)))
     return SuiteResult(
-        "index-equivalence", mismatches == 0, float(mismatches), 0.0, detail=f"{count} patterns"
+        "index-equivalence", failing == 0, float(failing), 0.0, detail=f"{2 ** (n - 1)} patterns"
     )
+
+
+@lru_cache(maxsize=None)
+def _covering_signs(n: int) -> np.ndarray:
+    """Read-only (2 + 2 ceil(log2 n), n) float sign vectors: all +1, then
+    row k + 1 with -1 where bit k of the position is set, and the negations
+    of those. Two positions differ in some bit, so every pair meets all
+    four sign cases."""
+    bits = np.arange(n) >> np.arange((n - 1).bit_length())[:, None] & 1
+    half = 1.0 - 2.0 * np.vstack([np.zeros(n), bits])
+    signs = np.vstack([half, -half])
+    signs.flags.writeable = False
+    return signs
+
+
+def _pattern_maxima(size: np.ndarray, n: int) -> np.ndarray:
+    """(d, 2) bounds from the (d, 2) table of entry sizes, size[q, k] at pair
+    q and sign product (+1, -1)[k]: bound[p, k] is the largest size[q, k']
+    that a pattern with pair p at product k can also carry.
+
+    A pattern carries every (q, k') but (p, 1 - k) beside (p, k), except at
+    n = 4: there the sign products of complementary pairs multiply to the
+    det, +1, so the pair d - 1 - p cannot carry 1 - k either. At n = 2 no
+    pattern has the product -1, and the bar leaves those two cases bounded
+    by their own size. With at most two entries barred, the bound is among
+    the three largest entries.
+    """
+    d = len(size)
+    p, k = np.arange(d)[:, None, None], np.arange(2)[:, None]
+    twin = d - 1 - p if n == 4 else p
+    flat = size.ravel()
+    top = np.argsort(flat)[::-1][:3]
+    q, product = np.divmod(top, 2)
+    allowed = (product == k) | ((q != p) & (q != twin))
+    return np.max(np.where(allowed, flat[top], 0.0), axis=-1, initial=0.0)
 
 
 def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float):

@@ -9,6 +9,9 @@ import sys
 import numpy as np
 
 import rotmorse
+from rotmorse.critical import _pattern_table
+from rotmorse.riemannian import _banded_indices, _blocks, _tangent_hessian
+from rotmorse.rotations import pair_count
 
 from argv_grid import first_difference
 
@@ -70,6 +73,40 @@ def reference_tangent_hessian(A, c) -> list:
             row.append(h)
         H.append(row)
     return H
+
+
+def index_sweep(c: np.ndarray) -> int:
+    """The index suite pattern by pattern: the number of the 2^(n-1) sign
+    patterns whose three indices disagree. A pattern's indices are the
+    formula's, the count of negative closed-form Hessian-diagonal entries,
+    and the _banded_indices of its tangent Hessian read as eps @ t from the
+    diagonals t of the Hessians at the n unit diagonal matrices; a pattern
+    whose Hessian is not diagonal or not finite has no third index.
+
+    verify._index_suite proves the same equality pair by pair; this sweep
+    is its oracle, and its cost doubles with every n.
+    """
+    n, d = c.size, pair_count(c.size)
+    E = np.eye(n)[:, :, None] * np.eye(n)
+    t = np.empty((n, d))
+    off = 0
+    for block in _blocks(n, 8 * d * n * n):
+        T = _tangent_hessian(E[block], c)
+        t[block] = T.diagonal(0, -2, -1)
+        off += np.count_nonzero(T) - np.count_nonzero(t[block])
+    diagonal = off == 0
+    count = 2 ** (n - 1)
+    table = _pattern_table(n, c)
+    mismatches = 0
+    for block in _blocks(count, 8 * d):
+        eps, index, _, hessian = (column[block] for column in table)
+        by_count = np.count_nonzero(hessian < 0, axis=-1)
+        # As in _pattern_table, an entry near 1e308 overflows to +-inf.
+        with np.errstate(over="ignore"):
+            h = eps @ t
+        by_hessian = np.where(diagonal & np.isfinite(h).all(axis=-1), _banded_indices(h), -1)
+        mismatches += int(np.count_nonzero((index != by_count) | (by_count != by_hessian)))
+    return mismatches
 
 
 def reference_classify(A):

@@ -41,7 +41,8 @@ from rotmorse.verify import (
     run_all_suites,
 )
 
-from helpers import count_weight_checks, random_costs
+import helpers
+from helpers import count_weight_checks, index_sweep, random_costs
 
 
 def test_gradient_suite_passes():
@@ -83,7 +84,8 @@ def test_index_suite_passes():
 def test_an_off_diagonal_scatter_fails_every_pattern(monkeypatch, n, patterns):
     # Move each Hessian's (0, 0) entry to (0, 1). Every pattern's Hessian
     # then has a nonzero off-diagonal entry, which eigenvalues would fold
-    # into the spectrum.
+    # into the spectrum: the sweep fails every pattern, and the suite every
+    # one of the d pairs.
     original = verify._tangent_hessian
 
     def moved(A, c):
@@ -92,9 +94,12 @@ def test_an_off_diagonal_scatter_fails_every_pattern(monkeypatch, n, patterns):
         return H
 
     monkeypatch.setattr(verify, "_tangent_hessian", moved)
-    result = _index_suite(default_costs(n))
+    monkeypatch.setattr(helpers, "_tangent_hessian", moved)
+    c = default_costs(n)
+    assert index_sweep(c) == patterns
+    result = _index_suite(c)
     assert not result.passed
-    assert result.max_residual == patterns
+    assert result.max_residual == pair_count(n)
 
 
 @pytest.mark.parametrize("n", range(9, 13))
@@ -130,6 +135,30 @@ def _eigenvalue_route_mismatches(c):
     return int(np.count_nonzero((_index(signs) != by_count) | (by_count != by_eigen)))
 
 
+# Weights whose smallest pair-case entry delta lies in the zero band of a
+# pattern's largest entry for some delta and not for others. Near delta =
+# 1e-9 to 2e-9 the first two fail a rule that used the largest entry of all
+# patterns instead; (1, 1 + delta, 5, 6) is banded by the pattern's 7 + delta,
+# not by the 11 of the complementary pair at n = 4, which that pattern
+# cannot carry; and at n = 2 the entry delta belongs to no pattern.
+_BAND_WINDOW = [
+    np.array(c)
+    for delta in np.geomspace(5e-10, 1.6e-8, 24)
+    for c in (
+        (0.0, 1.0, 1.0 + delta),
+        (0.0, 0.5, 1.0, 1.0 + delta),
+        (1.0, 1.0 + delta, 5.0, 6.0),
+        (1.0, 1.0 + delta),
+    )
+]
+
+
+def _band_window_examples(test):
+    for c in _BAND_WINDOW:
+        test = example(c)(test)
+    return test
+
+
 _SCALED_WEIGHTS = st.builds(
     lambda n, seed, scale: scale * random_costs(n, np.random.default_rng(seed)),
     st.integers(1, 10),
@@ -143,12 +172,21 @@ _SCALED_WEIGHTS = st.builds(
 @example(np.array([0.0, 1e-12, 1.0]))
 @example(np.array([1e308, 1.5e308]))
 @example(np.array([1e308, 1.2e308, 1.5e308]))
+@_band_window_examples
 def test_index_suite_agrees_with_the_eigenvalue_route(c):
+    # The sweep counts the patterns whose eigenvalue route disagrees, and
+    # the suite passes exactly when it counts none.
     with np.errstate(over="ignore", invalid="ignore"):
         mismatches = _eigenvalue_route_mismatches(c)
-        result = _index_suite(c)
-    assert result.max_residual == mismatches
-    assert result.passed == (mismatches == 0)
+        sweep = index_sweep(c)
+    assert sweep == mismatches
+    assert _index_suite(c).passed == (sweep == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_index_suite_agrees_with_the_sweep_up_to_n_16(n):
+    for c in (default_costs(n), random_costs(n, np.random.default_rng(n))):
+        assert _index_suite(c).passed == (index_sweep(c) == 0)
 
 
 # Weights (0, x, 1) with x on the edge of the relative zero band: at the
@@ -159,23 +197,27 @@ _BAND_EDGE = 1.0000000010000002e-09
 
 
 @pytest.mark.parametrize(
-    "c, mismatches",
+    "c, mismatches, pairs",
     [
-        ([0.0, _BAND_EDGE, 1.0], 2),
-        ([0.0, float(np.nextafter(_BAND_EDGE, 1.0)), 1.0], 0),
-        ([0.0], 0),
-        ([5.0], 0),
-        ([1e308, 1.5e308], 2),
-        ([1e308, 1.2e308, 1.5e308], 4),
+        ([0.0, _BAND_EDGE, 1.0], 2, 1),
+        ([0.0, float(np.nextafter(_BAND_EDGE, 1.0)), 1.0], 0, 0),
+        ([0.0], 0, 0),
+        ([5.0], 0, 0),
+        ([1e308, 1.5e308], 2, 1),
+        ([1e308, 1.2e308, 1.5e308], 4, 3),
     ],
     ids=["band-edge", "above-the-edge", "n1-zero", "n1", "overflowed-diagonal", "non-finite-entries"],
 )
-def test_index_suite_and_numeric_indices_agree_at_the_edges(c, mismatches):
+def test_index_suite_and_numeric_indices_agree_at_the_edges(c, mismatches, pairs):
+    # mismatches counts the patterns that fail, pairs the pairs with a
+    # failing sign case: the suite's residual.
     assert _BAND_EDGE == _ZERO_BAND * (1.0 + _BAND_EDGE)
     c = np.array(c)
     with np.errstate(over="ignore", invalid="ignore"):
         assert _eigenvalue_route_mismatches(c) == mismatches
-        assert _index_suite(c).max_residual == mismatches
+        assert index_sweep(c) == mismatches
+    result = _index_suite(c)
+    assert result.passed == (mismatches == 0) and result.max_residual == pairs
 
 
 _TINY_BLOCK_WEIGHTS = [
@@ -189,12 +231,28 @@ _TINY_BLOCK_WEIGHTS = [
 
 @pytest.mark.parametrize("c", _TINY_BLOCK_WEIGHTS, ids=lambda c: ",".join(f"{x:g}" for x in c))
 def test_index_suite_is_the_same_in_tiny_blocks(monkeypatch, c):
-    # The suite reads the sign table in _blocks of rows; blocks of one row
-    # and of three (the last one short) give the same verdict as the budget.
+    # The suite builds the unit-diagonal Hessians in _blocks of matrices;
+    # budgets of one and of three sign-table rows cut blocks of one matrix,
+    # and give the same verdict and residual as the default budget.
     expected = _index_suite(c)
     for rows in (1, 3):
         monkeypatch.setattr(riemannian, "_STACK_BYTES", rows * 8 * pair_count(c.size))
         assert _index_suite(c) == expected
+
+
+def test_index_suite_enumerates_no_patterns(monkeypatch):
+    # The suite checks each pair's four sign cases; it builds none of the
+    # 2^(n-1) patterns, 8388608 at n = 24.
+    def refuse(*args):
+        raise AssertionError(f"a pattern table was built for {args}")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rotmorse":
+            for kernel in ("_sign_table", "_pattern_table", "sign_patterns"):
+                if hasattr(module, kernel):
+                    monkeypatch.setattr(module, kernel, refuse)
+    result = _index_suite(default_costs(24))
+    assert result.passed and result.detail == "8388608 patterns"
 
 
 def test_index_suite_keeps_only_the_diagonals_of_the_unit_hessians():
