@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
 from .critical import _hessian_diagonal, _value, validate_costs
 from .patterns import _check_count, _check_descent, _gap, _scale, _top
-from .rotations import _cayley, _chart, _check_square, _generators, is_rotation
+from .rotations import _cayley, _chart, _check_square, _pair_arrays, _pair_entries, is_rotation
 
 # Line-search constants of gradient_flow. Every trial, accepted or refused,
 # counts toward max_iterations. A refused trial is a null step: the next
@@ -86,21 +87,29 @@ def _blocks(count: int, item_bytes: int):
 
 # The closed forms, each written once. Callers pass validated float weights
 # and a float (..., n, n) stack of matrices; the kernels check nothing.
-# np.vecdot computes each entry with the same BLAS dot that np.dot uses on
-# one vector, and each entry of a product with the 0/+-1 table of
-# rotations._generators is rounded once, so a matrix gets the same bits
-# alone as in any stack.
+# Each gradient and tangent Hessian entry is one entry of M = diag(c) A, or
+# the sum or difference of two, rounded once, and is formed elementwise, so
+# a matrix gets the same bits alone as in any stack. np.vecdot computes
+# each entry with the same BLAS dot that np.dot uses on one contiguous
+# vector; the pair vectors it reads are gathered C-contiguous by
+# rotations._pair_entries, as np.dot's own operands are.
 
 
 def _objective(A: np.ndarray, c: np.ndarray):
     return np.vecdot(A.diagonal(0, -2, -1), c)
 
 
+def _skew(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # K = M - M^T with M = diag(c) A: K(i,j) = c(i)*A(i,j) - c(j)*A(j,i),
+    # rounded once. Its pair entries are the gradient g, so K is the skew
+    # matrix of the tangent coefficients -g, the steepest descent.
+    M = c[:, None] * A
+    return M - M.mT
+
+
 def _gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # g_p = f(A @ E_p) = <-diag(c) A, E_p>_F over the rows E_p of
-    # _generators: c(i)*A(i,j) - c(j)*A(j,i) for p = (i, j), rounded once.
-    n = c.size
-    return (-c[:, None] * A).reshape(A.shape[:-2] + (n * n,)) @ _generators(n)[0].T
+    # g_p = f(A @ E_p) = c(i)*A(i,j) - c(j)*A(j,i) for p = (i, j).
+    return _pair_entries(_skew(A, c))
 
 
 def objective(A, c) -> float:
@@ -117,10 +126,11 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
     In pair_indices order. side="right" differentiates the curves
     A @ B_ij(theta): component (i, j) is c(i)*A(i,j) - c(j)*A(j,i).
     side="left" differentiates B_ij(theta) @ A: component (i, j) is
-    -c(i)*A(j,i) + c(j)*A(i,j). Each component is read off the table of
-    rotations._generators and rounded once. Both vanish identically (exact
-    zeros, of either sign) on embedded sign-pattern matrices; a matrix
-    whose c*A overflows gives NaN in every component.
+    -c(i)*A(j,i) + c(j)*A(i,j). Each component is that difference of two
+    products, rounded once. Both vanish identically (exact zeros, of
+    either sign) on embedded sign-pattern matrices. Off the manifold a
+    product c(i)*A(i,j) can overflow: the components that read it are inf
+    or NaN, and the others keep their finite values.
     """
     A, c = _check_args(A, c)
     if side not in ("right", "left"):
@@ -134,12 +144,40 @@ def _curve_derivatives(A: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
     return -_gradient(A.mT, c) if left else _gradient(A, c)
 
 
+@lru_cache(maxsize=None)
+def _hessian_index(n: int) -> tuple:
+    """Read-only (rows, source) of the off-diagonal nonzeros of the tangent
+    Hessian: entry rows[k] of the flattened (d, d) matrix is entry
+    source[k] of the flattened (2, n, n) stack (M, -M).
+
+    Two distinct pairs p and q that share a position k, p = {k, x} and
+    q = {k, y}, carry -s_p s_q M(y, x) with s = +1 where k is the pair's
+    first position, -1 where it is its second; every other off-diagonal
+    entry is 0. That is n (n-1) (n-2) entries, built from them alone.
+    """
+    d = n * (n - 1) // 2
+    iu, ju = _pair_arrays(n)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(d)
+    k, x, y = np.ogrid[:n, :n, :n]
+    k, x, y = np.nonzero((x != k) & (y != k) & (x != y))
+    rows = pair[k, x] * d + pair[k, y]
+    source = ((k < x) == (k < y)) * (n * n) + y * n + x
+    rows.flags.writeable = False
+    source.flags.writeable = False
+    return rows, source
+
+
 def _tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     """tangent_hessian of every matrix in a (..., n, n) stack: (..., d, d)."""
-    n = c.size
-    B = _generators(n)[0]
-    X = (-c[:, None] * A)[..., None, :, :] @ B.reshape(-1, n, n)
-    return X.reshape(X.shape[:-2] + (n * n,)) @ B.T
+    n, shape = c.size, A.shape[:-2]
+    d = n * (n - 1) // 2
+    rows, source = _hessian_index(n)
+    M = c[:, None] * A
+    H = np.zeros(shape + (d * d,))
+    H[..., rows] = np.stack([M, -M], axis=-3).reshape(shape + (2 * n * n,)).take(source, axis=-1)
+    H[..., :: d + 1] = _hessian_diagonal(A.diagonal(0, -2, -1), c)
+    return H.reshape(shape + (d, d))
 
 
 def tangent_hessian(A, c) -> np.ndarray:
@@ -153,18 +191,18 @@ def tangent_hessian(A, c) -> np.ndarray:
     away from critical points it is generally not symmetric (the defect is
     a combination of first derivatives).
 
-    With M = diag(c) @ A and E_p the rows of rotations._generators, that
-    is H[p, q] = tr(M @ E_p @ E_q) = <-M @ E_p, E_q>_F: the d products
-    -M @ E_p are formed, a temporary of 8 d n^2 bytes per matrix, and read
-    against the same table. Every entry of E_p is 0 or +-1, so each entry
-    of -M @ E_p is one entry of -M, exactly, and each entry of H sums at most
-    two nonzero products: it is rounded once, as the closed form
+    With M = diag(c) @ A that is H[p, q] = tr(M @ E_p @ E_q), the closed
+    form
 
-        H[(a,b),(g,d)] = δ_ad M_gb - δ_ag M_db - δ_bd M_ga + δ_bg M_da
+        H[(a,b),(g,d)] = δ_ad M_gb - δ_ag M_db - δ_bd M_ga + δ_bg M_da.
 
-    is, and each matrix of a stack gets the bits it gets alone. An entry
-    of M that is not finite (c*A overflowing, off the manifold) meets the
-    zeros of the table, so every entry of that matrix's H is NaN.
+    Two distinct pairs share at most one position, so an off-diagonal
+    entry is one entry of +-M, exactly, or 0; the diagonal entry
+    -(M_aa + M_bb) is critical.hessian_diagonal's formula on diag(A),
+    rounded once. Only the O(d n) nonzeros are read, and each matrix of a
+    stack gets the bits it gets alone. Off the manifold an entry of M can
+    overflow (c*A): the entries of H that read it are inf or NaN, and the
+    others keep their finite values.
     """
     return _tangent_hessian(*_check_args(A, c))
 
@@ -274,7 +312,8 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     hl = np.ones(len(A))
     t = 0
     while True:
-        gl = _gradient(Al, c)
+        Kl = _skew(Al, c)
+        gl = _pair_entries(Kl)
         gn = np.sqrt(np.vecdot(gl, gl))
         stay = (gn > stop) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
@@ -282,12 +321,17 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
             rows = idx[done]
             A[rows], gnorm[rows] = Al[done], gn[done]
             iterations[rows] = t
-            idx, Al, fl, gl, hl = idx[stay], Al[stay], fl[stay], gl[stay], hl[stay]
+            idx, Al, Kl, fl, gl, hl = idx[stay], Al[stay], Kl[stay], fl[stay], gl[stay], hl[stay]
         if not idx.size:
             return iterations, gnorm
-        pl = gl / np.maximum(np.abs(_hessian_diagonal(Al.diagonal(0, -2, -1), c)), gap)
+        # p = g / w on the n x n grid: w(a, b) = |c(a)*A(a,a) + c(b)*A(b,b)|,
+        # the layout of _hessian_diagonal's pair vector, is symmetric, so
+        # K / w is the skew matrix of -p.
+        w = c * Al.diagonal(0, -2, -1)
+        Pl = Kl / np.maximum(np.abs(w[:, :, None] + w[:, None, :]), gap)
+        pl = _pair_entries(Pl)
         step = np.minimum(hl, math.sqrt(2.0) / np.sqrt(np.vecdot(pl, pl)))
-        trial = _cayley(Al, -pl, step)
+        trial = _cayley(Al, Pl, step)
         ft = _objective(trial, c)
         ok = ft <= fl + slack - _ARMIJO * step * np.vecdot(gl, pl)
         hl = np.ones(idx.size)

@@ -9,9 +9,11 @@ Conventions shared by the whole package:
   (tangent coefficients, gradients, Hessian rows) follows this order.
 * Tangent directions at ``A`` are spanned by the raw generator basis
   ``{A @ E_ij}`` where ``E_ij`` holds -1 at ``(i, j)`` and +1 at ``(j, i)``,
-  with no Frobenius rescaling. ``_generators(n)`` stacks the flattened
-  ``E_ij`` once per n; it is the one tangent basis, read by ``_cayley``
-  here and by ``riemannian._gradient`` and ``riemannian._tangent_hessian``.
+  with no Frobenius rescaling. Coefficients v stand for the skew matrix
+  K = sum_p v_p E_p, which holds -v_p at (i, j) and v_p at (j, i); the
+  kernels keep tangent vectors as such n x n matrices, ``_cayley`` steps
+  along one, and ``_pair_entries`` reads a skew stack's pair entries back
+  as pair-indexed vectors, K_ij = -v_p.
 * ``_chart`` is ``_cayley``'s inverse at a sign pattern D: the skew
   W = (I - D A)(I + D A)^-1 gives back A = D (I + W)^-1 (I - W), the
   Cayley step from D along -W. Its max entry is a distance in radians
@@ -54,6 +56,24 @@ def _pair_arrays(n: int) -> tuple:
     iu.flags.writeable = False
     ju.flags.writeable = False
     return iu, ju
+
+
+@lru_cache(maxsize=None)
+def _pair_flat(n: int) -> np.ndarray:
+    """Read-only row-major flat positions iu * n + ju of pair_indices(n)."""
+    iu, ju = _pair_arrays(n)
+    flat = iu * n + ju
+    flat.flags.writeable = False
+    return flat
+
+
+def _pair_entries(K: np.ndarray) -> np.ndarray:
+    """The entries K_ij, i < j, of every matrix of a (..., n, n) stack, in
+    pair_indices order: a new C-contiguous (..., d) array, gathered by one
+    flat take. np.vecdot's bits depend on its operands' layout, and a
+    fancy index K[..., iu, ju] can come back strided."""
+    n = K.shape[-1]
+    return K.reshape(K.shape[:-2] + (n * n,)).take(_pair_flat(n), axis=-1)
 
 
 def _check_square(A, nonempty: bool = False) -> np.ndarray:
@@ -145,33 +165,19 @@ def _check_coeffs(coeffs, n: int) -> np.ndarray:
     return coeffs
 
 
-@lru_cache(maxsize=None)
-def _generators(n: int) -> tuple:
-    """Read-only (B, e): row p of the (d, n*n) table B is generator(p)
-    flattened row-major, in pair_indices order, so coeffs @ B is
-    K = sum_p coeffs[p] * generator(p); e is the flattened identity."""
-    B = np.array([generator(p, n).ravel() for p in pair_indices(n)]).reshape(-1, n * n)
-    e = np.eye(n).ravel()
-    B.flags.writeable = False
-    e.flags.writeable = False
-    return B, e
+def _cayley(A: np.ndarray, K: np.ndarray, step) -> np.ndarray:
+    """A @ solve(I - X, I + X) with X = (step/2) * K, over stacks.
 
-
-def _cayley(A: np.ndarray, coeffs: np.ndarray, step) -> np.ndarray:
-    """A @ solve(I - X, I + X) with X = (step/2) * K(coeffs), over stacks.
-
-    A is (..., n, n), coeffs (..., d) and step broadcasts over the leading
-    axes of coeffs. Each entry of (step/2 * coeffs) @ B is one coefficient
-    or zero, so I + X is exact, and X is skew, so I - X is its transpose.
-    Every matrix of a stack goes through the same LAPACK and BLAS calls it
-    would get alone, so its result does not depend on the rest of the
-    stack. Nothing is checked.
+    A and the skew K are (..., n, n), and step broadcasts over their
+    leading axes. Each entry of X is one product step/2 * K_ij, rounded
+    once, and I + X adds 1 to its zero diagonal, so I + X is exact, and X
+    is skew, so I - X is its transpose. Every matrix of a stack goes
+    through the same LAPACK and BLAS calls it would get alone, so its
+    result does not depend on the rest of the stack. Nothing is checked.
     """
-    n = A.shape[-1]
-    B, e = _generators(n)
-    half = 0.5 * np.asarray(step)[..., None] * coeffs
-    P = (half @ B + e).reshape(half.shape[:-1] + (n, n))
-    return A @ np.linalg.solve(P.mT, P)
+    X = (0.5 * np.asarray(step))[..., None, None] * K
+    X += np.eye(A.shape[-1])
+    return A @ np.linalg.solve(X.mT, X)
 
 
 def _chart(A: np.ndarray) -> tuple:
@@ -206,7 +212,8 @@ def _chart(A: np.ndarray) -> tuple:
 
 def retract(A, coeffs, step: float) -> np.ndarray:
     """Move from A along tangent coefficients by the Cayley transform:
-    A @ (I - X)^-1 (I + X) with X = (step/2) * K.
+    A @ (I - X)^-1 (I + X) with X = (step/2) * K, K the skew matrix that
+    the coefficients stand for, scattered into place.
 
     K is skew, so I - X is invertible for every real step and the result
     is a rotation up to rounding (residuals ~1e-15 per call). The curve
@@ -214,7 +221,12 @@ def retract(A, coeffs, step: float) -> np.ndarray:
     pair it turns by 2*atan(step/2) instead of step.
     """
     A = _check_square(A, nonempty=True)
-    return _cayley(A, _check_coeffs(coeffs, A.shape[0]), float(step))
+    coeffs = _check_coeffs(coeffs, A.shape[0])
+    iu, ju = _pair_arrays(A.shape[0])
+    K = np.zeros_like(A)
+    K[iu, ju] = -coeffs
+    K[ju, iu] = coeffs
+    return _cayley(A, K, float(step))
 
 
 def is_rotation(A, tol: float = MEMBERSHIP_TOL) -> bool:

@@ -181,7 +181,7 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     E = np.eye(n)[:, :, None] * np.eye(n)
     t = np.empty((n, d))
     off = 0
-    for block in _blocks(n, 8 * d * n * n):
+    for block in _blocks(n, 8 * d * d):
         T = _tangent_hessian(E[block], c)
         t[block] = T.diagonal(0, -2, -1)
         off += np.count_nonzero(T) - np.count_nonzero(t[block])

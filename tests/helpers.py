@@ -3,15 +3,19 @@ kernels are checked against, and checks shared by several test modules."""
 
 import hashlib
 import importlib
+import math
 import pkgutil
 import sys
+from functools import lru_cache
 
 import numpy as np
 
 import rotmorse
-from rotmorse.critical import _pattern_table
-from rotmorse.riemannian import _banded_indices, _blocks, _tangent_hessian
-from rotmorse.rotations import pair_count
+from rotmorse import riemannian
+from rotmorse.critical import _hessian_diagonal, _pattern_table
+from rotmorse.patterns import _gap, _top
+from rotmorse.riemannian import _banded_indices, _blocks, _objective, _tangent_hessian
+from rotmorse.rotations import generator, pair_count, pair_indices
 
 from argv_grid import first_difference
 
@@ -75,6 +79,89 @@ def reference_tangent_hessian(A, c) -> list:
     return H
 
 
+# The float kernels as they were written through the dense (d, n*n) table of
+# the generators E_p, kept as the oracle of the kernels that read M = diag(c) A
+# and skew n x n matrices instead. The table has n^4/2 entries, so they are
+# for small n only.
+
+
+@lru_cache(maxsize=None)
+def table_generators(n: int) -> tuple:
+    """Read-only (B, e): row p of the (d, n*n) table B is generator(p)
+    flattened row-major, in pair_indices order, so coeffs @ B is
+    K = sum_p coeffs[p] * generator(p); e is the flattened identity."""
+    B = np.array([generator(p, n).ravel() for p in pair_indices(n)]).reshape(-1, n * n)
+    e = np.eye(n).ravel()
+    B.flags.writeable = False
+    e.flags.writeable = False
+    return B, e
+
+
+def table_cayley(A: np.ndarray, coeffs: np.ndarray, step) -> np.ndarray:
+    """A @ solve(I - X, I + X) with X = (step/2) * K(coeffs), over stacks,
+    K(coeffs) formed as (step/2 * coeffs) @ B."""
+    n = A.shape[-1]
+    B, e = table_generators(n)
+    half = 0.5 * np.asarray(step)[..., None] * coeffs
+    P = (half @ B + e).reshape(half.shape[:-1] + (n, n))
+    return A @ np.linalg.solve(P.mT, P)
+
+
+def table_gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # g_p = f(A @ E_p) = <-diag(c) A, E_p>_F over the rows E_p of
+    # table_generators: c(i)*A(i,j) - c(j)*A(j,i) for p = (i, j), rounded once.
+    n = c.size
+    return (-c[:, None] * A).reshape(A.shape[:-2] + (n * n,)) @ table_generators(n)[0].T
+
+
+def table_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """H[p, q] = <-M @ E_p, E_q>_F, M = diag(c) A, over a (..., n, n) stack:
+    the d products -M @ E_p are formed and read against the table."""
+    n = c.size
+    B = table_generators(n)[0]
+    X = (-c[:, None] * A)[..., None, :, :] @ B.reshape(-1, n, n)
+    return X.reshape(X.shape[:-2] + (n * n,)) @ B.T
+
+
+def table_descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int) -> tuple:
+    """riemannian._descend with its pass on the table kernels: the step
+    p = g / w is a pair vector, and table_cayley forms its skew matrix."""
+    stop = max(grad_tol, c.size * riemannian._EPS * riemannian._EPS * _top(c))
+    slack = c.size * riemannian._EPS * _top(c)
+    gap = _gap(c)
+    iterations = np.empty(len(A), dtype=int)
+    gnorm = np.empty(len(A))
+    idx = np.arange(len(A))
+    Al = A.copy()
+    fl = _objective(Al, c)
+    hl = np.ones(len(A))
+    t = 0
+    while True:
+        gl = table_gradient(Al, c)
+        gn = np.sqrt(np.vecdot(gl, gl))
+        stay = (gn > stop) & (t < max_iterations)
+        if np.count_nonzero(stay) < stay.size:
+            done = ~stay
+            rows = idx[done]
+            A[rows], gnorm[rows] = Al[done], gn[done]
+            iterations[rows] = t
+            idx, Al, fl, gl, hl = idx[stay], Al[stay], fl[stay], gl[stay], hl[stay]
+        if not idx.size:
+            return iterations, gnorm
+        pl = gl / np.maximum(np.abs(_hessian_diagonal(Al.diagonal(0, -2, -1), c)), gap)
+        step = np.minimum(hl, math.sqrt(2.0) / np.sqrt(np.vecdot(pl, pl)))
+        trial = table_cayley(Al, -pl, step)
+        ft = _objective(trial, c)
+        ok = ft <= fl + slack - riemannian._ARMIJO * step * np.vecdot(gl, pl)
+        hl = np.ones(idx.size)
+        if np.count_nonzero(ok) < ok.size:
+            no = ~ok
+            trial[no], ft[no] = Al[no], fl[no]
+            hl[no] = riemannian._BACKTRACK * step[no]
+        t += 1
+        Al, fl = trial, ft
+
+
 def index_sweep(c: np.ndarray) -> int:
     """The index suite pattern by pattern: the number of the 2^(n-1) sign
     patterns whose three indices disagree. A pattern's indices are the
@@ -90,7 +177,7 @@ def index_sweep(c: np.ndarray) -> int:
     E = np.eye(n)[:, :, None] * np.eye(n)
     t = np.empty((n, d))
     off = 0
-    for block in _blocks(n, 8 * d * n * n):
+    for block in _blocks(n, 8 * d * d):
         T = _tangent_hessian(E[block], c)
         t[block] = T.diagonal(0, -2, -1)
         off += np.count_nonzero(T) - np.count_nonzero(t[block])

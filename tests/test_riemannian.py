@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,10 +22,12 @@ from rotmorse.critical import (
     index_by_formula,
     validate_costs,
 )
-from rotmorse.patterns import _check_descent, sign_patterns
+from rotmorse.patterns import _check_descent, _gap, _scale, sign_patterns
 from rotmorse.riemannian import (
     DegenerateHessianError,
+    _gradient,
     _numeric_indices,
+    _skew,
     _tangent_hessian,
     classify_rotation,
     curve_derivatives,
@@ -33,9 +36,20 @@ from rotmorse.riemannian import (
     objective,
     tangent_hessian,
 )
-from rotmorse.rotations import _haar, generator, givens_curve, haar_sample, is_rotation, pair_indices, retract
+from rotmorse.rotations import (
+    _cayley,
+    _haar,
+    _pair_entries,
+    generator,
+    givens_curve,
+    haar_sample,
+    is_rotation,
+    pair_indices,
+    retract,
+)
 from rotmorse.verify import _fd_gradient, _fd_tangent_hessian
 
+import helpers
 from helpers import random_costs, reference_classify, reference_gradient, reference_tangent_hessian
 
 
@@ -123,13 +137,16 @@ def test_hessian_at_identity_n2():
     assert_array_equal(tangent_hessian(np.eye(2), [1, 2]), [[-3.0]])
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8, 1e300, 1.7e308])
+_SCALES = [1e-300, 1e-8, 1.0, 1e8, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("scale", _SCALES)
 @pytest.mark.parametrize("n", range(1, 9))
 def test_closed_forms_equal_the_entrywise_reference_bitwise(n, scale):
-    # Each gradient and tangent Hessian entry sums at most two nonzero
-    # products of an entry of diag(c) A with +-1, so it is rounded once, as
-    # the formula written out entry by entry in Python floats is. Near
-    # 1.7e308 a Hessian entry overflows to inf on both sides.
+    # Each gradient and tangent Hessian entry is one entry of diag(c) A, or
+    # the sum or difference of two, so it is rounded once, as the formula
+    # written out entry by entry in Python floats is. Near 1.7e308 a
+    # Hessian entry overflows to inf on both sides.
     c = scale * (default_costs(n) / n)
     d = n * (n - 1) // 2
     points = list(_haar(n, 4, n)) + [embed_pattern(eps) for eps in sign_patterns(n)[-4:]]
@@ -140,6 +157,108 @@ def test_closed_forms_equal_the_entrywise_reference_bitwise(n, scale):
                 assert np.array_equal(curve_derivatives(A, c, side=side), expected)
             expected = np.array(reference_tangent_hessian(A, c)).reshape(d, d)
             assert np.array_equal(tangent_hessian(A, c), expected)
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kernels_equal_the_generator_table(n, scale, monkeypatch):
+    # The kernels read M = diag(c) A and keep tangent vectors as skew n x n
+    # matrices; the oracle runs them through the dense (d, n^2) table of the
+    # generators. Both round each entry once, so they agree entry for entry,
+    # and the descent takes the same steps to the same points.
+    c = scale * (default_costs(n) / n)
+    stack = np.concatenate([_haar(n, 4, n), [embed_pattern(eps) for eps in sign_patterns(n)[-4:]]])
+    with np.errstate(over="ignore"):
+        for A in (stack, stack.mT):
+            assert np.array_equal(_gradient(A, c), helpers.table_gradient(A, c))
+        assert np.array_equal(_tangent_hessian(stack, c), helpers.table_tangent_hessian(stack, c))
+        # a finite step at every scale: K at the weights scaled to top < 1
+        K = _skew(stack, c * _scale(c))
+        step = np.linspace(0.25, 2.0, len(stack))
+        assert np.array_equal(_cayley(stack, K, step), helpers.table_cayley(stack, -_pair_entries(K), step))
+    points, iterations, norms, converged, patterns = riemannian._flows(stack, c, 1e-8)
+    monkeypatch.setattr(riemannian, "_descend", helpers.table_descend)
+    table = riemannian._flows(stack, c, 1e-8)
+    for got, expected in zip((points, iterations, norms, converged), table):
+        assert np.array_equal(got, expected)
+    assert patterns == table[4]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_gradient_of_a_stack_is_c_contiguous(n):
+    # np.vecdot's bits depend on its operands' layout: the descent reads
+    # every pair vector as a fresh C-contiguous array, as np.dot does.
+    A = _haar(n, 3, n)
+    for stack in (A, A.mT):
+        g = _gradient(stack, default_costs(n))
+        assert g.shape == (3, n * (n - 1) // 2) and g.flags.c_contiguous
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_descent_step_is_the_gradient_over_the_hessian_diagonal(n, seed):
+    # _descend divides K = M - M^T by the n x n grid of sizes
+    # |c_a A_aa + c_b A_bb| floored at gap: a second layout of
+    # _hessian_diagonal's formula, so its pair entries are g / w, bit for
+    # bit, and the step matrix it passes _cayley is skew.
+    rng = np.random.default_rng(seed)
+    c = random_costs(n, rng)
+    calls = []
+
+    def spy(A, K, step):
+        calls.append((A.copy(), K.copy()))
+        return _cayley(A, K, step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riemannian, "_cayley", spy)
+        riemannian._flows(_haar(n, 3, seed), c, 1e-8, 5)
+    assert calls
+    for A, K in calls:
+        w = np.maximum(np.abs(_hessian_diagonal(A.diagonal(0, -2, -1), c)), _gap(c))
+        assert _pair_entries(K).tobytes() == (_gradient(A, c) / w).tobytes()
+        assert np.array_equal(K, -K.mT)
+
+
+def test_an_overflowed_product_spoils_only_the_entries_that_read_it():
+    # Off the manifold c(i)*A(i,i) overflows here. The gradient components
+    # and Hessian entries that do not read an overflowed product keep their
+    # finite values: the component of the pair (1, 2) is
+    # 1e308 * 0.5 - 1.5e308 * 0.25.
+    A = [[2.0, 0.5, 0.0], [0.25, 2.0, 0.0], [0.0, 0.0, 1.0]]
+    c = [1e308, 1.5e308, 1.7e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert curve_derivatives(A, c).tolist() == [1.25e307, 0.0, 0.0]
+        assert curve_derivatives(A, c, side="left").tolist() == [5e307, 0.0, 0.0]
+        H = tangent_hessian(A, c)
+    # the diagonal reads c(1)*A(1,1) or c(2)*A(2,2), which overflow
+    assert np.array_equal(np.diag(H), [-np.inf, -np.inf, -np.inf])
+    assert np.array_equal(H[~np.eye(3, dtype=bool)], [0.0, 0.0, 0.0, -3.75e307, 0.0, -5e307])
+
+
+def _traced_peak(f, *args):
+    """The tracemalloc peak, in bytes, of f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_flows_at_n_64_peak_under_4_mb():
+    # The descent keeps n x n matrices per start. The (d, n^2) generator
+    # table alone was 63 MB at n = 64, and the descent peaked at 127 MB.
+    starts, c = _haar(64, 2, 1), default_costs(64)
+    assert _traced_peak(riemannian._flows, starts, c, 1e-8) < 4e6
+
+
+def test_tangent_hessian_at_n_64_peaks_under_twice_its_output():
+    # The output is d^2 doubles, 32.5 MB at n = 64 (d = 2016); the index of
+    # its O(d n) nonzeros is built from them alone, without (d, d) masks.
+    # Through the generator table the call peaked at 94 MB.
+    A, c = _haar(64, 1, 2), default_costs(64)
+    riemannian._hessian_index.cache_clear()
+    assert _traced_peak(_tangent_hessian, A, c) < 64e6
 
 
 def test_hessian_matches_definition():

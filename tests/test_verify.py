@@ -104,9 +104,9 @@ def test_an_off_diagonal_scatter_fails_every_pattern(monkeypatch, n, patterns):
 
 @pytest.mark.parametrize("n", range(9, 13))
 def test_every_tangent_hessian_stack_of_verify_fits_the_budget(monkeypatch, n):
-    # _tangent_hessian forms a temporary of 8 d n^2 bytes per matrix, so the
-    # index and Hessian suites pass it blocks of at most _STACK_BYTES, or
-    # one matrix where one matrix alone is larger.
+    # _tangent_hessian's largest array is its output, 8 d^2 bytes per
+    # matrix, so the index and Hessian suites pass it blocks of at most
+    # _STACK_BYTES, or one matrix where one matrix alone is larger.
     original, sizes = verify._tangent_hessian, []
 
     def recorded(A, c):
@@ -117,7 +117,7 @@ def test_every_tangent_hessian_stack_of_verify_fits_the_budget(monkeypatch, n):
     c, d = default_costs(n), pair_count(n)
     assert _index_suite(c).passed and _hessian_suite(_haar(n, 3, n), c).passed
     assert sizes
-    assert all(8 * k * d * n * n <= riemannian._STACK_BYTES or k == 1 for k in sizes), sizes
+    assert all(8 * k * d * d <= riemannian._STACK_BYTES or k == 1 for k in sizes), sizes
 
 
 def _eigenvalue_route_mismatches(c):
