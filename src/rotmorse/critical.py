@@ -85,10 +85,8 @@ def _value(eps, c: np.ndarray) -> np.ndarray:
 def _hessian_diagonal(eps, c: np.ndarray) -> np.ndarray:
     # eps may also be a (P, n) stack of patterns, giving (P, d), or the float
     # diagonals of a stack of matrices, giving the diagonal of the tangent
-    # Hessian at each: riemannian._tangent_hessian writes it there. The
-    # descent's preconditioner is the same sum w_a + w_b laid out on the
-    # n x n grid, w_a + w_b at (a, b) and w_b + w_a at (b, a); addition
-    # commutes, so both are these bits.
+    # Hessian at each: riemannian._tangent_hessian writes it there, and
+    # riemannian._descend divides the gradient by its sizes.
     iu, ju = _pair_arrays(c.size)
     w = c * np.asarray(eps, dtype=float)
     h = w.take(iu, axis=-1)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .critical import _hessian_diagonal, _value, validate_costs
 from .patterns import _check_count, _check_descent, _gap, _scale, _top
-from .rotations import _cayley, _chart, _check_square, _pair_arrays, _pair_entries, is_rotation
+from .rotations import _cayley, _chart, _check_square, _pair_arrays, _pair_flat, is_rotation
 
 # Line-search constants of gradient_flow. Every trial, accepted or refused,
 # counts toward max_iterations. A refused trial is a null step: the next
@@ -89,27 +89,22 @@ def _blocks(count: int, item_bytes: int):
 # and a float (..., n, n) stack of matrices; the kernels check nothing.
 # Each gradient and tangent Hessian entry is one entry of M = diag(c) A, or
 # the sum or difference of two, rounded once, and is formed elementwise, so
-# a matrix gets the same bits alone as in any stack. np.vecdot computes
-# each entry with the same BLAS dot that np.dot uses on one contiguous
-# vector; the pair vectors it reads are gathered C-contiguous by
-# rotations._pair_entries, as np.dot's own operands are.
+# a matrix gets the same bits alone as in any stack. Tangent vectors are
+# pair vectors. np.vecdot computes each entry with the same BLAS dot that
+# np.dot uses on one contiguous vector; the pair vectors it reads are taken
+# C-contiguous at rotations._pair_flat, as np.dot's own operands are.
 
 
 def _objective(A: np.ndarray, c: np.ndarray):
     return np.vecdot(A.diagonal(0, -2, -1), c)
 
 
-def _skew(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # K = M - M^T with M = diag(c) A: K(i,j) = c(i)*A(i,j) - c(j)*A(j,i),
-    # rounded once. Its pair entries are the gradient g, so K is the skew
-    # matrix of the tangent coefficients -g, the steepest descent.
-    M = c[:, None] * A
-    return M - M.mT
-
-
 def _gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # g_p = f(A @ E_p) = c(i)*A(i,j) - c(j)*A(j,i) for p = (i, j).
-    return _pair_entries(_skew(A, c))
+    # g_p = f(A @ E_p) = c(i)*A(i,j) - c(j)*A(j,i) for p = (i, j): with
+    # M = diag(c) A, the upper take of M less the lower one, rounded once.
+    n = c.size
+    M = (c[:, None] * A).reshape(A.shape[:-2] + (n * n,)).take(_pair_flat(n), axis=-1)
+    return M[..., 0, :] - M[..., 1, :]
 
 
 def objective(A, c) -> float:
@@ -135,7 +130,8 @@ def curve_derivatives(A, c, side: str = "right") -> np.ndarray:
     A, c = _check_args(A, c)
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _curve_derivatives(A, c, side == "left")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _curve_derivatives(A, c, side == "left")
 
 
 def _curve_derivatives(A: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
@@ -204,7 +200,9 @@ def tangent_hessian(A, c) -> np.ndarray:
     overflow (c*A): the entries of H that read it are inf or NaN, and the
     others keep their finite values.
     """
-    return _tangent_hessian(*_check_args(A, c))
+    A, c = _check_args(A, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _tangent_hessian(A, c)
 
 
 class DegenerateHessianError(ValueError):
@@ -312,8 +310,7 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
     hl = np.ones(len(A))
     t = 0
     while True:
-        Kl = _skew(Al, c)
-        gl = _pair_entries(Kl)
+        gl = _gradient(Al, c)
         gn = np.sqrt(np.vecdot(gl, gl))
         stay = (gn > stop) & (t < max_iterations)
         if np.count_nonzero(stay) < stay.size:
@@ -321,17 +318,12 @@ def _descend(A: np.ndarray, c: np.ndarray, grad_tol: float, max_iterations: int)
             rows = idx[done]
             A[rows], gnorm[rows] = Al[done], gn[done]
             iterations[rows] = t
-            idx, Al, Kl, fl, gl, hl = idx[stay], Al[stay], Kl[stay], fl[stay], gl[stay], hl[stay]
+            idx, Al, fl, gl, hl = idx[stay], Al[stay], fl[stay], gl[stay], hl[stay]
         if not idx.size:
             return iterations, gnorm
-        # p = g / w on the n x n grid: w(a, b) = |c(a)*A(a,a) + c(b)*A(b,b)|,
-        # the layout of _hessian_diagonal's pair vector, is symmetric, so
-        # K / w is the skew matrix of -p.
-        w = c * Al.diagonal(0, -2, -1)
-        Pl = Kl / np.maximum(np.abs(w[:, :, None] + w[:, None, :]), gap)
-        pl = _pair_entries(Pl)
+        pl = gl / np.maximum(np.abs(_hessian_diagonal(Al.diagonal(0, -2, -1), c)), gap)
         step = np.minimum(hl, math.sqrt(2.0) / np.sqrt(np.vecdot(pl, pl)))
-        trial = _cayley(Al, Pl, step)
+        trial = _cayley(Al, -pl, step)
         ft = _objective(trial, c)
         ok = ft <= fl + slack - _ARMIJO * step * np.vecdot(gl, pl)
         hl = np.ones(idx.size)

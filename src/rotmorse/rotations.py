@@ -9,11 +9,10 @@ Conventions shared by the whole package:
   (tangent coefficients, gradients, Hessian rows) follows this order.
 * Tangent directions at ``A`` are spanned by the raw generator basis
   ``{A @ E_ij}`` where ``E_ij`` holds -1 at ``(i, j)`` and +1 at ``(j, i)``,
-  with no Frobenius rescaling. Coefficients v stand for the skew matrix
-  K = sum_p v_p E_p, which holds -v_p at (i, j) and v_p at (j, i); the
-  kernels keep tangent vectors as such n x n matrices, ``_cayley`` steps
-  along one, and ``_pair_entries`` reads a skew stack's pair entries back
-  as pair-indexed vectors, K_ij = -v_p.
+  with no Frobenius rescaling. The kernels keep tangent vectors as
+  pair-indexed coefficient vectors v. Only ``_cayley`` forms the skew
+  matrix K = sum_p v_p E_p they stand for, which holds -v_p at (i, j) and
+  v_p at (j, i), from one scatter into the positions of ``_pair_flat``.
 * ``_chart`` is ``_cayley``'s inverse at a sign pattern D: the skew
   W = (I - D A)(I + D A)^-1 gives back A = D (I + W)^-1 (I - W), the
   Cayley step from D along -W. Its max entry is a distance in radians
@@ -60,20 +59,15 @@ def _pair_arrays(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pair_flat(n: int) -> np.ndarray:
-    """Read-only row-major flat positions iu * n + ju of pair_indices(n)."""
+    """Read-only row-major flat positions of pair_indices(n), as a (2, d)
+    array: iu * n + ju above the diagonal, ju * n + iu below it. A take at
+    them from a flattened (..., n * n) stack is a new C-contiguous
+    (..., 2, d) array; np.vecdot's bits depend on its operands' layout, and
+    a fancy index K[..., iu, ju] can come back strided."""
     iu, ju = _pair_arrays(n)
-    flat = iu * n + ju
+    flat = np.stack([iu * n + ju, ju * n + iu])
     flat.flags.writeable = False
     return flat
-
-
-def _pair_entries(K: np.ndarray) -> np.ndarray:
-    """The entries K_ij, i < j, of every matrix of a (..., n, n) stack, in
-    pair_indices order: a new C-contiguous (..., d) array, gathered by one
-    flat take. np.vecdot's bits depend on its operands' layout, and a
-    fancy index K[..., iu, ju] can come back strided."""
-    n = K.shape[-1]
-    return K.reshape(K.shape[:-2] + (n * n,)).take(_pair_flat(n), axis=-1)
 
 
 def _check_square(A, nonempty: bool = False) -> np.ndarray:
@@ -165,18 +159,25 @@ def _check_coeffs(coeffs, n: int) -> np.ndarray:
     return coeffs
 
 
-def _cayley(A: np.ndarray, K: np.ndarray, step) -> np.ndarray:
-    """A @ solve(I - X, I + X) with X = (step/2) * K, over stacks.
+def _cayley(A: np.ndarray, v: np.ndarray, step) -> np.ndarray:
+    """A @ solve(I - X, I + X) over stacks, X the skew matrix of the pair
+    coefficients (step/2) * v.
 
-    A and the skew K are (..., n, n), and step broadcasts over their
-    leading axes. Each entry of X is one product step/2 * K_ij, rounded
-    once, and I + X adds 1 to its zero diagonal, so I + X is exact, and X
-    is skew, so I - X is its transpose. Every matrix of a stack goes
-    through the same LAPACK and BLAS calls it would get alone, so its
-    result does not depend on the rest of the stack. Nothing is checked.
+    A is (..., n, n), v is (..., d) in pair_indices order, and step
+    broadcasts over their leading axes. U holds (step/2) * v_p at (i, j),
+    one product rounded once, from one scatter, and X = U^T - U holds
+    -(step/2) * v_p there and (step/2) * v_p at (j, i). Its zero diagonal
+    is set to 1, so I + X is exact, and X is skew, so I - X is its
+    transpose. Every matrix of a stack goes through the same LAPACK and
+    BLAS calls it would get alone, so its result does not depend on the
+    rest of the stack. Nothing is checked.
     """
-    X = (0.5 * np.asarray(step))[..., None, None] * K
-    X += np.eye(A.shape[-1])
+    n = A.shape[-1]
+    half = (0.5 * np.asarray(step))[..., None] * v
+    U = np.zeros(half.shape[:-1] + (n, n))
+    U.reshape(half.shape[:-1] + (n * n,))[..., _pair_flat(n)[0]] = half
+    X = np.subtract(U.mT, U, order="C")  # so that the flat reshape is a view
+    X.reshape(half.shape[:-1] + (n * n,))[..., :: n + 1] = 1.0
     return A @ np.linalg.solve(X.mT, X)
 
 
@@ -213,20 +214,20 @@ def _chart(A: np.ndarray) -> tuple:
 def retract(A, coeffs, step: float) -> np.ndarray:
     """Move from A along tangent coefficients by the Cayley transform:
     A @ (I - X)^-1 (I + X) with X = (step/2) * K, K the skew matrix that
-    the coefficients stand for, scattered into place.
+    the coefficients stand for (see _cayley).
 
     K is skew, so I - X is invertible for every real step and the result
     is a rotation up to rounding (residuals ~1e-15 per call). The curve
     agrees with A @ expm(step * K) to second order in step: along a single
-    pair it turns by 2*atan(step/2) instead of step.
+    pair it turns by 2*atan(step/2) instead of step. A step or a
+    coefficient that is not finite raises ValueError.
     """
     A = _check_square(A, nonempty=True)
     coeffs = _check_coeffs(coeffs, A.shape[0])
-    iu, ju = _pair_arrays(A.shape[0])
-    K = np.zeros_like(A)
-    K[iu, ju] = -coeffs
-    K[ju, iu] = coeffs
-    return _cayley(A, K, float(step))
+    step = float(step)
+    if not (math.isfinite(step) and np.isfinite(coeffs).all()):
+        raise ValueError(f"step and pair coefficients must be finite, got step {step!r}")
+    return _cayley(A, coeffs, step)
 
 
 def is_rotation(A, tol: float = MEMBERSHIP_TOL) -> bool:

@@ -60,10 +60,15 @@ DRAW = ("--samples", "3", "--seed", "7")  # what every sampled argv of the grid 
 Case = namedtuple("Case", ("argv", "error", "slow"), defaults=(False, False))
 
 # The flow --start files, written into the working directory of each run.
+# turn3z is turn3 with signed zeros off its turned block: A_13 = +0 and
+# A_31 = -0, A_23 = -0 and A_32 = +0, so the gradient's zero components and
+# the zero entries of the Cayley step carry both signs.
 _TURN = [[math.cos(0.3), -math.sin(0.3), 0.0], [math.sin(0.3), math.cos(0.3), 0.0], [0.0, 0.0, 1.0]]
+_TURN_Z = [_TURN[0], [*_TURN[1][:2], -0.0], [-0.0, 0.0, 1.0]]
 START_FILES = {
     "eye3.json": "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
     "turn3.json": json.dumps(_TURN),
+    "turn3z.json": json.dumps(_TURN_Z),
     "eye2.json": "[[1, 0], [0, 1]]",
     "off3.json": "[[2, 0, 0], [0, 1, 0], [0, 0, 1]]",
     "huge3.json": "[[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]",
@@ -108,7 +113,7 @@ def _runs() -> list:
         draw = DRAW if command in ("verify", "flow") else ()
         for c in weight_families(n):
             runs += _formats([command, "--n", str(n), *c, *draw])
-    for start in ("eye3.json", "turn3.json"):
+    for start in ("eye3.json", "turn3.json", "turn3z.json"):
         runs += _formats(["flow", "--n", "3", "--start", start])
     bad_starts = ("eye2.json", "off3.json", "huge3.json", "nan3.json", "text3.json", "cut3.json", "missing.json")
     return runs + [

@@ -81,7 +81,7 @@ def reference_tangent_hessian(A, c) -> list:
 
 # The float kernels as they were written through the dense (d, n*n) table of
 # the generators E_p, kept as the oracle of the kernels that read M = diag(c) A
-# and skew n x n matrices instead. The table has n^4/2 entries, so they are
+# and pair vectors instead. The table has n^4/2 entries, so they are
 # for small n only.
 
 

@@ -27,7 +27,6 @@ from rotmorse.riemannian import (
     DegenerateHessianError,
     _gradient,
     _numeric_indices,
-    _skew,
     _tangent_hessian,
     classify_rotation,
     curve_derivatives,
@@ -39,7 +38,6 @@ from rotmorse.riemannian import (
 from rotmorse.rotations import (
     _cayley,
     _haar,
-    _pair_entries,
     generator,
     givens_curve,
     haar_sample,
@@ -162,8 +160,8 @@ def test_closed_forms_equal_the_entrywise_reference_bitwise(n, scale):
 @pytest.mark.parametrize("scale", _SCALES)
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kernels_equal_the_generator_table(n, scale, monkeypatch):
-    # The kernels read M = diag(c) A and keep tangent vectors as skew n x n
-    # matrices; the oracle runs them through the dense (d, n^2) table of the
+    # The kernels read M = diag(c) A and keep tangent vectors as pair
+    # vectors; the oracle runs them through the dense (d, n^2) table of the
     # generators. Both round each entry once, so they agree entry for entry,
     # and the descent takes the same steps to the same points.
     c = scale * (default_costs(n) / n)
@@ -172,10 +170,10 @@ def test_kernels_equal_the_generator_table(n, scale, monkeypatch):
         for A in (stack, stack.mT):
             assert np.array_equal(_gradient(A, c), helpers.table_gradient(A, c))
         assert np.array_equal(_tangent_hessian(stack, c), helpers.table_tangent_hessian(stack, c))
-        # a finite step at every scale: K at the weights scaled to top < 1
-        K = _skew(stack, c * _scale(c))
+        # a finite step at every scale: g at the weights scaled to top < 1
+        g = _gradient(stack, c * _scale(c))
         step = np.linspace(0.25, 2.0, len(stack))
-        assert np.array_equal(_cayley(stack, K, step), helpers.table_cayley(stack, -_pair_entries(K), step))
+        assert np.array_equal(_cayley(stack, -g, step), helpers.table_cayley(stack, -g, step))
     points, iterations, norms, converged, patterns = riemannian._flows(stack, c, 1e-8)
     monkeypatch.setattr(riemannian, "_descend", helpers.table_descend)
     table = riemannian._flows(stack, c, 1e-8)
@@ -197,39 +195,36 @@ def test_gradient_of_a_stack_is_c_contiguous(n):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_descent_step_is_the_gradient_over_the_hessian_diagonal(n, seed):
-    # _descend divides K = M - M^T by the n x n grid of sizes
-    # |c_a A_aa + c_b A_bb| floored at gap: a second layout of
-    # _hessian_diagonal's formula, so its pair entries are g / w, bit for
-    # bit, and the step matrix it passes _cayley is skew.
+    # _descend divides the gradient g by the sizes w of _hessian_diagonal
+    # at the point, floored at gap, and hands _cayley the pair coefficients
+    # v = -p of the step p = g / w, bit for bit.
     rng = np.random.default_rng(seed)
     c = random_costs(n, rng)
     calls = []
 
-    def spy(A, K, step):
-        calls.append((A.copy(), K.copy()))
-        return _cayley(A, K, step)
+    def spy(A, v, step):
+        calls.append((A.copy(), v.copy()))
+        return _cayley(A, v, step)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(riemannian, "_cayley", spy)
         riemannian._flows(_haar(n, 3, seed), c, 1e-8, 5)
     assert calls
-    for A, K in calls:
+    for A, v in calls:
         w = np.maximum(np.abs(_hessian_diagonal(A.diagonal(0, -2, -1), c)), _gap(c))
-        assert _pair_entries(K).tobytes() == (_gradient(A, c) / w).tobytes()
-        assert np.array_equal(K, -K.mT)
+        assert (-v).tobytes() == (_gradient(A, c) / w).tobytes()
 
 
 def test_an_overflowed_product_spoils_only_the_entries_that_read_it():
     # Off the manifold c(i)*A(i,i) overflows here. The gradient components
     # and Hessian entries that do not read an overflowed product keep their
     # finite values: the component of the pair (1, 2) is
-    # 1e308 * 0.5 - 1.5e308 * 0.25.
+    # 1e308 * 0.5 - 1.5e308 * 0.25. The public functions overflow quietly.
     A = [[2.0, 0.5, 0.0], [0.25, 2.0, 0.0], [0.0, 0.0, 1.0]]
     c = [1e308, 1.5e308, 1.7e308]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert curve_derivatives(A, c).tolist() == [1.25e307, 0.0, 0.0]
-        assert curve_derivatives(A, c, side="left").tolist() == [5e307, 0.0, 0.0]
-        H = tangent_hessian(A, c)
+    assert curve_derivatives(A, c).tolist() == [1.25e307, 0.0, 0.0]
+    assert curve_derivatives(A, c, side="left").tolist() == [5e307, 0.0, 0.0]
+    H = tangent_hessian(A, c)
     # the diagonal reads c(1)*A(1,1) or c(2)*A(2,2), which overflow
     assert np.array_equal(np.diag(H), [-np.inf, -np.inf, -np.inf])
     assert np.array_equal(H[~np.eye(3, dtype=bool)], [0.0, 0.0, 0.0, -3.75e307, 0.0, -5e307])

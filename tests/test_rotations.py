@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from rotmorse.critical import embed_pattern
 from rotmorse.patterns import sign_patterns
 from rotmorse.rotations import (
+    _cayley,
     _chart,
     _haar,
     _pair_arrays,
@@ -190,6 +191,46 @@ def test_retract_wrong_length():
     for f in (lambda A: retract(A, [], 1.0), is_rotation):
         with pytest.raises(ValueError, match="n >= 1"):
             f(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "coeffs,step",
+    [
+        ([1.0, 0.0, 0.0], math.nan),
+        ([1.0, 0.0, 0.0], math.inf),
+        ([1.0, 0.0, 0.0], -math.inf),
+        ([math.nan, 0.0, 0.0], 0.5),
+        ([0.0, math.inf, 0.0], 0.5),
+        ([0.0, 0.0, -math.inf], 0.0),
+    ],
+)
+def test_retract_refuses_a_step_or_coefficient_that_is_not_finite(coeffs, step):
+    # Refused before any arithmetic: a NaN step would fill the result with
+    # NaN, and an infinite one would overflow.
+    with pytest.raises(ValueError, match="must be finite"):
+        retract(np.eye(3), coeffs, step)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_cayley_gives_each_matrix_its_own_bits(n):
+    # _cayley solves a stack at once, and each matrix gets the bits it gets
+    # alone: at a step per matrix, at one step for all, and at a row of
+    # steps broadcast over a (2, 4) stack. Some coefficients are +0.0 and
+    # some -0.0, whose signs can reach the zero entries of the result.
+    d = pair_count(n)
+    A = _haar(n, 8, n)
+    v = np.random.default_rng(n).uniform(-2.0, 2.0, size=(8, d))
+    v[1], v[2] = 0.0, -0.0
+    v[3, ::2], v[4, 1::2] = -0.0, 0.0
+    A[5] = np.eye(n)
+    v[5, ::2] = -0.0
+    steps = np.linspace(-1.5, 2.0, 8)
+    for step, alone in ((steps, steps), (0.75, [0.75] * 8)):
+        stacked = _cayley(A, v, step)
+        assert stacked.tobytes() == np.stack([_cayley(A[k], v[k], alone[k]) for k in range(8)]).tobytes()
+    stacked = _cayley(A.reshape(2, 4, n, n), v.reshape(2, 4, d), steps[:4])
+    for k in range(8):
+        assert stacked[k // 4, k % 4].tobytes() == _cayley(A[k], v[k], steps[k % 4]).tobytes()
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-1, 1))
