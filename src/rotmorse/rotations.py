@@ -220,13 +220,15 @@ def retract(A, coeffs, step: float) -> np.ndarray:
     is a rotation up to rounding (residuals ~1e-15 per call). The curve
     agrees with A @ expm(step * K) to second order in step: along a single
     pair it turns by 2*atan(step/2) instead of step. A step or a
-    coefficient that is not finite raises ValueError.
+    coefficient that is not finite, or a product step/2 * coefficient that
+    overflows, raises ValueError.
     """
     A = _check_square(A, nonempty=True)
     coeffs = _check_coeffs(coeffs, A.shape[0])
     step = float(step)
-    if not (math.isfinite(step) and np.isfinite(coeffs).all()):
-        raise ValueError(f"step and pair coefficients must be finite, got step {step!r}")
+    with np.errstate(over="ignore"):  # as _cayley forms (step/2) * coeffs
+        if not (math.isfinite(step) and np.isfinite(coeffs).all() and np.isfinite(0.5 * step * coeffs).all()):
+            raise ValueError(f"step, pair coefficients and step/2 * coeffs must be finite, got step {step!r}")
     return _cayley(A, coeffs, step)
 
 

@@ -12,19 +12,20 @@ closed forms.
 
 Every oracle runs as a few numpy calls on stacked arrays rather than one
 call per matrix, in blocks cut by riemannian._blocks. f(X @ B) is the
-Frobenius product <X, diag(c) @ B^T>, so the finite differences read the
-objective at a rotated point as one vecdot against a per-call table of
-the 2d curves at +-h, without forming that point: _fd_gradient makes 2d
-dots per point, and _fd_tangent_hessian forms the 2d points A @ B_p(+-h)
-of each point by stacked matrix products and makes (2d)^2 dots. The index
-suite reads every pattern's tangent Hessian off the _tangent_hessian of
-the n unit diagonal matrices, taken in blocks, and proves the three
+Frobenius product <diag(c) @ X, B^T>, f(B @ X) is <X @ diag(c), B^T>, and
+the transpose of a Givens curve at h is the curve at -h, so the finite
+differences read the objective at rotated points as one matrix product of
+the weighted points against the cached stack of the 2d curves at +-h,
+without forming those points: _fd_gradient multiplies diag(c) @ A and
+A @ diag(c), and _fd_tangent_hessian forms the 2d points A @ B_p(+-h) by
+stacked matrix products, weights them in place and multiplies them. The
+index suite reads every pattern's tangent Hessian off the _tangent_hessian
+of the n unit diagonal matrices, taken in blocks, and proves the three
 indices equal at all 2^(n-1) patterns from the four sign cases of each
 pair; its residual counts the pairs with a failing case. _pattern_maxima
-bounds the zero band, with parity exceptions at n = 2 and n = 4.
-Stacked matmul and vecdot treat each matrix or row as they would alone
-(vecdot makes one BLAS dot per entry, as np.dot does), so every value has
-the bits of the one-matrix-at-a-time loops.
+bounds the zero band, with parity exceptions at n = 2 and n = 4. Stacked
+matmul makes one BLAS call of the same shapes per point, so every value
+has the bits of the one-point-at-a-time loops.
 
 Oracle settings: the gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of
@@ -59,35 +60,28 @@ _HESSIAN_THRESHOLD = 1e-4
 @lru_cache(maxsize=None)
 def _curve_stack(n: int, h: float) -> np.ndarray:
     """Read-only (2d, n, n) stack of givens_curve(p, h, n) over
-    pair_indices(n), then of givens_curve(p, -h, n)."""
+    pair_indices(n), then of givens_curve(p, -h, n): the transposes of the
+    first d, bit for bit."""
     pairs = pair_indices(n)
     B = np.array([givens_curve(p, t, n) for t in (h, -h) for p in pairs]).reshape(-1, n, n)
     B.flags.writeable = False
     return B
 
 
-def _weight_table(c: np.ndarray, h: float, left: bool) -> np.ndarray:
-    """Read-only (2d, n*n) table W whose row k gives the objective at the
-    rotated point of X along curve k of _curve_stack(n, h) as
-    np.vecdot(X.ravel(), W[k]).
+def _fd_gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Central differences along every rotation-plane curve of both
+    families (as in curve_derivatives) at each point of an (S, n, n) stack:
+    (S, 2, d), the right family then the left, pair order.
 
-    f is linear in the matrix entries, so f(X @ B) = <X, diag(c) @ B^T>_F
-    and f(B @ X) = <X, (diag(c) @ B)^T>_F: no rotated point is formed.
+    f is linear in the matrix entries, so f(A @ B) = <diag(c) @ A, B^T>_F
+    and f(B @ A) = <A @ diag(c), B^T>_F, and B_p(h)^T = B_p(-h): column k
+    of one product with the flattened _curve_stack(n, h) is the objective
+    along curve k at the opposite step.
     """
-    n = c.size
-    B = _curve_stack(n, h)
-    W = ((c[:, None] * B).mT if left else c[:, None] * B.mT).reshape(len(B), n * n)
-    W.flags.writeable = False
-    return W
-
-
-def _fd_gradient(A: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
-    """Central differences along every rotation-plane curve of the given
-    family (as in curve_derivatives) at each point of an (S, n, n) stack:
-    (S, d), pair order."""
     n, d, h = c.size, pair_count(c.size), _GRADIENT_STEP
-    f = np.vecdot(A.reshape(len(A), 1, n * n), _weight_table(c, h, left))
-    return (f[:, :d] - f[:, d:]) / (2.0 * h)
+    M = np.stack([c[:, None] * A, A * c], axis=1)
+    f = M.reshape(len(A), 2, n * n) @ _curve_stack(n, h).reshape(2 * d, n * n).T
+    return (f[..., d:] - f[..., :d]) / (2.0 * h)
 
 
 def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -97,15 +91,18 @@ def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     Entry (p, q) approximates d^2/dtheta dphi of the objective along
     A @ B_p(theta) @ B_q(phi) at zero, as
     (((f++ - f+-) - f-+) + f--) / (4 h^2) with f+- = f((A @ B_p(h)) @ B_q(-h)).
-    Only the 2d points A @ B_p(+-h) are formed; _weight_table gives the
-    objective at all (2d)^2 points X @ B_q(+-h) of them.
+    Only the 2d points A @ B_p(+-h) are formed, and scaled by diag(c) in
+    place; one product with the flattened _curve_stack(n, h) gives the
+    objective at all (2d)^2 points, as in _fd_gradient.
     """
     n, d, h = c.size, pair_count(c.size), _HESSIAN_STEP
-    X = A[:, None] @ _curve_stack(n, h)
-    f = np.vecdot(X.reshape(len(X), 2 * d, 1, n * n), _weight_table(c, h, False))
-    # f[:, i, p, j, q] is f((A @ B_p(+-h)) @ B_q(+-h)), index 0 of i and j
-    # picking +h and 1 picking -h.
-    (fpp, fpm), (fmp, fmm) = f.reshape(len(X), 2, d, 2, d).transpose(1, 3, 0, 2, 4)
+    B = _curve_stack(n, h)
+    X = A[:, None] @ B
+    X *= c[:, None]
+    f = X.reshape(len(X), 2 * d, n * n) @ B.reshape(2 * d, n * n).T
+    # f[:, i, p, j, q] is f((A @ B_p(+-h)) @ B_q(-+h)): index 0 of i picks
+    # +h, and index 0 of j picks -h, the step of the transposed curve.
+    (fpm, fpp), (fmm, fmp) = f.reshape(len(X), 2, d, 2, d).transpose(1, 3, 0, 2, 4)
     return (((fpp - fpm) - fmp) + fmm) / (4.0 * h * h)
 
 
@@ -133,11 +130,11 @@ def _weight_scale(c: np.ndarray) -> float:
 
 def _gradient_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
     """Closed-form curve derivatives vs central differences at every start,
-    along both curve families."""
+    along both curve families, in blocks cut by the largest temporary per
+    point: the two weighted copies of _fd_gradient, 16 n^2 bytes."""
     worst = _worst(
-        _curve_derivatives(starts[block], c, left) - _fd_gradient(starts[block], c, left)
-        for block in _blocks(len(starts), 8 * c.size**2)
-        for left in (False, True)
+        _fd_gradient(A, c) - np.stack([_curve_derivatives(A, c, False), _curve_derivatives(A, c, True)], 1)
+        for A in (starts[block] for block in _blocks(len(starts), 16 * c.size**2))
     )
     threshold = _GRADIENT_THRESHOLD * _weight_scale(c)
     return SuiteResult("gradient-fd", worst <= threshold, worst, threshold)

@@ -93,7 +93,7 @@ def test_criterion_5_oracle_suites():
         n = 2 + (k % 5)  # n in 2..6
         A = rm.haar_sample(n, rng)
         c = random_costs(n, rng)
-        resid = np.abs(rm.curve_derivatives(A, c) - _fd_gradient(A[None], c, False)[0]).max()
+        resid = np.abs(rm.curve_derivatives(A, c) - _fd_gradient(A[None], c)[0, 0]).max()
         worst_grad = max(worst_grad, float(resid))
     worst_hess = 0.0
     for k in range(20):

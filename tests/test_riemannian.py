@@ -114,8 +114,9 @@ def test_gradient_matches_finite_differences():
         n = int(rng.integers(2, 7))
         A = haar_sample(n, rng)
         c = random_costs(n, rng)
-        for side, left in (("right", False), ("left", True)):
-            resid = np.abs(curve_derivatives(A, c, side=side) - _fd_gradient(A[None], c, left)[0])
+        fd = _fd_gradient(A[None], c)[0]
+        for k, side in enumerate(("right", "left")):
+            resid = np.abs(curve_derivatives(A, c, side=side) - fd[k])
             worst = max(worst, float(resid.max()))
     assert worst <= 1e-7
 
@@ -793,62 +794,60 @@ def test_flow_equals_reference_loop_exactly():
     assert unclassified > 0  # the small-weight starts stop short of a pattern
 
 
-def _rotated_objective(X, Q, c, left=False):
-    """f(X @ Q), or f(Q @ X) if left, as one np.dot by the linearity of f in
-    the matrix entries: <X, diag(c) Q^T>_F, or <X, (diag(c) Q)^T>_F."""
-    W = (c[:, None] * Q).T if left else c[:, None] * Q.T
-    return np.dot(X.ravel(), W.ravel())
+def _objective_table(weighted, curves, n):
+    """<R, Q^T>_F for every weighted n x n point R (rows) and curve Q
+    (columns), as one matrix product of the shapes verify's oracles use. f
+    is linear in the matrix entries, so that is f(X @ Q) for R = diag(c) X
+    and f(Q @ X) for R = X diag(c)."""
+    return np.reshape(weighted, (-1, n * n)) @ np.reshape([Q.T for Q in curves], (-1, n * n)).T
 
 
 def test_fd_oracles_equal_reference_exactly():
     # The stacked kernels on a stack of six points (A, A^T and four more
-    # Haar points) against one-point-at-a-time loops of np.dot. The kernels
-    # cut no blocks, so all six points go through one stacked pass; the
-    # suites of verify cut the blocks (four points at n = 8 for the Hessian).
+    # Haar points) against one-point-at-a-time loops that read f off one
+    # _objective_table per point: of its two weighted copies for the
+    # gradient, and of its 2d weighted points X @ B_p(+-h) for the Hessian.
+    # The table's columns are the curves at -h, then at +h: transposed, that
+    # is the kernels' stack in its order. A table of one row, one np.dot
+    # per entry, or the columns in another order (at n = 6) is a BLAS call
+    # that need not round the same. The kernels cut no blocks, so all six
+    # points go through one stacked pass; the suites of verify cut the
+    # blocks (four points at n = 8 for the Hessian).
     rng = np.random.default_rng(32)
-    h1, h2 = 1e-5, 1e-4
     for n in range(1, 9):
         A = haar_sample(n, rng)
         c = random_costs(n, rng)
         stack = np.stack([A, A.T, *(haar_sample(n, rng) for _ in range(4))])
-        S = len(stack)
         pairs = pair_indices(n)
-        plus = [givens_curve(p, h1, n) for p in pairs]
-        minus = [givens_curve(p, -h1, n) for p in pairs]
-        right, left = (
-            [
-                [
-                    (_rotated_objective(X, P, c, side) - _rotated_objective(X, M, c, side))
-                    / (2.0 * h1)
-                    for P, M in zip(plus, minus)
-                ]
-                for X in stack
-            ]
-            for side in (False, True)
-        )
-        assert np.array_equal(_fd_gradient(stack, c, False), np.array(right).reshape(S, -1))
-        assert np.array_equal(_fd_gradient(stack, c, True), np.array(left).reshape(S, -1))
-        plus = [givens_curve(p, h2, n) for p in pairs]
-        minus = [givens_curve(p, -h2, n) for p in pairs]
-        H = np.array(
-            [
+        d = len(pairs)
+        h = 1e-5
+        plus = [givens_curve(p, h, n) for p in pairs]
+        minus = [givens_curve(p, -h, n) for p in pairs]
+        gradients = []
+        for X in stack:
+            # row 0 reads f(X @ B), row 1 f(B @ X); column q < d reads
+            # B_q(-h), column d + q reads B_q(h)
+            f = _objective_table([c[:, None] * X, X * c], minus + plus, n)
+            gradients.append([[(f[k, d + q] - f[k, q]) / (2.0 * h) for q in range(d)] for k in (0, 1)])
+        assert np.array_equal(_fd_gradient(stack, c), np.array(gradients).reshape(len(stack), 2, d))
+        h = 1e-4
+        plus = [givens_curve(p, h, n) for p in pairs]
+        minus = [givens_curve(p, -h, n) for p in pairs]
+        hessians = []
+        for X in stack:
+            # row p < d reads X @ B_p(h), row d + p X @ B_p(-h); the
+            # columns are as above
+            f = _objective_table([c[:, None] * (X @ P) for P in plus + minus], minus + plus, n)
+            hessians.append(
                 [
                     [
-                        (
-                            _rotated_objective(X @ P, Q, c)
-                            - _rotated_objective(X @ P, R, c)
-                            - _rotated_objective(X @ M, Q, c)
-                            + _rotated_objective(X @ M, R, c)
-                        )
-                        / (4.0 * h2 * h2)
-                        for Q, R in zip(plus, minus)
+                        (((f[p, d + q] - f[p, q]) - f[d + p, d + q]) + f[d + p, q]) / (4.0 * h * h)
+                        for q in range(d)
                     ]
-                    for P, M in zip(plus, minus)
+                    for p in range(d)
                 ]
-                for X in stack
-            ]
-        ).reshape(S, len(pairs), len(pairs))
-        assert np.array_equal(_fd_tangent_hessian(stack, c), H)
+            )
+        assert np.array_equal(_fd_tangent_hessian(stack, c), np.array(hessians).reshape(len(stack), d, d))
 
 
 def test_rotated_objective_equals_objective_of_the_product():
@@ -861,11 +860,13 @@ def test_rotated_objective_equals_objective_of_the_product():
         tol = 4.0 * np.finfo(float).eps * np.abs(c).sum()
         X = haar_sample(n, rng)
         curves = [givens_curve(p, t, n) for p in pair_indices(n) for t in (1e-4, -1e-4)]
-        for P in curves:
-            assert abs(_rotated_objective(X, P, c) - objective(X @ P, c)) <= tol
-            assert abs(_rotated_objective(X, P, c, left=True) - objective(P @ X, c)) <= tol
-            for Q in curves:
-                assert abs(_rotated_objective(X @ P, Q, c) - objective(X @ P @ Q, c)) <= tol
+        right, left = _objective_table([c[:, None] * X, X * c], curves, n)
+        twice = _objective_table([c[:, None] * (X @ P) for P in curves], curves, n)
+        for k, P in enumerate(curves):
+            assert abs(right[k] - objective(X @ P, c)) <= tol
+            assert abs(left[k] - objective(P @ X, c)) <= tol
+            for m, Q in enumerate(curves):
+                assert abs(twice[k, m] - objective(X @ P @ Q, c)) <= tol
 
 
 @settings(max_examples=40, deadline=None)
@@ -878,11 +879,10 @@ def test_fd_oracles_give_each_point_of_a_stack_its_own_bits(n, S, seed):
     rng = np.random.default_rng(seed)
     c = random_costs(n, rng)
     stack = _haar(n, S, rng)
-    gradients = [_fd_gradient(stack, c, left) for left in (False, True)]
+    G = _fd_gradient(stack, c)
     H = _fd_tangent_hessian(stack, c)
     for k in range(S):
-        for left, G in zip((False, True), gradients):
-            assert G[k].tobytes() == _fd_gradient(stack[k : k + 1], c, left)[0].tobytes()
+        assert G[k].tobytes() == _fd_gradient(stack[k : k + 1], c)[0].tobytes()
         assert H[k].tobytes() == _fd_tangent_hessian(stack[k : k + 1], c)[0].tobytes()
 
 

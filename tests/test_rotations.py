@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -86,6 +86,19 @@ def test_givens_additivity(t1, t2):
 @given(st.floats(-10, 10))
 def test_givens_is_rotation(theta):
     assert is_rotation(givens_curve((2, 3), theta, 4), 1e-12)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(1e-5)
+@example(-1e-5)
+@example(1e-4)
+@example(-1e-4)
+def test_givens_curve_at_minus_theta_is_its_transpose_bit_for_bit(theta):
+    # verify's finite-difference oracles read f along B_p(-h) off B_p(h)^T.
+    for n in range(2, 9):
+        for pair in pair_indices(n):
+            B = givens_curve(pair, theta, n)
+            assert givens_curve(pair, -theta, n).tobytes() == B.T.tobytes()
 
 
 @pytest.mark.parametrize("e1,e2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -202,11 +215,13 @@ def test_retract_wrong_length():
         ([math.nan, 0.0, 0.0], 0.5),
         ([0.0, math.inf, 0.0], 0.5),
         ([0.0, 0.0, -math.inf], 0.0),
+        ([1e308, 0.0, 0.0], 10.0),
     ],
 )
 def test_retract_refuses_a_step_or_coefficient_that_is_not_finite(coeffs, step):
-    # Refused before any arithmetic: a NaN step would fill the result with
-    # NaN, and an infinite one would overflow.
+    # Refused before the solve: a NaN step would fill the result with NaN,
+    # and an infinite one would overflow. So would a finite step/2 times a
+    # finite coefficient that overflows, 5 * 1e308 in the last case.
     with pytest.raises(ValueError, match="must be finite"):
         retract(np.eye(3), coeffs, step)
 

@@ -104,20 +104,36 @@ def test_an_off_diagonal_scatter_fails_every_pattern(monkeypatch, n, patterns):
 
 @pytest.mark.parametrize("n", range(9, 13))
 def test_every_tangent_hessian_stack_of_verify_fits_the_budget(monkeypatch, n):
-    # _tangent_hessian's largest array is its output, 8 d^2 bytes per
-    # matrix, so the index and Hessian suites pass it blocks of at most
-    # _STACK_BYTES, or one matrix where one matrix alone is larger.
-    original, sizes = verify._tangent_hessian, []
-
-    def recorded(A, c):
-        sizes.append(len(A))
-        return original(A, c)
-
-    monkeypatch.setattr(verify, "_tangent_hessian", recorded)
+    # Each kernel's largest array per point: _tangent_hessian's output,
+    # 8 d^2 bytes; _fd_gradient's two weighted copies of the point, 16 n^2
+    # bytes; _fd_tangent_hessian's 2d points A @ B_p(+-h), 16 d n^2 bytes.
+    # The suites pass each kernel blocks of at most _STACK_BYTES, or one
+    # point where one point alone is larger. 64 starts span two gradient
+    # blocks at n = 12.
     c, d = default_costs(n), pair_count(n)
-    assert _index_suite(c).passed and _hessian_suite(_haar(n, 3, n), c).passed
-    assert sizes
-    assert all(8 * k * d * d <= riemannian._STACK_BYTES or k == 1 for k in sizes), sizes
+    per_point = {"_tangent_hessian": 8 * d * d, "_fd_gradient": 16 * n * n, "_fd_tangent_hessian": 16 * d * n * n}
+    sizes = {name: [] for name in per_point}
+
+    def recorded(name):
+        original = getattr(verify, name)
+
+        def kernel(A, c):
+            sizes[name].append(len(A))
+            return original(A, c)
+
+        return kernel
+
+    for name in per_point:
+        monkeypatch.setattr(verify, name, recorded(name))
+    starts = _haar(n, 64, n)
+    assert _index_suite(c).passed
+    assert _gradient_suite(starts, c).passed and _hessian_suite(starts, c).passed
+    assert sum(sizes["_fd_gradient"]) == sum(sizes["_fd_tangent_hessian"]) == len(starts)
+    for name, size in per_point.items():
+        assert sizes[name]
+        assert all(k * size <= riemannian._STACK_BYTES or k == 1 for k in sizes[name]), (name, sizes[name])
+    if n == 12:
+        assert len(sizes["_fd_gradient"]) == 2
 
 
 def _eigenvalue_route_mismatches(c):
@@ -404,11 +420,9 @@ def _reference_worst(n, samples, seed, c, residual):
 def test_suite_residuals_equal_reference_loops(n, seed, c):
     # one matrix at a time, through the public derivatives
     def gradient_residual(A, cc):
+        fd = _fd_gradient(A[None], cc)[0]
         return np.concatenate(
-            [
-                np.abs(curve_derivatives(A, cc, side=side) - _fd_gradient(A[None], cc, left)[0])
-                for side, left in (("right", False), ("left", True))
-            ]
+            [np.abs(curve_derivatives(A, cc, side=side) - fd[k]) for k, side in enumerate(("right", "left"))]
         )
 
     def hessian_residual(A, cc):
