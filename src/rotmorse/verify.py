@@ -1,6 +1,6 @@
 """Cross-checking suites: finite-difference oracles against the closed-form
-derivatives, exact index agreement, and flow-based recovery of the critical
-set, all for one admissible weight vector. run_all_suites is the entry
+derivatives, exact index agreement, and flow-based recovery of the
+minimum, all for one admissible weight vector. run_all_suites is the entry
 point and the `verify` CLI subcommand calls it. It checks the weights,
 then the seed and the sample count, and draws one stack of Haar points
 from one default_rng(seed); the gradient, Hessian and flow suites each
@@ -27,26 +27,30 @@ bounds the zero band, with parity exceptions at n = 2 and n = 4. Stacked
 matmul makes one BLAS call of the same shapes per point, so every value
 has the bits of the one-point-at-a-time loops.
 
-Oracle settings: the gradient suite differences with step
+Oracle settings: _suites runs the gradient, Hessian and index suites on
+c * k, k = patterns._scale(c) the power of two that _flows scales by, so
+nothing overflows and, f being linear in c, no verdict depends on the
+weights' units. The gradient suite differences with step
 _GRADIENT_STEP = 1e-5 and passes at a worst residual of
 1e-7 * _weight_scale(c), the Hessian suite with _HESSIAN_STEP = 1e-4 at
-1e-4 * _weight_scale(c). The finite-difference errors grow with the
-weights' top, so the thresholds are relative to it, and they are exactly
-1e-7 and 1e-4 at the default weights 1..n. The flow suite caps each
-descent at riemannian._MAX_ITERATIONS = 100_000 trials and compares the
-final gradient norms with the absolute grad_tol.
+1e-4 * _weight_scale(c), exactly 1e-7 and 1e-4 at the default weights
+1..n: the finite-difference errors grow with the weights' top. Both
+report residual and threshold divided by k, which are their bits at c
+wherever nothing under- or overflows there. The flow suite counts the
+descents, each capped at riemannian._MAX_ITERATIONS = 100_000 trials,
+that riemannian._classify does not chart at the minimum; grad_tol sets
+only where a descent stops.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from .critical import _hessian_diagonal, default_costs, validate_costs
-from .patterns import _check_descent, _check_draw, _top
+from .patterns import _check_descent, _check_draw, _scale, _top
 from .riemannian import _banded_indices, _blocks, _curve_derivatives, _flows, _tangent_hessian
 from .rotations import _haar, _pair_arrays, givens_curve, pair_count, pair_indices
 
@@ -189,10 +193,8 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     signs = _covering_signs(n)
     last = signs[:, ju]
     product = (signs[:, iu] != last).astype(int)  # 0 for +1, 1 for -1
-    # As in _pattern_table, an entry near 1e308 overflows to +-inf.
-    with np.errstate(over="ignore"):
-        by_count = _hessian_diagonal(signs, c) < 0
-        h = signs @ t
+    by_count = _hessian_diagonal(signs, c) < 0
+    h = signs @ t
     size = np.empty((d, 2))
     size[pairs, product] = np.abs(h)
     band = np.stack([h, _pattern_maxima(size, n)[pairs, product]], axis=-1)
@@ -241,23 +243,16 @@ def _pattern_maxima(size: np.ndarray, n: int) -> np.ndarray:
 
 
 def _flow_suite(starts: np.ndarray, c: np.ndarray, grad_tol: float):
-    """Every descent from the starts must converge and land on a sign
-    pattern of product +1. The product is checked here, apart from
-    _classify: it is the oracle for rotations._chart's det -1 guard.
-    Residual reported is the worst final gradient norm."""
-    _, _, norms, converged, patterns = _flows(starts, c, grad_tol)
-    norms = norms.tolist()
-    failures = sum(
-        not (ok and pattern is not None and math.prod(pattern) == 1)
-        for ok, pattern in zip(converged.tolist(), patterns)
-    )
-    return SuiteResult(
-        "flow-classification",
-        failures == 0,
-        max(norms, default=0.0),
-        grad_tol,
-        detail=f"{len(norms)} descents, {failures} failures",
-    )
+    """Every descent from the starts must end at the minimum, the index-0
+    pattern eps0 = ((-1)^(n-1), -1, ..., -1), as the basin theorem says of
+    almost every start. The residual counts the limits whose _flows pattern,
+    _classify's chart certificate, is not eps0. eps0 is built here, apart
+    from rotations._chart, so it also checks _chart's det -1 guard."""
+    *_, patterns = _flows(starts, c, grad_tol)
+    minimum = ((-1) ** (c.size - 1),) + (-1,) * (c.size - 1)
+    failures = sum(pattern != minimum for pattern in patterns)
+    detail = f"{len(patterns)} descents, {failures} failures"
+    return SuiteResult("flow-classification", failures == 0, float(failures), 0.0, detail=detail)
 
 
 def run_all_suites(n: int, samples: int, seed: int = 0, c=None, grad_tol: float = 1e-8) -> list:
@@ -272,12 +267,14 @@ def run_all_suites(n: int, samples: int, seed: int = 0, c=None, grad_tol: float 
 
 
 def _suites(starts: np.ndarray, c: np.ndarray, grad_tol: float) -> list:
-    """run_all_suites on the (S, n, n) stack of starts; checks nothing."""
-    # Overflow near 1e308 fails a suite through its non-finite residuals.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            _gradient_suite(starts, c),
-            _hessian_suite(starts, c),
-            _index_suite(c),
-            _flow_suite(starts, c, grad_tol),
-        ]
+    """run_all_suites on the (S, n, n) stack of starts; checks nothing.
+    The gradient, Hessian and index suites run on c * k, k = _scale(c),
+    and the flow suite on c, which _flows scales by the same k."""
+    k = _scale(c)
+    scaled = c * k
+    fd = (_gradient_suite(starts, scaled), _hessian_suite(starts, scaled))
+    return [
+        *(r._replace(max_residual=r.max_residual / k, threshold=r.threshold / k) for r in fd),
+        _index_suite(scaled),
+        _flow_suite(starts, c, grad_tol),
+    ]

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from rotmorse.critical import (
     hessian_diagonal,
     index_by_formula,
 )
-from rotmorse.patterns import sign_patterns
+from rotmorse.patterns import _scale, sign_patterns
 from rotmorse.riemannian import (
     _ZERO_BAND,
     _numeric_indices,
@@ -42,7 +43,7 @@ from rotmorse.verify import (
 )
 
 import helpers
-from helpers import count_weight_checks, index_sweep, random_costs
+from helpers import count_weight_checks, index_sweep, random_costs, reference_classify
 
 
 def test_gradient_suite_passes():
@@ -175,6 +176,13 @@ def _band_window_examples(test):
     return test
 
 
+def _scaled(c):
+    """c * _scale(c), top in [0.5, 1): the weights that _suites hands the
+    index suite, so that at c near 1e308 no Hessian entry overflows."""
+    c = np.array(c)
+    return c * _scale(c)
+
+
 _SCALED_WEIGHTS = st.builds(
     lambda n, seed, scale: scale * random_costs(n, np.random.default_rng(seed)),
     st.integers(1, 10),
@@ -186,16 +194,14 @@ _SCALED_WEIGHTS = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(_SCALED_WEIGHTS)
 @example(np.array([0.0, 1e-12, 1.0]))
-@example(np.array([1e308, 1.5e308]))
-@example(np.array([1e308, 1.2e308, 1.5e308]))
+@example(_scaled([1e308, 1.5e308]))
+@example(_scaled([1e308, 1.2e308, 1.5e308]))
 @_band_window_examples
 def test_index_suite_agrees_with_the_eigenvalue_route(c):
     # The sweep counts the patterns whose eigenvalue route disagrees, and
     # the suite passes exactly when it counts none.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mismatches = _eigenvalue_route_mismatches(c)
-        sweep = index_sweep(c)
-    assert sweep == mismatches
+    sweep = index_sweep(c)
+    assert sweep == _eigenvalue_route_mismatches(c)
     assert _index_suite(c).passed == (sweep == 0)
 
 
@@ -219,19 +225,20 @@ _BAND_EDGE = 1.0000000010000002e-09
         ([0.0, float(np.nextafter(_BAND_EDGE, 1.0)), 1.0], 0, 0),
         ([0.0], 0, 0),
         ([5.0], 0, 0),
-        ([1e308, 1.5e308], 2, 1),
-        ([1e308, 1.2e308, 1.5e308], 4, 3),
+        # raw, these weights overflow the Hessian diagonal and entries
+        ([1e308, 1.5e308], 0, 0),
+        ([1e308, 1.2e308, 1.5e308], 0, 0),
     ],
     ids=["band-edge", "above-the-edge", "n1-zero", "n1", "overflowed-diagonal", "non-finite-entries"],
 )
 def test_index_suite_and_numeric_indices_agree_at_the_edges(c, mismatches, pairs):
     # mismatches counts the patterns that fail, pairs the pairs with a
-    # failing sign case: the suite's residual.
+    # failing sign case: the suite's residual. The suite receives c scaled
+    # by a power of two, which keeps the band edge's bits.
     assert _BAND_EDGE == _ZERO_BAND * (1.0 + _BAND_EDGE)
-    c = np.array(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert _eigenvalue_route_mismatches(c) == mismatches
-        assert index_sweep(c) == mismatches
+    c = _scaled(c)
+    assert _eigenvalue_route_mismatches(c) == mismatches
+    assert index_sweep(c) == mismatches
     result = _index_suite(c)
     assert result.passed == (mismatches == 0) and result.max_residual == pairs
 
@@ -249,7 +256,9 @@ _TINY_BLOCK_WEIGHTS = [
 def test_index_suite_is_the_same_in_tiny_blocks(monkeypatch, c):
     # The suite builds the unit-diagonal Hessians in _blocks of matrices;
     # budgets of one and of three sign-table rows cut blocks of one matrix,
-    # and give the same verdict and residual as the default budget.
+    # and give the same verdict and residual as the default budget, at the
+    # scaled weights the suite receives.
+    c = _scaled(c)
     expected = _index_suite(c)
     for rows in (1, 3):
         monkeypatch.setattr(riemannian, "_STACK_BYTES", rows * 8 * pair_count(c.size))
@@ -314,8 +323,8 @@ def test_flow_suite_passes():
 
 
 def test_flow_suite_enumerates_no_patterns(monkeypatch):
-    # The suite checks each limit's product of signs; it does not build the
-    # 2^(n-1) patterns to look the limit up.
+    # The suite compares each limit with the index-0 pattern; it does not
+    # build the 2^(n-1) patterns to look the limit up.
     def refuse(n):
         raise AssertionError(f"sign_patterns({n}) called")
 
@@ -342,9 +351,33 @@ def test_flow_suite_fails_a_limit_of_product_minus_one(monkeypatch):
     assert result.detail == "4 descents, 4 failures"
 
 
-def test_flow_suite_unreachable_tolerance_fails():
-    result = _flow_suite(_haar(4, 2, 5), default_costs(4), 1e-300)
+@pytest.mark.parametrize("limit", [(1, 1, -1, -1), None], ids=["other-pattern", "unclassified"])
+def test_flow_suite_counts_the_limits_off_the_minimum(monkeypatch, limit):
+    # A limit at another pattern of product +1, or charted at none, fails
+    # the suite; the residual counts such limits.
+    starts, c = _haar(4, 5, 4), default_costs(4)
+    assert _flow_suite(starts, c, 1e-8).passed
+    flows = verify._flows
+
+    def moved(*args):
+        *rows, patterns = flows(*args)
+        return (*rows, [limit, *patterns[1:3], limit, patterns[4]])
+
+    monkeypatch.setattr(verify, "_flows", moved)
+    result = _flow_suite(starts, c, 1e-8)
     assert not result.passed
+    assert (result.max_residual, result.threshold) == (2.0, 0.0)
+    assert result.detail == "5 descents, 2 failures"
+
+
+def test_flow_suite_passes_at_an_unreachable_tolerance():
+    # A tolerance below the gradient's rounding floor stops every descent
+    # at that floor, unconverged; the suite reads the chart, not the norm,
+    # and finds each limit at the minimum.
+    starts, c = _haar(4, 2, 5), default_costs(4)
+    assert not riemannian._flows(starts, c, 1e-300)[3].any()
+    result = _flow_suite(starts, c, 1e-300)
+    assert result.passed and result.max_residual == 0.0
 
 
 @pytest.mark.parametrize(
@@ -392,6 +425,26 @@ def test_run_all_suites_fixed_costs():
         "flow-classification",
     ]
     assert all(s.passed for s in results)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(1e-12, 1e-4), st.data())
+def test_verdicts_do_not_depend_on_the_weights_units(n, seed, tol, data):
+    # f is linear in c. At (c * 2^j, tol * 2^j), for each j that keeps every
+    # nonzero weight and tol normal, each verdict is the one at (c, tol), the
+    # finite-difference residuals and thresholds are exactly 2^j times
+    # theirs, and the index and flow residuals are the same.
+    c = random_costs(n, np.random.default_rng(seed))
+    exponents = [math.frexp(x)[1] for x in (*c, tol) if x]
+    j = data.draw(st.integers(-1021 - min(exponents), 1024 - max(exponents)), label="j")
+    base = run_all_suites(n, 2, seed=seed, c=c, grad_tol=tol)
+    scaled = run_all_suites(n, 2, seed=seed, c=c * 2.0**j, grad_tol=tol * 2.0**j)
+    assert [r.passed for r in scaled] == [r.passed for r in base]
+    for ours, theirs in zip(scaled[:2], base[:2]):
+        assert ours.max_residual == theirs.max_residual * 2.0**j
+        assert ours.threshold == theirs.threshold * 2.0**j
+    for ours, theirs in zip(scaled[2:], base[2:]):
+        assert ours == theirs
 
 
 def _reference_worst(n, samples, seed, c, residual):
@@ -447,36 +500,55 @@ def test_suite_residuals_equal_reference_loops(n, seed, c):
     assert index.max_residual == float(mismatches) == 0.0
     assert index.detail == f"{len(patterns)} patterns"
 
+    # the flow suite counts the limits off the minimum, the pattern of index 0
     rng = np.random.default_rng(seed)
-    norms = [gradient_flow(haar_sample(n, rng), cc).final_gradient_norm for _ in range(samples)]
-    assert flow.max_residual == max(norms)
+    minimum = min(patterns, key=index_by_formula)
+    limits = [reference_classify(gradient_flow(haar_sample(n, rng), cc).final_point) for _ in range(samples)]
+    assert flow.max_residual == sum(limit != minimum for limit in limits) == 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("--n", "3", "--samples", "1", "--c", "0,1e-12,1"),
-        ("--n", "2", "--samples", "1", "--c", "1e308,1.5e308"),
-        ("--n", "3", "--samples", "1", "--c", "1e308,1.2e308,1.5e308"),
-    ],
-)
-def test_verify_degenerate_hessian_fails_the_index_suite(argv):
-    # A Hessian eigenvalue inside the relative zero band (a tiny gap between
-    # weights, or a diagonal overflowed to -inf) or a non-finite Hessian
-    # entry has no index: the suite counts it as a mismatch instead of
-    # raising.
+def _run_verify(argv):
     src = Path(rotmorse.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "rotmorse", "verify", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("argv", [("--n", "3", "--samples", "1", "--c", "0,1e-12,1")])
+def test_verify_degenerate_hessian_fails_the_index_suite(argv):
+    # A Hessian eigenvalue inside the relative zero band (a tiny gap between
+    # weights) has no index: the suite counts it as a mismatch instead of
+    # raising.
+    proc = _run_verify(argv)
     assert proc.returncode == 4
-    assert proc.stderr == ""  # the suites report overflow; numpy does not warn
+    assert proc.stderr == ""
     assert "[FAIL] index-equivalence" in proc.stdout
+
+
+_LINSPACE_1E308 = ",".join(map(repr, np.linspace(1e308, 1.7e308, 6).tolist()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "2", "--samples", "1", "--c", "1e308,1.5e308"),
+        ("--n", "3", "--samples", "1", "--c", "1e308,1.2e308,1.5e308"),
+        ("--n", "6", "--samples", "20", "--seed", "7", "--c", _LINSPACE_1E308),
+    ],
+    ids=["n2", "n3", "n6-linspace"],
+)
+def test_verify_passes_at_weights_near_1e308(argv):
+    # The suites run on c * _scale(c), where no objective value or Hessian
+    # entry overflows, and numpy has nothing to warn about.
+    proc = _run_verify(argv)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("all suites passed\n")
 
 
 @pytest.mark.parametrize("c", [[0.0, 5e-324, 1.0], [0.0, 1e-200, 1e200]])
