@@ -15,8 +15,9 @@ call per matrix, in blocks cut by riemannian._blocks. f(X @ B) is the
 Frobenius product <diag(c) @ X, B^T>, f(B @ X) is <X @ diag(c), B^T>, and
 the transpose of a Givens curve at h is the curve at -h, so the finite
 differences read the objective at rotated points as one matrix product of
-the weighted points against the cached stack of the 2d curves at +-h,
-without forming those points: _fd_gradient multiplies diag(c) @ A and
+the weighted points against the stack of the 2d curves at +-h, without
+forming those points. Each finite-difference suite builds that stack
+once and drops it on return. _fd_gradient multiplies diag(c) @ A and
 A @ diag(c), and _fd_tangent_hessian forms the 2d points A @ B_p(+-h) by
 stacked matrix products, weights them in place and multiplies them. The
 index suite reads every pattern's tangent Hessian off the _tangent_hessian
@@ -45,7 +46,6 @@ only where a descent stops.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,46 +61,43 @@ _HESSIAN_STEP = 1e-4
 _HESSIAN_THRESHOLD = 1e-4
 
 
-@lru_cache(maxsize=None)
 def _curve_stack(n: int, h: float) -> np.ndarray:
-    """Read-only (2d, n, n) stack of givens_curve(p, h, n) over
-    pair_indices(n), then of givens_curve(p, -h, n): the transposes of the
-    first d, bit for bit."""
-    pairs = pair_indices(n)
-    B = np.array([givens_curve(p, t, n) for t in (h, -h) for p in pairs]).reshape(-1, n, n)
-    B.flags.writeable = False
-    return B
+    """(2d, n, n) stack of givens_curve(p, h, n) over pair_indices(n), then
+    of their transposes: givens_curve(p, -h, n), bit for bit."""
+    B = np.array([givens_curve(p, h, n) for p in pair_indices(n)]).reshape(-1, n, n)
+    return np.concatenate([B, B.transpose(0, 2, 1)])
 
 
-def _fd_gradient(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _fd_gradient(A: np.ndarray, c: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Central differences along every rotation-plane curve of both
     families (as in curve_derivatives) at each point of an (S, n, n) stack:
-    (S, 2, d), the right family then the left, pair order.
+    (S, 2, d), the right family then the left, pair order. B is
+    _curve_stack(n, _GRADIENT_STEP).
 
     f is linear in the matrix entries, so f(A @ B) = <diag(c) @ A, B^T>_F
     and f(B @ A) = <A @ diag(c), B^T>_F, and B_p(h)^T = B_p(-h): column k
-    of one product with the flattened _curve_stack(n, h) is the objective
-    along curve k at the opposite step.
+    of one product with the flattened B is the objective along curve k at
+    the opposite step.
     """
     n, d, h = c.size, pair_count(c.size), _GRADIENT_STEP
     M = np.stack([c[:, None] * A, A * c], axis=1)
-    f = M.reshape(len(A), 2, n * n) @ _curve_stack(n, h).reshape(2 * d, n * n).T
+    f = M.reshape(len(A), 2, n * n) @ B.reshape(2 * d, n * n).T
     return (f[..., d:] - f[..., :d]) / (2.0 * h)
 
 
-def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _fd_tangent_hessian(A: np.ndarray, c: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Second-order mixed central differences along curve pairs at each
-    point of an (S, n, n) stack: (S, d, d).
+    point of an (S, n, n) stack: (S, d, d). B is
+    _curve_stack(n, _HESSIAN_STEP).
 
     Entry (p, q) approximates d^2/dtheta dphi of the objective along
     A @ B_p(theta) @ B_q(phi) at zero, as
     (((f++ - f+-) - f-+) + f--) / (4 h^2) with f+- = f((A @ B_p(h)) @ B_q(-h)).
     Only the 2d points A @ B_p(+-h) are formed, and scaled by diag(c) in
-    place; one product with the flattened _curve_stack(n, h) gives the
-    objective at all (2d)^2 points, as in _fd_gradient.
+    place; one product with the flattened B gives the objective at all
+    (2d)^2 points, as in _fd_gradient.
     """
     n, d, h = c.size, pair_count(c.size), _HESSIAN_STEP
-    B = _curve_stack(n, h)
     X = A[:, None] @ B
     X *= c[:, None]
     f = X.reshape(len(X), 2 * d, n * n) @ B.reshape(2 * d, n * n).T
@@ -136,8 +133,9 @@ def _gradient_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
     """Closed-form curve derivatives vs central differences at every start,
     along both curve families, in blocks cut by the largest temporary per
     point: the two weighted copies of _fd_gradient, 16 n^2 bytes."""
+    B = _curve_stack(c.size, _GRADIENT_STEP)
     worst = _worst(
-        _fd_gradient(A, c) - np.stack([_curve_derivatives(A, c, False), _curve_derivatives(A, c, True)], 1)
+        _fd_gradient(A, c, B) - np.stack([_curve_derivatives(A, c, False), _curve_derivatives(A, c, True)], 1)
         for A in (starts[block] for block in _blocks(len(starts), 16 * c.size**2))
     )
     threshold = _GRADIENT_THRESHOLD * _weight_scale(c)
@@ -148,8 +146,9 @@ def _hessian_suite(starts: np.ndarray, c: np.ndarray) -> SuiteResult:
     """Bilinear-form Hessian vs second-order central differences at every
     start, in blocks cut by the largest temporary per point: the 2d rotated
     points of _fd_tangent_hessian, 16 d n^2 bytes."""
+    B = _curve_stack(c.size, _HESSIAN_STEP)
     worst = _worst(
-        _tangent_hessian(starts[block], c) - _fd_tangent_hessian(starts[block], c)
+        _tangent_hessian(starts[block], c) - _fd_tangent_hessian(starts[block], c, B)
         for block in _blocks(len(starts), 16 * pair_count(c.size) * c.size**2)
     )
     threshold = _HESSIAN_THRESHOLD * _weight_scale(c)
@@ -207,17 +206,14 @@ def _index_suite(c: np.ndarray) -> SuiteResult:
     )
 
 
-@lru_cache(maxsize=None)
 def _covering_signs(n: int) -> np.ndarray:
-    """Read-only (2 + 2 ceil(log2 n), n) float sign vectors: all +1, then
+    """(2 + 2 ceil(log2 n), n) float sign vectors: all +1, then
     row k + 1 with -1 where bit k of the position is set, and the negations
     of those. Two positions differ in some bit, so every pair meets all
     four sign cases."""
     bits = np.arange(n) >> np.arange((n - 1).bit_length())[:, None] & 1
     half = 1.0 - 2.0 * np.vstack([np.zeros(n), bits])
-    signs = np.vstack([half, -half])
-    signs.flags.writeable = False
-    return signs
+    return np.vstack([half, -half])
 
 
 def _pattern_maxima(size: np.ndarray, n: int) -> np.ndarray:

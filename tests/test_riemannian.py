@@ -45,7 +45,7 @@ from rotmorse.rotations import (
     pair_indices,
     retract,
 )
-from rotmorse.verify import _fd_gradient, _fd_tangent_hessian
+from rotmorse.verify import _GRADIENT_STEP, _HESSIAN_STEP, _curve_stack, _fd_gradient, _fd_tangent_hessian
 
 import helpers
 from helpers import random_costs, reference_classify, reference_gradient, reference_tangent_hessian
@@ -114,7 +114,7 @@ def test_gradient_matches_finite_differences():
         n = int(rng.integers(2, 7))
         A = haar_sample(n, rng)
         c = random_costs(n, rng)
-        fd = _fd_gradient(A[None], c)[0]
+        fd = _fd_gradient(A[None], c, _curve_stack(n, _GRADIENT_STEP))[0]
         for k, side in enumerate(("right", "left")):
             resid = np.abs(curve_derivatives(A, c, side=side) - fd[k])
             worst = max(worst, float(resid.max()))
@@ -286,7 +286,7 @@ def test_hessian_matches_finite_differences():
         n = int(rng.integers(2, 6))
         A = haar_sample(n, rng)
         c = random_costs(n, rng)
-        resid = np.abs(tangent_hessian(A, c) - _fd_tangent_hessian(A[None], c)[0]).max()
+        resid = np.abs(tangent_hessian(A, c) - _fd_tangent_hessian(A[None], c, _curve_stack(n, _HESSIAN_STEP))[0]).max()
         worst = max(worst, float(resid))
     assert worst <= 1e-4
 
@@ -829,7 +829,7 @@ def test_fd_oracles_equal_reference_exactly():
             # B_q(-h), column d + q reads B_q(h)
             f = _objective_table([c[:, None] * X, X * c], minus + plus, n)
             gradients.append([[(f[k, d + q] - f[k, q]) / (2.0 * h) for q in range(d)] for k in (0, 1)])
-        assert np.array_equal(_fd_gradient(stack, c), np.array(gradients).reshape(len(stack), 2, d))
+        assert np.array_equal(_fd_gradient(stack, c, _curve_stack(n, h)), np.array(gradients).reshape(len(stack), 2, d))
         h = 1e-4
         plus = [givens_curve(p, h, n) for p in pairs]
         minus = [givens_curve(p, -h, n) for p in pairs]
@@ -847,7 +847,8 @@ def test_fd_oracles_equal_reference_exactly():
                     for p in range(d)
                 ]
             )
-        assert np.array_equal(_fd_tangent_hessian(stack, c), np.array(hessians).reshape(len(stack), d, d))
+        H = _fd_tangent_hessian(stack, c, _curve_stack(n, h))
+        assert np.array_equal(H, np.array(hessians).reshape(len(stack), d, d))
 
 
 def test_rotated_objective_equals_objective_of_the_product():
@@ -879,11 +880,12 @@ def test_fd_oracles_give_each_point_of_a_stack_its_own_bits(n, S, seed):
     rng = np.random.default_rng(seed)
     c = random_costs(n, rng)
     stack = _haar(n, S, rng)
-    G = _fd_gradient(stack, c)
-    H = _fd_tangent_hessian(stack, c)
+    BG, BH = _curve_stack(n, _GRADIENT_STEP), _curve_stack(n, _HESSIAN_STEP)
+    G = _fd_gradient(stack, c, BG)
+    H = _fd_tangent_hessian(stack, c, BH)
     for k in range(S):
-        assert G[k].tobytes() == _fd_gradient(stack[k : k + 1], c)[0].tobytes()
-        assert H[k].tobytes() == _fd_tangent_hessian(stack[k : k + 1], c)[0].tobytes()
+        assert G[k].tobytes() == _fd_gradient(stack[k : k + 1], c, BG)[0].tobytes()
+        assert H[k].tobytes() == _fd_tangent_hessian(stack[k : k + 1], c, BH)[0].tobytes()
 
 
 def _assert_same_flows(batched, single, grad_tol=1e-8):

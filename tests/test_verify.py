@@ -110,25 +110,36 @@ def test_every_tangent_hessian_stack_of_verify_fits_the_budget(monkeypatch, n):
     # bytes; _fd_tangent_hessian's 2d points A @ B_p(+-h), 16 d n^2 bytes.
     # The suites pass each kernel blocks of at most _STACK_BYTES, or one
     # point where one point alone is larger. 64 starts span two gradient
-    # blocks at n = 12.
+    # blocks at n = 12 and 64 Hessian blocks at every n here, yet each
+    # finite-difference suite builds its curve stack once, for all blocks.
     c, d = default_costs(n), pair_count(n)
     per_point = {"_tangent_hessian": 8 * d * d, "_fd_gradient": 16 * n * n, "_fd_tangent_hessian": 16 * d * n * n}
     sizes = {name: [] for name in per_point}
+    builds = []
 
     def recorded(name):
         original = getattr(verify, name)
 
-        def kernel(A, c):
+        def kernel(A, c, *stack):
             sizes[name].append(len(A))
-            return original(A, c)
+            return original(A, c, *stack)
 
         return kernel
 
+    def curve_stack(m, h, original=verify._curve_stack):
+        builds.append((m, h))
+        return original(m, h)
+
     for name in per_point:
         monkeypatch.setattr(verify, name, recorded(name))
+    monkeypatch.setattr(verify, "_curve_stack", curve_stack)
     starts = _haar(n, 64, n)
     assert _index_suite(c).passed
-    assert _gradient_suite(starts, c).passed and _hessian_suite(starts, c).passed
+    assert not builds
+    assert _gradient_suite(starts, c).passed
+    assert builds == [(n, verify._GRADIENT_STEP)]
+    assert _hessian_suite(starts, c).passed
+    assert builds == [(n, verify._GRADIENT_STEP), (n, verify._HESSIAN_STEP)]
     assert sum(sizes["_fd_gradient"]) == sum(sizes["_fd_tangent_hessian"]) == len(starts)
     for name, size in per_point.items():
         assert sizes[name]
@@ -293,6 +304,22 @@ def test_index_suite_keeps_only_the_diagonals_of_the_unit_hessians():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * d * d
+
+
+def test_run_all_suites_retains_no_curve_stack():
+    # Each finite-difference suite builds its (2d, n, n) curve stack and
+    # drops it on return; a cache of them held 5.3 MB at n = 24 after the
+    # call. What stays traced is the per-n index tables of the float
+    # layer, under one stack's 2 d n^2 * 8 bytes, 2.5 MB.
+    n = 24
+    run_all_suites(3, 1)
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in run_all_suites(n, 1))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * pair_count(n) * n * n * 8
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -473,13 +500,14 @@ def _reference_worst(n, samples, seed, c, residual):
 def test_suite_residuals_equal_reference_loops(n, seed, c):
     # one matrix at a time, through the public derivatives
     def gradient_residual(A, cc):
-        fd = _fd_gradient(A[None], cc)[0]
+        fd = _fd_gradient(A[None], cc, verify._curve_stack(n, verify._GRADIENT_STEP))[0]
         return np.concatenate(
             [np.abs(curve_derivatives(A, cc, side=side) - fd[k]) for k, side in enumerate(("right", "left"))]
         )
 
     def hessian_residual(A, cc):
-        return np.abs(tangent_hessian(A, cc) - _fd_tangent_hessian(A[None], cc)[0])
+        fd = _fd_tangent_hessian(A[None], cc, verify._curve_stack(n, verify._HESSIAN_STEP))[0]
+        return np.abs(tangent_hessian(A, cc) - fd)
 
     samples = 3
     gradient, hessian, index, flow = run_all_suites(n, samples, seed=seed, c=c)
